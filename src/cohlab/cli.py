@@ -4,8 +4,8 @@ Configuration comes from a flat key=value file plus command-line overrides
 (CLI > file > defaults).  Every CSV starts with a '#'-prefixed header
 recording the fully resolved configuration, uses 17-significant-digit
 floats, '\\n' newlines and UTF-8, so output is byte-deterministic for a
-fixed configuration and version.  COHLAB_THREADS caps the worker pool used
-for independent curves.
+fixed configuration and version.  COHLAB_THREADS sets the worker pool used
+for independent curves, capped by the number of curves and of CPUs.
 """
 
 from __future__ import annotations
@@ -211,8 +211,9 @@ def _metric_row(cfg: RunConfig, t: float, u: complex) -> list[float]:
     u = _clamp(u)
     p_e = phase_error_prob(cfg.alpha0, u)
     if cfg.code == "phase":
-        m = corrected_channel_metrics(cfg.alpha0, u, cfg.n)
-        extra = [corrected_c(cfg.n, p_e)]
+        c_prime = corrected_c(cfg.n, p_e)
+        m = corrected_channel_metrics(cfg.alpha0, u, cfg.n, c_prime=c_prime)
+        extra = [c_prime]
     elif cfg.code == "bit":
         m = bitflip_metrics(cfg.n, cfg.alpha0, u)
         extra = [bitflip_p_e(cfg.n, cfg.alpha0, u)]
@@ -345,8 +346,8 @@ _RECIPES = {
 
 def cmd_figure(fig_id: str, cfg: RunConfig) -> tuple[list[str], bool]:
     tasks = _figure_tasks(fig_id, cfg)
-    workers = _worker_count()
-    if workers > 1 and len(tasks) > 1:
+    workers = _worker_count(len(tasks))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_figure_task, tasks))
     else:
@@ -361,12 +362,13 @@ def cmd_figure(fig_id: str, cfg: RunConfig) -> tuple[list[str], bool]:
     return paths + [recipe], ok
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("COHLAB_THREADS", "1")
+def _worker_count(n_tasks: int) -> int:
+    """Pool size: COHLAB_THREADS, capped by the task count and the CPU count."""
     try:
-        return max(1, int(raw))
+        wanted = int(os.environ.get("COHLAB_THREADS", "1"))
     except ValueError:
-        return 1
+        wanted = 1
+    return max(1, min(wanted, n_tasks, os.cpu_count() or 1))
 
 
 # ---------------------------------------------------------------------------

@@ -87,14 +87,16 @@ def corrected_c(n: int, p_e: float) -> float:
     return 2.0 * phase_success_prob(n, p_e) - 1.0
 
 
-def corrected_channel_metrics(alpha0: complex, u: complex, n: int) -> ChannelMetrics:
+def corrected_channel_metrics(alpha0: complex, u: complex, n: int, *,
+                              c_prime: float | None = None) -> ChannelMetrics:
     """Channel metrics with the phase-flip code applied: c → c'(n, p_e).
 
     Only the phase-error channel is corrected; a and b still come from the
-    damped amplitude α_t.
+    damped amplitude α_t.  A caller that already holds
+    c' = corrected_c(n, phase_error_prob(alpha0, u)) passes it as c_prime.
     """
     _require_odd(n)
-    cp = corrected_c(n, phase_error_prob(alpha0, u))
+    cp = corrected_c(n, phase_error_prob(alpha0, u)) if c_prime is None else c_prime
     a, b = evenodd_coeffs(alpha0 * u)
     denom = 1.0 + math.exp(-4.0 * abs(alpha0) ** 2)
     a2b2 = (a * b) ** 2

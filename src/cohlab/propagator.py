@@ -100,6 +100,10 @@ class PropagatorSolution:
 
     poles holds (location, residue) pairs with the location on the
     imaginary z-axis; steady_modulus = |Σ residues| (0 without poles).
+    diagnostics holds the evidence the solution rests on; time stepping
+    records `refinements` (halvings of the grid step), `h_final` (the
+    step of the returned solution) and `halving_delta` (the last
+    max ||u_fine| - |u_coarse|| seen by the halving gate).
     """
 
     grid: TimeGrid
@@ -107,6 +111,7 @@ class PropagatorSolution:
     method: str
     poles: list = field(default_factory=list)
     steady_modulus: float = 0.0
+    diagnostics: dict = field(default_factory=dict)
 
     def validate(self, u0_tol: float = 0.0, modulus_slack: float = 1e-9) -> None:
         if abs(self.u[0] - 1.0) > u0_tol:
@@ -123,24 +128,34 @@ class PropagatorSolution:
 # direct time stepping
 # ---------------------------------------------------------------------------
 
+_NEAR_BLOCK = 64  # lags summed directly each step; a power of two above the 8 start-up steps
+
+
 def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
     """March the equation of motion to t = n h.
 
     Fourth-order scheme: Adams-Bashforth-Moulton PECE for the local terms
     combined with Gregory (end-corrected trapezoid, O(h^4)) quadrature of
     the memory integral; the first eight coarse steps come from a
-    second-order predictor-corrector on a 64x refined grid.  Cost is one
-    O(n) dot product per step.
+    second-order predictor-corrector on a 64x refined grid.
+
+    The history sum C_m = Σ_{j<m} g_{m-j} u_j is the blocked convolution of
+    Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6 (1985) 532),
+    which tiles the pairs (m, j) by dyadic squares.  Once u is known below
+    index r, with L the largest power of two dividing r and L at least the
+    near block, the square j ∈ [r-L, r), m ∈ [r, r+L) is added to a far
+    accumulator by one cyclic FFT convolution of length 2L against the
+    kernel segment g_0..g_{2L-1}, transformed once per level.  Lags inside
+    the aligned near block holding m are summed directly.  Cost is
+    O(n log² n) for the far part and O(n · near block) for the near part.
     """
     t = np.arange(n + 1) * h
-    g = _bath.correlation(spec, t)
-    g_rev = g[::-1]
     u = np.empty(n + 1, dtype=complex)
-    f = np.empty(n + 1, dtype=complex)  # f_k = -i w0 u_k - I_k
+    n0 = min(8, n)
+    f = np.empty(n0 + 1, dtype=complex)  # f_k = -i w0 u_k - I_k
     u[0] = 1.0
     f[0] = -1j * omega0
 
-    n0 = min(8, n)
     refine = 64
     hf = h / refine
     nf = n0 * refine
@@ -165,23 +180,48 @@ def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
     if n <= 8:
         return t, u[:n + 1]
 
-    g0 = g[0]
-
-    def memory(m: int, u_end: complex) -> complex:
-        # Gregory weights: 3/8, 7/6, 23/24, 1, ..., 1, 23/24, 7/6, 3/8
-        s = np.dot(g_rev[n - m + 1:n], u[1:m]) + g[m] * u[0] + g0 * u_end
-        corr = (-5.0 / 8.0) * (g[m] * u[0] + g0 * u_end) \
-            + (1.0 / 6.0) * (g[m - 1] * u[1] + g[1] * u[m - 1]) \
-            + (-1.0 / 24.0) * (g[m - 2] * u[2] + g[2] * u[m - 2])
-        return h * (s + corr)
-
+    nb = _NEAR_BLOCK
+    # g_near needs lags up to nb; lags past n only ever feed m > n
+    g = _bath.correlation(spec, np.arange(max(n, nb) + 1) * h)
+    g_near = g[nb - 1:0:-1].copy()  # g_{nb-1}, ..., g_1
+    g_hat = {}                      # 2L -> FFT of g_0..g_{2L-1}
+    far = np.zeros(n + 1, dtype=complex)
+    far_blk = [0j] * nb             # far_m over the current near block
+    g_blk = g[:nb].tolist()         # g_m over the current near block
+    g0, g1, g2 = g_blk[:3]
+    gm, gm1 = g_blk[n0], g_blk[n0 - 1]
+    u0, u1, u2 = (complex(x) for x in u[:3])
+    uk, ukm1 = complex(u[n0]), complex(u[n0 - 1])
+    fk, fk1, fk2, fk3 = (complex(x) for x in f[n0 - 3:][::-1])
+    w = -1j * omega0
+    a = h / 24.0
     c38 = 0.375 * h * g0
-    for k in range(n0, n):
-        up = u[k] + h / 24.0 * (55 * f[k] - 59 * f[k - 1] + 37 * f[k - 2] - 9 * f[k - 3])
-        mem_p = memory(k + 1, up)
-        fp = -1j * omega0 * up - mem_p
-        u[k + 1] = u[k] + h / 24.0 * (9 * fp + 19 * f[k] - 5 * f[k - 1] + f[k - 2])
-        f[k + 1] = -1j * omega0 * u[k + 1] - (mem_p + c38 * (u[k + 1] - up))
+    for m in range(n0 + 1, n + 1):
+        i = m % nb
+        if i == 0:
+            size = 2 * (m & -m)
+            gh = g_hat.get(size)
+            if gh is None:
+                gh = g_hat[size] = np.fft.fft(g[:size], size)
+            y = np.fft.ifft(np.fft.fft(u[m - size // 2:m], size) * gh)
+            far[m:m + size // 2] += y[size // 2:size // 2 + n + 1 - m]
+            far_blk = far[m:m + nb].tolist()
+            g_blk = g[m:m + nb].tolist()
+            c = far_blk[0]
+        else:
+            c = far_blk[i] + complex(np.dot(g_near[nb - 1 - i:], u[m - i:m]))
+        gm2, gm1, gm = gm1, gm, g_blk[i]
+        # Gregory weights 3/8, 7/6, 23/24, 1, ..., 1, 23/24, 7/6, 3/8; the
+        # u_m end term c38 * u_m is added where u_m is known
+        base = h * (c - 0.625 * gm * u0
+                    + (gm1 * u1 + g1 * uk) / 6.0
+                    - (gm2 * u2 + g2 * ukm1) / 24.0)
+        up = uk + a * (55 * fk - 59 * fk1 + 37 * fk2 - 9 * fk3)
+        fp = w * up - (base + c38 * up)
+        un = uk + a * (9 * fp + 19 * fk - 5 * fk1 + fk2)
+        u[m] = un
+        ukm1, uk = uk, un
+        fk3, fk2, fk1, fk = fk2, fk1, fk, w * un - (base + c38 * un)
     return t, u
 
 
@@ -192,7 +232,9 @@ def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *,
     The grid must be uniform.  The internal step starts at the grid step
     and is halved until one more halving changes the modulus profile |u|
     by less than `halving_tol` everywhere (the self-validation gate); the
-    finer solution is returned, restricted to the requested grid.
+    finer solution is returned, restricted to the requested grid, with
+    the gate's `refinements`, `h_final` and `halving_delta` in its
+    diagnostics (empty when no stepping was needed).
 
     Raises
     ------
@@ -210,8 +252,7 @@ def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *,
         return PropagatorSolution(grid, u, "volterra")
 
     n0 = len(grid.samples) - 1
-    h = h0
-    _, u_h = _step_history(spec, omega0, h, n0)
+    _, u_h = _step_history(spec, omega0, h0, n0)
     for r in range(1, max_refinements + 1):
         factor = 2**r
         _, u_fine = _step_history(spec, omega0, h0 / factor, n0 * factor)
@@ -219,7 +260,8 @@ def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *,
         if delta < halving_tol:
             u_out = u_fine[::factor].copy()
             u_out[0] = 1.0 + 0.0j
-            return PropagatorSolution(grid, u_out, "volterra")
+            diagnostics = {"refinements": r, "h_final": h0 / factor, "halving_delta": delta}
+            return PropagatorSolution(grid, u_out, "volterra", diagnostics=diagnostics)
         u_h = u_fine
     raise NonConvergenceError(
         f"step halving did not stabilize |u| to {halving_tol} within "
@@ -441,5 +483,5 @@ def resample(solution: PropagatorSolution, grid: TimeGrid) -> PropagatorSolution
     sp = CubicSpline(solution.grid.samples, solution.u)
     u = sp(grid.samples)
     u[0] = solution.u[0]
-    return PropagatorSolution(grid, u, solution.method,
-                              list(solution.poles), solution.steady_modulus)
+    return PropagatorSolution(grid, u, solution.method, list(solution.poles),
+                              solution.steady_modulus, dict(solution.diagnostics))

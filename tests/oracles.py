@@ -107,6 +107,69 @@ def ghat_laplace_quadrature(spec, omega: float, eps: float = 1e-7) -> complex:
     return (rc - is_) + 1j * (rs + ic)
 
 
+def step_history_direct(spec, omega0: float, h: float, n: int):
+    """The time stepper with its O(n²) history sum: one dot product over the
+    whole history per step.
+
+    Same discrete scheme as `cohlab.propagator._step_history` (ABM4 PECE,
+    Gregory end corrections, 64x refined 8-step start-up), so the two agree
+    to rounding; the blocked FFT convolution there is what this checks.
+    Returns (t, u) on t = 0, h, ..., n h.
+    """
+    from cohlab.bath import correlation
+
+    t = np.arange(n + 1) * h
+    g = correlation(spec, t)
+    g_rev = g[::-1]
+    u = np.empty(n + 1, dtype=complex)
+    f = np.empty(n + 1, dtype=complex)  # f_k = -i w0 u_k - I_k
+    u[0] = 1.0
+    f[0] = -1j * omega0
+
+    n0 = min(8, n)
+    refine = 64
+    hf = h / refine
+    nf = n0 * refine
+    gf = correlation(spec, np.arange(nf + 1) * hf)
+    uf = np.empty(nf + 1, dtype=complex)
+    uf[0] = 1.0
+    mem = 0.0 + 0.0j
+    for k in range(nf):
+        fk = -1j * omega0 * uf[k] - mem
+        up = uf[k] + hf * fk
+        s = np.dot(gf[1:k + 1], uf[k:0:-1]) if k > 0 else 0.0
+        mem_p = hf * (0.5 * gf[k + 1] * uf[0] + s + 0.5 * gf[0] * up)
+        uf[k + 1] = uf[k] + 0.5 * hf * (fk + (-1j * omega0 * up - mem_p))
+        mem = mem_p + 0.5 * hf * gf[0] * (uf[k + 1] - up)
+        if (k + 1) % refine == 0:
+            m = (k + 1) // refine
+            u[m] = uf[k + 1]
+            wts = np.ones(k + 2)
+            wts[0] = wts[-1] = 0.5
+            f[m] = -1j * omega0 * u[m] - hf * np.dot(wts * gf[k + 1::-1], uf[:k + 2])
+    if n <= 8:
+        return t, u[:n + 1]
+
+    g0 = g[0]
+
+    def memory(m: int, u_end: complex) -> complex:
+        # Gregory weights: 3/8, 7/6, 23/24, 1, ..., 1, 23/24, 7/6, 3/8
+        s = np.dot(g_rev[n - m + 1:n], u[1:m]) + g[m] * u[0] + g0 * u_end
+        corr = (-5.0 / 8.0) * (g[m] * u[0] + g0 * u_end) \
+            + (1.0 / 6.0) * (g[m - 1] * u[1] + g[1] * u[m - 1]) \
+            + (-1.0 / 24.0) * (g[m - 2] * u[2] + g[2] * u[m - 2])
+        return h * (s + corr)
+
+    c38 = 0.375 * h * g0
+    for k in range(n0, n):
+        up = u[k] + h / 24.0 * (55 * f[k] - 59 * f[k - 1] + 37 * f[k - 2] - 9 * f[k - 3])
+        mem_p = memory(k + 1, up)
+        fp = -1j * omega0 * up - mem_p
+        u[k + 1] = u[k] + h / 24.0 * (9 * fp + 19 * f[k] - 5 * f[k - 1] + f[k - 2])
+        f[k + 1] = -1j * omega0 * u[k + 1] - (mem_p + c38 * (u[k + 1] - up))
+    return t, u
+
+
 def random_channel_states(rng: np.random.Generator, count: int):
     """Random (alpha0, u, n) parameter triples spanning the channel family."""
     out = []

@@ -6,9 +6,12 @@ import os
 import numpy as np
 import pytest
 
+from cohlab import codes
 from cohlab.cli import (
     ConfigError,
     RunConfig,
+    _metric_row,
+    _worker_count,
     main,
     parse_config_file,
     resolve_config,
@@ -170,6 +173,30 @@ def test_figure_worker_pool(tmp_path, monkeypatch):
     assert main(["figure", "--id", "1b", "--out", str(tmp_path)]) == 0
     assert sorted(p for p in os.listdir(tmp_path) if p.endswith(".csv")) == [
         "figure1b_J_s0.5.csv", "figure1b_J_s1.csv", "figure1b_J_s3.csv"]
+
+
+def test_worker_count_capped(monkeypatch):
+    # the pool size is computed, never started, for the huge request
+    monkeypatch.setenv("COHLAB_THREADS", str(10**9))
+    assert _worker_count(12) == min(12, os.cpu_count())
+    assert _worker_count(1) == 1
+    monkeypatch.setenv("COHLAB_THREADS", "0")
+    assert _worker_count(12) == 1
+
+
+def test_phase_code_row_computes_c_prime_once(monkeypatch):
+    calls = []
+    original = codes.phase_success_prob
+
+    def counting(n, p_e):
+        calls.append(n)
+        return original(n, p_e)
+
+    monkeypatch.setattr(codes, "phase_success_prob", counting)
+    cfg = RunConfig(code="phase", n=9)
+    row = _metric_row(cfg, 1.0, 0.8 * np.exp(0.3j))
+    assert calls == [9]
+    assert row[-1] == codes.corrected_c(9, row[4])
 
 
 def test_sweep_alpha0_t0_concurrence(tmp_path):

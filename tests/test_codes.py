@@ -98,6 +98,13 @@ def test_corrected_metrics_reduce_to_unencoded_at_n1():
     assert abs(m1.fidelity - m0.fidelity) < 1e-14
 
 
+def test_corrected_metrics_take_precomputed_c_prime():
+    u = 0.7 * np.exp(0.4j)
+    for n in (1, 3, 101):
+        cp = corrected_c(n, phase_error_prob(1.2, u))
+        assert corrected_channel_metrics(1.2, u, n, c_prime=cp) == corrected_channel_metrics(1.2, u, n)
+
+
 def test_corrected_metrics_strong_coupling_headlines():
     # steady moduli of the strong-coupling propagator
     m = corrected_channel_metrics(1.2, 0.829050, 3)

@@ -17,8 +17,12 @@ from cohlab.propagator import (
     volterra_residual,
 )
 from cohlab.bath import pv_power_exp
+from cohlab import propagator
+
+from oracles import step_history_direct
 
 S_VALUES = (0.5, 1.0, 3.0)
+REFERENCE_PAIRS = [(s, e) for s in S_VALUES for e in (0.01, 0.5)]
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +63,7 @@ def test_free_evolution_both_solvers():
     assert find_poles(spec, 0.1) == [(-1j * 0.1, 1.0 + 0.0j)]
 
 
-@pytest.mark.parametrize("s,eta0", [(s, e) for s in S_VALUES for e in (0.01, 0.5)])
+@pytest.mark.parametrize("s,eta0", REFERENCE_PAIRS)
 def test_cross_solver_agreement_short(s, eta0):
     spec = BathSpec(s, eta0)
     grid = TimeGrid.uniform(100.0, 10000)
@@ -94,6 +98,44 @@ def test_volterra_u0_exact_and_residual():
     sol = solve_volterra(spec, 0.1, TimeGrid.uniform(100.0, 10000))
     assert sol.u[0] == 1.0 + 0.0j
     assert volterra_residual(spec, 0.1, sol) <= 1e-6
+
+
+@pytest.mark.parametrize("s,eta0", REFERENCE_PAIRS)
+def test_step_history_matches_direct_sum(s, eta0):
+    # the blocked FFT history sum against the O(n^2) direct sum: n = 9 is
+    # the first step past the start-up, 1000, 3001 and 5000 cross several
+    # dyadic block levels, 3001 is no power of two times the near block
+    spec = BathSpec(s, eta0)
+    for n in (1, 8, 9, 1000, 3001, 5000):
+        t, u = propagator._step_history(spec, 0.1, 0.05, n)
+        t_ref, u_ref = step_history_direct(spec, 0.1, 0.05, n)
+        assert len(u) == n + 1
+        np.testing.assert_array_equal(t, t_ref)
+        assert np.max(np.abs(u - u_ref)) <= 1e-12, n
+
+
+@pytest.mark.parametrize("s,eta0", REFERENCE_PAIRS)
+def test_halving_gate_decisions_match_direct_sum(s, eta0, monkeypatch):
+    spec = BathSpec(s, eta0)
+    grid = TimeGrid.uniform(40.0, 400)
+    fast = solve_volterra(spec, 0.1, grid)
+    monkeypatch.setattr(propagator, "_step_history", step_history_direct)
+    ref = solve_volterra(spec, 0.1, grid)
+    assert fast.diagnostics["refinements"] == ref.diagnostics["refinements"] >= 1
+    assert fast.diagnostics["h_final"] == ref.diagnostics["h_final"]
+    assert abs(fast.diagnostics["halving_delta"] - ref.diagnostics["halving_delta"]) <= 1e-12
+    assert np.max(np.abs(fast.u - ref.u)) <= 1e-12
+
+
+def test_volterra_diagnostics():
+    spec = BathSpec(1.0, 0.5)
+    grid = TimeGrid.uniform(20.0, 200)
+    sol = solve_volterra(spec, 0.1, grid)
+    d = sol.diagnostics
+    assert d["h_final"] == grid.step / 2 ** d["refinements"]
+    assert 0.0 <= d["halving_delta"] < 1e-5
+    assert resample(sol, TimeGrid.log(20.0, 10)).diagnostics == d
+    assert solve_volterra(BathSpec(1.0, 0.0), 0.1, grid).diagnostics == {}
 
 
 def test_volterra_refinement_budget_error():
