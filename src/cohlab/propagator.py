@@ -294,37 +294,31 @@ def volterra_residual(spec: BathSpec, omega0: float, solution: PropagatorSolutio
 # Laplace inversion
 # ---------------------------------------------------------------------------
 
-def find_poles(spec: BathSpec, omega0: float, *, y_max: float = 50.0,
-               n_scan: int = 4000) -> list[tuple[complex, complex]]:
+def find_poles(spec: BathSpec, omega0: float, *,
+               y_max: float = 50.0) -> list[tuple[complex, complex]]:
     """Poles of û(z) on the imaginary axis, with residues 1/D'(z_p).
 
     On the positive imaginary axis (z = i y ω_c, y > 0: frequencies below
-    the bath band) the denominator is i B_loc(y) with B_loc real, so zeros
-    are bracketed by sign changes and polished by bisection.  On the
+    the bath band) the denominator is i B_loc(y) with B_loc real and
+    strictly increasing (slope ≥ 1), so there is at most one zero: it is
+    bracketed by one sign test on [1e-9, y_max] and polished by brentq.  A
+    zero beyond y_max is not searched for and yields no pole.  On the
     negative imaginary axis — the branch cut — Im B = -π η_s ω^s e^{-ω} < 0
-    strictly, so no further pole can hide there for η_0 > 0.  The scan is
-    generic (log + linear grid): no single-pole assumption.
+    strictly, so no further pole can hide there for η_0 > 0.
     """
     if spec.eta0 == 0.0:
         return [(-1j * omega0, 1.0 + 0.0j)]
-    ys = np.unique(np.concatenate([
-        np.geomspace(1e-9, y_max, n_scan // 2),
-        np.linspace(1e-9, y_max, n_scan // 2),
-    ]))
-    vals = _bath.imaginary_axis_denominator(spec, omega0, ys)
-    poles = []
-    for i in range(len(ys) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            yp = ys[i]
-        elif (a < 0) != (b < 0):
-            yp = brentq(lambda y: _bath.imaginary_axis_denominator(spec, omega0, y),
-                        ys[i], ys[i + 1], xtol=1e-14, rtol=8.9e-16)
-        else:
-            continue
-        res = 1.0 / _bath.imaginary_axis_denominator_derivative(spec, yp)
-        poles.append((1j * yp * spec.omega_c, complex(res)))
-    return poles
+
+    def b_loc(y):
+        return _bath.imaginary_axis_denominator(spec, omega0, y)
+
+    y_min = 1e-9
+    b_min = b_loc(y_min)
+    if b_min > 0.0 or b_loc(y_max) < 0.0:
+        return []
+    yp = y_min if b_min == 0.0 else brentq(b_loc, y_min, y_max, xtol=1e-14, rtol=8.9e-16)
+    res = 1.0 / _bath.imaginary_axis_denominator_derivative(spec, yp)
+    return [(1j * yp * spec.omega_c, complex(res))]
 
 
 def _resonance_seeds(spec: BathSpec, omega0: float, omega_max: float) -> list[float]:

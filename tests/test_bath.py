@@ -14,11 +14,18 @@ from cohlab.bath import (
     spectral_density,
     correlation,
 )
+from cohlab.bath import _stieltjes
 from cohlab.specfun import gamma_real
 
-from oracles import correlation_quadrature, ghat_laplace_quadrature
+from oracles import (
+    correlation_quadrature,
+    ghat_laplace_quadrature,
+    pv_power_exp_mp,
+    stieltjes_mp,
+)
 
 S_VALUES = (0.5, 1.0, 3.0)
+GENERIC_S = (0.3, 0.7, 1.5, 2.0, 2.5, 4.0, 6.5)
 
 
 def test_spec_validation():
@@ -173,3 +180,42 @@ def test_imaginary_axis_derivative_vs_finite_difference():
     fd = (imaginary_axis_denominator(spec, 0.1, y + h)
           - imaginary_axis_denominator(spec, 0.1, y - h)) / (2 * h)
     assert abs(imaginary_axis_denominator_derivative(spec, y) - fd) < 1e-6
+
+
+def _dispersion_errors(s, points=10):
+    """Worst relative errors of I(y) = ∫x^s e^{-x}/(x+y), -I'(y) and the
+    principal value against mpmath quadrature, over y = w ∈ [1e-9, 50].
+    The PV passes through zero, so its error is taken relative to the
+    modulus of the boundary value PV + iπ w^s e^{-w} it is the real part of.
+    The grid includes both sides of the switch from series to continued
+    fraction at y = 1, where each converges slowest.
+    """
+    y = np.concatenate([np.geomspace(1e-9, 50.0, points), [0.999, 1.0]])
+    i_ref = np.array([stieltjes_mp(s, v) for v in y])
+    d_ref = np.array([stieltjes_mp(s, v, power=2) for v in y])
+    pv_ref, im_ref = np.array([pv_power_exp_mp(s, v) for v in y]).T
+    i, d = _stieltjes(s, y)
+    return (np.max(np.abs(i / i_ref - 1.0)),
+            np.max(np.abs(d / d_ref - 1.0)),
+            np.max(np.abs(pv_power_exp(s, y) - pv_ref) / np.hypot(pv_ref, im_ref)))
+
+
+@pytest.mark.parametrize("s,tol_pv", [(s, 1e-9) for s in GENERIC_S] + [
+    (1.98, 1e-9), (2.02, 1e-9),          # hypergeometric PV at the edge of the near-integer band
+    (1.981, 1e-7), (2.000001, 1e-7),     # per-point quad PV inside it, at quad's default 1.49e-8
+    (0.001, 1e-9), (3.000000001, 1e-7),
+])
+def test_dispersion_integrals_vs_mpmath(s, tol_pv):
+    # I and -I' have no band: their series stays exact as s nears an integer
+    err_i, err_d, err_pv = _dispersion_errors(s)
+    assert err_i <= 1e-12 and err_d <= 1e-12 and err_pv <= tol_pv
+
+
+def test_pv_power_exp_keeps_shape():
+    w = np.array([[0.2, 1.0], [3.0, 40.0]])
+    for s in (1.5, 2.0):
+        out = pv_power_exp(s, w)
+        assert out.shape == w.shape
+        assert out[1, 0] == pv_power_exp(s, 3.0)
+    with pytest.raises(ValueError):
+        pv_power_exp(1.5, np.array([1.0, 0.0]))

@@ -1,7 +1,10 @@
 """Propagator: time stepping vs Laplace inversion, poles, Markov diagnostic."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from cohlab.bath import BathSpec, imaginary_axis_denominator, spectral_density
 from cohlab.propagator import (
@@ -19,7 +22,7 @@ from cohlab.propagator import (
 from cohlab.bath import pv_power_exp
 from cohlab import propagator
 
-from oracles import step_history_direct
+from oracles import find_poles_scan, step_history_direct
 
 S_VALUES = (0.5, 1.0, 3.0)
 REFERENCE_PAIRS = [(s, e) for s in S_VALUES for e in (0.01, 0.5)]
@@ -83,6 +86,25 @@ def test_generic_s_fallback_cross_solver():
     sl = solve_laplace(spec, 0.1, TimeGrid(grid.samples[::50]))
     assert np.max(np.abs(sv.u[::50] - sl.u)) < 1e-4
     assert len(sl.poles) == 1 and sl.steady_modulus > 0.5
+
+
+def test_generic_s_fractional_cross_solver():
+    # s = 1.5 takes the hypergeometric principal value and the continued
+    # fraction / series imaginary-axis integral
+    spec = BathSpec(1.5, 0.3)
+    grid = TimeGrid.uniform(50.0, 5000)
+    sv = solve_volterra(spec, 0.1, grid)
+    sl = solve_laplace(spec, 0.1, TimeGrid(grid.samples[::50]))
+    assert np.max(np.abs(sv.u[::50] - sl.u)) < 1e-4
+    assert len(sl.poles) == 1 and sl.steady_modulus > 0.5
+
+
+def test_generic_s_laplace_emits_no_integration_warning():
+    # the per-point quad of the old principal value warned 1 087 times here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        sol = solve_laplace(BathSpec(0.7, 0.01), 0.1, TimeGrid.log(1000.0, 100))
+    assert np.all(np.isfinite(sol.u))
 
 
 def test_laplace_sum_rule():
@@ -179,6 +201,19 @@ def test_single_pole_at_strong_coupling(s):
     assert 0.0 < abs(res) < 1.0
     # the pole is a zero of the imaginary-axis denominator
     assert abs(imaginary_axis_denominator(spec, 0.1, z.imag)) < 1e-10
+
+
+@pytest.mark.parametrize("s,eta0", REFERENCE_PAIRS + [
+    (1.0, 1000.0), (3.0, 1000.0), (1.5, 0.5), (2.0, 0.5), (0.3, 0.05), (4.0, 0.01)])
+def test_find_poles_matches_scan(s, eta0):
+    # one bracket on the monotone B_loc finds what the 4000-point scan finds,
+    # including nothing when the zero lies beyond y_max (eta0 = 1000)
+    spec = BathSpec(s, eta0)
+    got, ref = find_poles(spec, 0.1), find_poles_scan(spec, 0.1)
+    assert len(got) == len(ref)
+    for (z, res), (z_ref, res_ref) in zip(got, ref):
+        assert abs(z - z_ref) <= 1e-12
+        assert abs(res - res_ref) <= 1e-12
 
 
 def test_pole_existence_threshold():
