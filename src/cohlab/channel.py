@@ -4,10 +4,11 @@ Each mode is damped independently by the exact element map, and the state
 is expressed in the orthonormal even/odd product basis, where it takes an
 X-form.  Channel quality is tracked by the concurrence, the fully
 entangled fraction f_max, and the teleportation fidelity F = (2 f_max+1)/3.
-Closed forms for all three exist; independent matrix-level oracles
-(Wootters spin-flip spectrum, magic-basis eigenvalue, direct search over
-maximally entangled states) are kept alongside and never collapsed into
-the closed-form route.
+Closed forms for all three exist, as one elementwise kernel
+(`x_state_metrics`) that the repetition codes share; independent
+matrix-level oracles (Wootters spin-flip spectrum, magic-basis eigenvalue,
+direct search over maximally entangled states) are kept alongside and
+never collapsed into the closed-form route.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "fef_direct_search",
     "teleportation_fidelity",
     "metrics_closed",
+    "x_state_metrics",
 ]
 
 
@@ -80,17 +82,24 @@ class TwoQubitState:
 
 @dataclass(frozen=True)
 class ChannelMetrics:
-    """Concurrence, fully entangled fraction, and teleportation fidelity."""
+    """Concurrence, fully entangled fraction, and teleportation fidelity,
+    at one instant or elementwise along a curve."""
 
-    concurrence: float
-    f_max: float
-    fidelity: float
+    concurrence: float | np.ndarray
+    f_max: float | np.ndarray
+    fidelity: float | np.ndarray
 
     def __post_init__(self):
-        if not -1e-12 <= self.concurrence <= 1.0 + 1e-12:
-            raise ValueError(f"concurrence {self.concurrence} outside [0, 1]")
-        if not 1.0 / 3.0 - 1e-12 <= self.fidelity <= 1.0 + 1e-12:
-            raise ValueError(f"fidelity {self.fidelity} outside [1/3, 1]")
+        _require_within(self.concurrence, -1e-12, 1.0 + 1e-12, "concurrence", "[0, 1]")
+        _require_within(self.fidelity, 1.0 / 3.0 - 1e-12, 1.0 + 1e-12, "fidelity", "[1/3, 1]")
+
+
+def _require_within(x, lo: float, hi: float, name: str, interval: str) -> None:
+    """ValueError naming the first value of x outside [lo, hi] (NaN included)."""
+    x = np.asarray(x)
+    bad = ~((x >= lo) & (x <= hi))
+    if np.any(bad):
+        raise ValueError(f"{name} {x[bad].flat[0]} outside {interval}")
 
 
 def cluster_state_density(alpha0: complex, u: complex) -> TwoQubitState:
@@ -153,15 +162,12 @@ def element_map_density(alpha0: complex, u: complex, n: int = 1) -> TwoQubitStat
     return TwoQubitState(rho / m_n, (alpha0, u, c, n))
 
 
-def concurrence_closed(alpha0: complex, u: complex) -> float:
+def concurrence_closed(alpha0: complex, u):
     """C = 2a²b²/(1+e^{-4|α_0|²}) · max{0, c² + 2c - 1}.
 
     Vanishes (entanglement sudden death) once c drops below √2 - 1.
     """
-    a, b = evenodd_coeffs(alpha0 * u)
-    c = coherence_factor(alpha0, u)
-    pref = 2.0 * (a * b) ** 2 / (1.0 + math.exp(-4.0 * abs(alpha0) ** 2))
-    return pref * max(0.0, c * c + 2.0 * c - 1.0)
+    return metrics_closed(alpha0, u).concurrence
 
 
 _YY = np.array([
@@ -190,12 +196,9 @@ def wootters_concurrence(state: TwoQubitState) -> float:
     return max(0.0, sigma[0] - sigma[1] - sigma[2] - sigma[3])
 
 
-def fef_closed(alpha0: complex, u: complex) -> float:
+def fef_closed(alpha0: complex, u):
     """f_max = (c² - 2a²b²(1-c)² + 1) / (2(1 + e^{-4|α_0|²}))."""
-    a, b = evenodd_coeffs(alpha0 * u)
-    c = coherence_factor(alpha0, u)
-    return (c * c - 2.0 * (a * b) ** 2 * (1.0 - c) ** 2 + 1.0) \
-        / (2.0 * (1.0 + math.exp(-4.0 * abs(alpha0) ** 2)))
+    return metrics_closed(alpha0, u).f_max
 
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -279,14 +282,45 @@ def fef_direct_search(state: TwoQubitState, n_samples: int = 10000,
     return max(best, -float(res.fun))
 
 
-def teleportation_fidelity(f_max: float) -> float:
+def teleportation_fidelity(f_max):
     """F = (2 f_max + 1)/3; the classical limit is F = 2/3 at f_max = 1/2."""
-    if not 0.0 <= f_max <= 1.0:
-        raise ValueError(f"f_max = {f_max} outside [0, 1]")
+    _require_within(f_max, 0.0, 1.0, "f_max =", "[0, 1]")
     return (2.0 * f_max + 1.0) / 3.0
 
 
-def metrics_closed(alpha0: complex, u: complex) -> ChannelMetrics:
-    """Closed-form metrics of the unencoded channel at one instant."""
-    f = fef_closed(alpha0, u)
-    return ChannelMetrics(concurrence_closed(alpha0, u), f, teleportation_fidelity(f))
+def x_state_metrics(alpha0: complex, u, c, modes: int = 1) -> ChannelMetrics:
+    """Closed-form metrics of the X-form channel state, elementwise over u.
+
+    Each logical qubit is |±α⟩^{⊗modes}, so a, b come from √modes α_0 u
+    (see `evenodd_coeffs`),
+    and c is the factor that damps the coherence between the two branches:
+    the coherence factor itself for the bare channel, c' for the phase-flip
+    code and cⁿ for n-bit repetition encoding.  With the normalization
+    M = 4D, D = 1 + e^{-4 modes |α_0|²} for odd modes and D = 1 for even:
+
+        C = (2a²b²/D) max{0, c² + 2c - 1}
+        f_max = (c² - 2a²b²(1-c)² + 1)/(2D)                  (odd modes)
+        f_max = (1 + 4a²b²c² + √((a² - b²)⁴ + 16a²b²c²))/4   (even modes)
+
+    and F = (2 f_max + 1)/3.  Every element is range-checked: a concurrence
+    outside [0, 1] or a fidelity outside [1/3, 1] (each with 1e-12 slack),
+    or an f_max outside [0, 1], raises ValueError.
+    """
+    # a² - b² = q and a²b² = (1 - q²)/4 with q = e^{-2 modes |α_t|²}; taken
+    # from q directly, a²b² cannot round above 1/4 (nor f_max above 1)
+    q = np.exp(-2.0 * modes * abs(alpha0) ** 2 * np.abs(u) ** 2)
+    a2b2 = 0.25 * (1.0 - q * q)
+    c2 = c * c
+    if modes % 2 == 1:
+        denom = 1.0 + math.exp(-4.0 * modes * abs(alpha0) ** 2)  # M/4
+        f = (c2 - 2.0 * a2b2 * (1.0 - c) ** 2 + 1.0) / (2.0 * denom)
+    else:
+        denom = 1.0
+        f = 0.25 * (1.0 + 4.0 * a2b2 * c2 + np.sqrt(q**4 + 16.0 * a2b2 * c2))
+    conc = (2.0 * a2b2 / denom) * np.maximum(0.0, c2 + 2.0 * c - 1.0)
+    return ChannelMetrics(conc, f, teleportation_fidelity(f))
+
+
+def metrics_closed(alpha0: complex, u) -> ChannelMetrics:
+    """Closed-form metrics of the unencoded channel, elementwise over u."""
+    return x_state_metrics(alpha0, u, coherence_factor(alpha0, u))

@@ -4,8 +4,10 @@ Configuration comes from a flat key=value file plus command-line overrides
 (CLI > file > defaults).  Every CSV starts with a '#'-prefixed header
 recording the fully resolved configuration, uses 17-significant-digit
 floats, '\\n' newlines and UTF-8, so output is byte-deterministic for a
-fixed configuration and version.  COHLAB_THREADS sets the worker pool used
-for independent curves, capped by the number of curves and of CPUs.
+fixed configuration and version.  A figure or sweep solves each distinct
+propagator once and derives all of its curves from that solution;
+COHLAB_THREADS sets the worker pool for those solves, capped by their
+number and the number of CPUs.
 """
 
 from __future__ import annotations
@@ -138,17 +140,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # CSV output
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
-
-
 def write_csv(path: str, header_items, columns: list[str], rows, footer: list[str] = ()):
+    """Rows of equal layout: int columns print as '%d', the rest as '%.17g'."""
     lines = [f"# {k} = {v}" for k, v in header_items]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    if len(rows):
+        fmt = ",".join("%d" if isinstance(x, (int, np.integer)) else "%.17g" for x in rows[0])
+        lines.extend(fmt % tuple(row) for row in rows)
     lines.extend(f"# {f}" for f in footer)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -158,18 +156,24 @@ def write_csv(path: str, header_items, columns: list[str], rows, footer: list[st
 # propagator evaluation shared by the commands
 # ---------------------------------------------------------------------------
 
+# the RunConfig fields that determine u on the output grid
+_PROPAGATOR_FIELDS = ("s", "eta0", "omega_c", "omega0", "tmax", "points",
+                      "out_points", "tmin_out", "log_out", "solver")
+
+
 def _output_grid(cfg: RunConfig) -> TimeGrid:
     if cfg.log_out:
         return TimeGrid.log(cfg.tmax, cfg.out_points, min(cfg.tmin_out, cfg.tmax / 10.0))
     return TimeGrid.uniform(cfg.tmax, cfg.out_points - 1)
 
 
-def _solve_u(cfg: RunConfig, out_grid: TimeGrid) -> dict:
-    """u on the output grid per requested solver(s).
+def _solve_u(cfg: RunConfig) -> tuple[TimeGrid, dict]:
+    """The output grid and u on it per requested solver(s).
 
     Time stepping always runs on the uniform grid and is cubic-resampled;
     Laplace inversion is evaluated on the output grid directly.
     """
+    out_grid = _output_grid(cfg)
     sols = {}
     spec = cfg.bath
     if cfg.solver in ("volterra", "both"):
@@ -177,50 +181,53 @@ def _solve_u(cfg: RunConfig, out_grid: TimeGrid) -> dict:
         sols["volterra"] = resample(solve_volterra(spec, cfg.omega0, uniform), out_grid)
     if cfg.solver in ("laplace", "both"):
         sols["laplace"] = solve_laplace(spec, cfg.omega0, out_grid)
-    return sols
+    return out_grid, sols
 
 
-def _clamp(u: complex) -> complex:
-    m = abs(u)
-    return u / m if m > 1.0 else u
+def _solve_each_once(cfgs: list[RunConfig]) -> list[tuple[TimeGrid, dict]]:
+    """_solve_u for every config, solving each distinct propagator once.
+
+    Configs that differ only outside _PROPAGATOR_FIELDS (α0, code, n, out)
+    share one solution.  With COHLAB_THREADS > 1 the distinct solves run in
+    a process pool.  Nothing is kept between calls.
+    """
+    keys = [tuple(getattr(c, f) for f in _PROPAGATOR_FIELDS) for c in cfgs]
+    distinct = dict(zip(keys, cfgs))
+    workers = _worker_count(len(distinct))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            solved = list(pool.map(_solve_u, distinct.values()))
+    else:
+        solved = [_solve_u(c) for c in distinct.values()]
+    by_key = dict(zip(distinct, solved))
+    return [by_key[k] for k in keys]
 
 
-def cmd_propagator(cfg: RunConfig) -> tuple[str, bool]:
-    out_grid = _output_grid(cfg)
-    sols = _solve_u(cfg, out_grid)
+def _discrepancy_footer(sols: dict) -> tuple[list[str], bool]:
+    if len(sols) < 2:
+        return [], True
+    diff = float(np.max(np.abs(sols["volterra"].u - sols["laplace"].u)))
+    return [f"max_solver_discrepancy = {diff:.17g} (tol {CROSS_SOLVER_TOL})"], diff <= CROSS_SOLVER_TOL
+
+
+def _write_propagator(cfg: RunConfig, out_grid: TimeGrid, sols: dict,
+                      prefix: str = "propagator_") -> tuple[str, bool]:
     methods = sorted(sols)
     columns = ["t"] + [f"{c}_{m}" for m in methods for c in ("re_u", "im_u", "abs_u")]
-    rows = []
-    for k, t in enumerate(out_grid.samples):
-        row = [t]
-        for m in methods:
-            u = sols[m].u[k]
-            row += [u.real, u.imag, abs(u)]
-        rows.append(row)
-    footer, ok = [], True
-    if len(methods) == 2:
-        diff = float(np.max(np.abs(sols["volterra"].u - sols["laplace"].u)))
-        ok = diff <= CROSS_SOLVER_TOL
-        footer.append(f"max_solver_discrepancy = {_fmt(diff)} (tol {CROSS_SOLVER_TOL})")
-    path = os.path.join(cfg.out, f"propagator_s{cfg.s:g}_eta{cfg.eta0:g}.csv")
-    write_csv(path, cfg.header_items(), columns, rows, footer)
+    data = [out_grid.samples]
+    for m in methods:
+        u = sols[m].u
+        # hypot rounds |u| as the scalar abs() does; np.abs on a complex array
+        # differs from it in the last bit
+        data += [u.real, u.imag, np.hypot(u.real, u.imag)]
+    footer, ok = _discrepancy_footer(sols)
+    path = os.path.join(cfg.out, f"{prefix}s{cfg.s:g}_eta{cfg.eta0:g}.csv")
+    write_csv(path, cfg.header_items(), columns, np.column_stack(data).tolist(), footer)
     return path, ok
 
 
-def _metric_row(cfg: RunConfig, t: float, u: complex) -> list[float]:
-    u = _clamp(u)
-    p_e = phase_error_prob(cfg.alpha0, u)
-    if cfg.code == "phase":
-        c_prime = corrected_c(cfg.n, p_e)
-        m = corrected_channel_metrics(cfg.alpha0, u, cfg.n, c_prime=c_prime)
-        extra = [c_prime]
-    elif cfg.code == "bit":
-        m = bitflip_metrics(cfg.n, cfg.alpha0, u)
-        extra = [bitflip_p_e(cfg.n, cfg.alpha0, u)]
-    else:
-        m = metrics_closed(cfg.alpha0, u)
-        extra = []
-    return [t, m.concurrence, m.f_max, m.fidelity, p_e] + extra
+def cmd_propagator(cfg: RunConfig) -> tuple[str, bool]:
+    return _write_propagator(cfg, *_solve_u(cfg))
 
 
 def _channel_columns(cfg: RunConfig) -> list[str]:
@@ -232,33 +239,49 @@ def _channel_columns(cfg: RunConfig) -> list[str]:
     return cols
 
 
-def cmd_channel(cfg: RunConfig) -> tuple[str, bool]:
-    out_grid = _output_grid(cfg)
-    sols = _solve_u(cfg, out_grid)
-    primary = sols.get("laplace", sols.get("volterra"))
-    rows = [_metric_row(cfg, t, primary.u[k]) for k, t in enumerate(out_grid.samples)]
-    footer, ok = [], True
-    if len(sols) == 2:
-        diff = float(np.max(np.abs(sols["volterra"].u - sols["laplace"].u)))
-        ok = diff <= CROSS_SOLVER_TOL
-        footer.append(f"max_solver_discrepancy = {_fmt(diff)} (tol {CROSS_SOLVER_TOL})")
+def _channel_rows(cfg: RunConfig, out_grid: TimeGrid, sols: dict) -> list[list[float]]:
+    """One row per output time under _channel_columns, from the Laplace
+    solution when there is one; every metric is one array pass over u,
+    with |u| > 1 roundoff clamped to the unit circle."""
+    u = sols.get("laplace", sols.get("volterra")).u
+    u = u / np.maximum(np.abs(u), 1.0)
+    p_e = phase_error_prob(cfg.alpha0, u)
+    if cfg.code == "phase":
+        c_prime = corrected_c(cfg.n, p_e)
+        m = corrected_channel_metrics(cfg.alpha0, u, cfg.n, c_prime=c_prime)
+        extra = [c_prime]
+    elif cfg.code == "bit":
+        m = bitflip_metrics(cfg.n, cfg.alpha0, u)
+        extra = [bitflip_p_e(cfg.n, cfg.alpha0, u)]
+    else:
+        m = metrics_closed(cfg.alpha0, u)
+        extra = []
+    cols = [out_grid.samples, m.concurrence, m.f_max, m.fidelity, p_e] + extra
+    return np.column_stack(cols).tolist()
+
+
+def _write_channel(cfg: RunConfig, out_grid: TimeGrid, sols: dict,
+                   prefix: str = "channel_") -> tuple[str, bool]:
+    footer, ok = _discrepancy_footer(sols)
     tag = "" if cfg.code == "none" else f"_{cfg.code}{cfg.n}"
-    path = os.path.join(cfg.out, f"channel_s{cfg.s:g}_eta{cfg.eta0:g}{tag}.csv")
-    write_csv(path, cfg.header_items(), _channel_columns(cfg), rows, footer)
+    path = os.path.join(cfg.out, f"{prefix}s{cfg.s:g}_eta{cfg.eta0:g}{tag}.csv")
+    write_csv(path, cfg.header_items(), _channel_columns(cfg),
+              _channel_rows(cfg, out_grid, sols), footer)
     return path, ok
+
+
+def cmd_channel(cfg: RunConfig) -> tuple[str, bool]:
+    return _write_channel(cfg, *_solve_u(cfg))
 
 
 def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> tuple[str, bool]:
     if axis not in ("eta0", "s", "n", "alpha0", "omega0"):
         raise ConfigError(f"unknown sweep axis {axis!r}")
+    cfgs = [replace(cfg, **{axis: int(v) if axis == "n" else float(v)}) for v in values]
     rows = []
-    for v in values:
-        c = replace(cfg, **{axis: int(v) if axis == "n" else float(v)})
-        out_grid = _output_grid(c)
-        sols = _solve_u(c, out_grid)
-        primary = sols.get("laplace", sols.get("volterra"))
-        for k, t in enumerate(out_grid.samples):
-            rows.append([getattr(c, axis)] + _metric_row(c, t, primary.u[k]))
+    for c, (out_grid, sols) in zip(cfgs, _solve_each_once(cfgs)):
+        v = getattr(c, axis)
+        rows += [[v] + r for r in _channel_rows(c, out_grid, sols)]
     path = os.path.join(cfg.out, f"sweep_{axis}.csv")
     write_csv(path, cfg.header_items(), [axis] + _channel_columns(cfg), rows)
     return path, True
@@ -271,12 +294,13 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> tuple[str, bool
 _S_VALUES = (0.5, 1.0, 3.0)
 
 
-def _spectral_curve_task(cfg: RunConfig, s: float, scaled: bool, label: str):
-    eta0 = cfg.eta0 if scaled else cfg.eta0 * (s / math.e) ** s  # makes eta_s = eta0
-    spec = BathSpec(s, eta0, cfg.omega_c)
+def _write_spectral_curve(cfg: RunConfig, label: str) -> tuple[str, bool]:
+    # 1b keeps η0 (scaled coupling); 1a rescales it so that η_s = η0
+    eta0 = cfg.eta0 if label == "1b" else cfg.eta0 * (cfg.s / math.e) ** cfg.s
+    spec = BathSpec(cfg.s, eta0, cfg.omega_c)
     w = np.linspace(0.0, 8.0 * cfg.omega_c, 801)
     rows = [[wi, spectral_density(spec, wi)] for wi in w]
-    path = os.path.join(cfg.out, f"figure{label}_J_s{s:g}.csv")
+    path = os.path.join(cfg.out, f"figure{label}_J_s{cfg.s:g}.csv")
     write_csv(path, cfg.header_items(), ["omega", "J"], rows)
     return path, True
 
@@ -286,7 +310,7 @@ def _figure_tasks(fig_id: str, cfg: RunConfig) -> list[tuple]:
     tasks = []
     if fig_id in ("1a", "1b"):
         for s in _S_VALUES:
-            tasks.append(("J", fig_id, replace(cfg, s=s, eta0=0.5), fig_id == "1b"))
+            tasks.append(("J", fig_id, replace(cfg, s=s, eta0=0.5)))
         return tasks
     if fig_id in ("2a", "2b"):
         eta0 = 0.01 if fig_id == "2a" else 0.5
@@ -314,24 +338,6 @@ def _figure_tasks(fig_id: str, cfg: RunConfig) -> list[tuple]:
     raise ConfigError(f"unknown figure id {fig_id!r}; known: 1a 1b 2a 2b 3 4 5 6")
 
 
-def _rename_with_prefix(path: str, old: str, new: str) -> str:
-    target = os.path.join(os.path.dirname(path),
-                          os.path.basename(path).replace(old, new, 1))
-    os.replace(path, target)
-    return target
-
-
-def _run_figure_task(task: tuple) -> tuple[str, bool]:
-    kind, label, cfg = task[0], task[1], task[2]
-    if kind == "J":
-        return _spectral_curve_task(cfg, cfg.s, task[3], label)
-    if kind == "u":
-        path, ok = cmd_propagator(cfg)
-        return _rename_with_prefix(path, "propagator_", f"figure{label}_u_"), ok
-    path, ok = cmd_channel(cfg)
-    return _rename_with_prefix(path, "channel_", f"figure{label}_"), ok
-
-
 _RECIPES = {
     "1a": "plot J vs omega for each CSV; linear axes; omega in units of omega_c (unscaled coupling)",
     "1b": "plot J vs omega for each CSV; linear axes; omega in units of omega_c (scaled coupling, common peak 2*pi*eta0*omega_c)",
@@ -346,12 +352,14 @@ _RECIPES = {
 
 def cmd_figure(fig_id: str, cfg: RunConfig) -> tuple[list[str], bool]:
     tasks = _figure_tasks(fig_id, cfg)
-    workers = _worker_count(len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_figure_task, tasks))
+    if fig_id in ("1a", "1b"):
+        results = [_write_spectral_curve(c, label) for _, label, c in tasks]
     else:
-        results = [_run_figure_task(t) for t in tasks]
+        solved = _solve_each_once([c for _, _, c in tasks])
+        write = {"u": _write_propagator, "channel": _write_channel}
+        prefix = {"u": f"figure{fig_id}_u_", "channel": f"figure{fig_id}_"}
+        results = [write[kind](c, *sol, prefix=prefix[kind])
+                   for (kind, _, c), sol in zip(tasks, solved)]
     paths = [p for p, _ in results]
     ok = all(flag for _, flag in results)
     recipe = os.path.join(cfg.out, f"figure{fig_id}_recipe.txt")

@@ -1,14 +1,20 @@
 """Repetition-code layer on top of the noisy channel.
 
-Phase-flip correction (odd n) succeeds with probability
+Phase-flip correction (odd n) succeeds when at most (n-1)/2 of the n modes
+flip, with probability
 
-    p_s = Σ_{k=0}^{(n-1)/2} C(n,k) (1-p_e)^{n-k} p_e^k,
+    p_s = Σ_{k=0}^{(n-1)/2} C(n,k) (1-p_e)^{n-k} p_e^k = 1 - bdtrc((n-1)/2, n, p_e),
 
-and acts on the channel simply by replacing the coherence factor c with
+the binomial CDF, taken from its complement `scipy.special.bdtrc` (a
+regularized incomplete beta function, stable for any n).  Correction acts
+on the channel simply by replacing the coherence factor c with
 c' = 2 p_s - 1; the amplitude reduction a, b is untouched by the code.
 Bit-flip repetition encoding (any n) is modeled exactly: it multiplies the
 exponent of the coherence factor by n, so the phase error grows with n and
 the encoded channel is strictly worse — the contrast the metrics exhibit.
+Every function here is elementwise over an array of u (or p_e), and the
+channel metrics of both codes come from the one X-state kernel
+`channel.x_state_metrics`.
 """
 
 from __future__ import annotations
@@ -17,12 +23,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import bdtrc
 
 from .channel import (
     ChannelMetrics,
     TwoQubitState,
-    teleportation_fidelity,
+    x_state_metrics,
 )
 from .qubit import coherence_factor, evenodd_coeffs, phase_error_prob
 
@@ -35,9 +41,6 @@ __all__ = [
     "bitflip_density",
     "bitflip_metrics",
 ]
-
-_LOG_SPACE_N = 60
-
 
 @dataclass(frozen=True)
 class CodeConfig:
@@ -60,35 +63,29 @@ def _require_odd(n: int) -> None:
         raise ValueError(f"n must be a positive odd integer, got {n}")
 
 
-def phase_success_prob(n: int, p_e: float) -> float:
-    """Error-free transmission probability of the n-bit phase-flip code.
+def phase_success_prob(n: int, p_e):
+    """Error-free transmission probability of the n-bit phase-flip code,
+    elementwise over p_e: 1 - bdtrc((n-1)/2, n, p_e).
 
-    Exact binomial sum for n ≤ 60; log-space (gammaln + logsumexp) above,
-    so n = 101 and beyond stay fully stable.  Naive factorials are never
-    formed.
+    The complement is the incomplete beta function, so n = 101 and beyond
+    need no factorials, no log-space sum and no clamp: p_s ≤ 1 as computed.
     """
     _require_odd(n)
-    if not 0.0 <= p_e < 1.0:
-        raise ValueError(f"p_e = {p_e} outside [0, 1)")
-    if p_e == 0.0:
-        return 1.0
-    kmax = (n - 1) // 2
-    if n <= _LOG_SPACE_N:
-        terms = [math.comb(n, k) * (1.0 - p_e) ** (n - k) * p_e**k for k in range(kmax + 1)]
-        return min(1.0, math.fsum(terms))
-    k = np.arange(kmax + 1)
-    logs = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-            + (n - k) * math.log1p(-p_e) + k * math.log(p_e))
-    return min(1.0, float(np.exp(logsumexp(logs))))
+    p = np.asarray(p_e)
+    bad = ~((p >= 0.0) & (p < 1.0))
+    if np.any(bad):
+        raise ValueError(f"p_e = {p[bad].flat[0]} outside [0, 1)")
+    return 1.0 - bdtrc((n - 1) // 2, n, p_e)
 
 
-def corrected_c(n: int, p_e: float) -> float:
-    """Coherence factor after correction, c' = 2 p_s - 1 ∈ (-1, 1]."""
+def corrected_c(n: int, p_e):
+    """Coherence factor after correction, c' = 2 p_s - 1 = 1 - 2 bdtrc((n-1)/2, n, p_e)
+    ∈ (-1, 1], elementwise over p_e."""
     return 2.0 * phase_success_prob(n, p_e) - 1.0
 
 
-def corrected_channel_metrics(alpha0: complex, u: complex, n: int, *,
-                              c_prime: float | None = None) -> ChannelMetrics:
+def corrected_channel_metrics(alpha0: complex, u, n: int, *,
+                              c_prime=None) -> ChannelMetrics:
     """Channel metrics with the phase-flip code applied: c → c'(n, p_e).
 
     Only the phase-error channel is corrected; a and b still come from the
@@ -97,12 +94,7 @@ def corrected_channel_metrics(alpha0: complex, u: complex, n: int, *,
     """
     _require_odd(n)
     cp = corrected_c(n, phase_error_prob(alpha0, u)) if c_prime is None else c_prime
-    a, b = evenodd_coeffs(alpha0 * u)
-    denom = 1.0 + math.exp(-4.0 * abs(alpha0) ** 2)
-    a2b2 = (a * b) ** 2
-    conc = (2.0 * a2b2 / denom) * max(0.0, cp * cp + 2.0 * cp - 1.0)
-    f = (cp * cp - 2.0 * a2b2 * (1.0 - cp) ** 2 + 1.0) / (2.0 * denom)
-    return ChannelMetrics(conc, f, teleportation_fidelity(f))
+    return x_state_metrics(alpha0, u, cp)
 
 
 def bitflip_p_e(n: int, alpha0: complex, u: complex) -> float:
@@ -159,8 +151,9 @@ def bitflip_density(n: int, alpha0: complex, u: complex) -> TwoQubitState:
     return TwoQubitState(rho, (alpha0, u, c, n))
 
 
-def bitflip_metrics(n: int, alpha0: complex, u: complex) -> ChannelMetrics:
-    """Closed-form metrics of the n-bit encoded channel.
+def bitflip_metrics(n: int, alpha0: complex, u) -> ChannelMetrics:
+    """Closed-form metrics of the n-bit encoded channel, elementwise over u:
+    the X-state kernel with c → cⁿ and α → √n α.
 
     C = (8 a_n² b_n²/M_n) max{0, c^{2n} + 2c^n - 1}; f_max distinguishes
     even and odd n (even-n form carries the square root and is gated on
@@ -168,18 +161,4 @@ def bitflip_metrics(n: int, alpha0: complex, u: complex) -> ChannelMetrics:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    a, b = _encoded_coeffs(n, alpha0, u)
-    c = coherence_factor(alpha0, u)
-    cn = c**n
-    c2n = cn * cn
-    a2b2 = (a * b) ** 2
-    if n % 2 == 1:
-        m_n = 4.0 * (1.0 + math.exp(-4.0 * n * abs(alpha0) ** 2))
-        f = (c2n - 2.0 * a2b2 * (1.0 - cn) ** 2 + 1.0) \
-            / (2.0 * (1.0 + math.exp(-4.0 * n * abs(alpha0) ** 2)))
-    else:
-        m_n = 4.0
-        f = 0.25 * (1.0 + 4.0 * a2b2 * c2n
-                    + math.sqrt((a * a - b * b) ** 4 + 16.0 * a2b2 * c2n))
-    conc = (8.0 * a2b2 / m_n) * max(0.0, c2n + 2.0 * cn - 1.0)
-    return ChannelMetrics(conc, f, teleportation_fidelity(f))
+    return x_state_metrics(alpha0, u, coherence_factor(alpha0, u) ** n, modes=n)

@@ -20,12 +20,10 @@ import numpy as np
 __all__ = [
     "CoherentElement",
     "CatState",
-    "ErrorChannel",
     "coherent_overlap",
     "evolve_element",
     "coherence_factor",
     "phase_error_prob",
-    "error_channel",
     "evenodd_coeffs",
     "evolve_cat",
     "cat_evenodd_density",
@@ -59,37 +57,22 @@ def evolve_element(elem: CoherentElement, u: complex) -> CoherentElement:
     return CoherentElement(elem.prefactor * damp, a * u, b * u)
 
 
-def coherence_factor(alpha0: complex, u: complex) -> float:
+def coherence_factor(alpha0: complex, u):
     """c = e^{-2(|α_0|² - |α_t|²)} = 1 - 2 p_e, the off-diagonal suppression.
 
-    Clamped to ≤ 1 so that solver roundoff pushing |u| above 1 by ~1e-10
-    cannot leak an unphysical c > 1 into the channel formulas.
+    Elementwise over an array u.  Clamped to ≤ 1 so that solver roundoff
+    pushing |u| above 1 by ~1e-10 cannot leak an unphysical c > 1 into the
+    channel formulas.
     """
-    return min(1.0, math.exp(-2.0 * abs(alpha0) ** 2 * (1.0 - abs(u) ** 2)))
+    return np.minimum(1.0, np.exp(-2.0 * abs(alpha0) ** 2 * (1.0 - np.abs(u) ** 2)))
 
 
-def phase_error_prob(alpha0: complex, u: complex) -> float:
-    """Phase-flip probability p_e = (1 - c)/2 ∈ [0, 1/2)."""
-    if abs(u) > 1.0 + 1e-9:
-        raise ValueError(f"|u| = {abs(u)} exceeds 1")
+def phase_error_prob(alpha0: complex, u):
+    """Phase-flip probability p_e = (1 - c)/2 ∈ [0, 1/2), elementwise over u."""
+    top = np.max(np.abs(u))
+    if top > 1.0 + 1e-9:
+        raise ValueError(f"|u| = {top} exceeds 1")
     return 0.5 * (1.0 - coherence_factor(alpha0, u))
-
-
-@dataclass(frozen=True)
-class ErrorChannel:
-    """Operator-sum data of the single-qubit channel at one instant."""
-
-    p_e: float
-    u: complex
-    alpha_t: complex
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_e < 0.5:
-            raise ValueError(f"p_e = {self.p_e} outside [0, 1/2)")
-
-
-def error_channel(alpha0: complex, u: complex) -> ErrorChannel:
-    return ErrorChannel(phase_error_prob(alpha0, u), complex(u), complex(alpha0) * complex(u))
 
 
 @dataclass(frozen=True)
@@ -114,15 +97,16 @@ class CatState:
         return n
 
 
-def evenodd_coeffs(alpha_t: complex) -> tuple[float, float]:
+def evenodd_coeffs(alpha_t):
     """(a, b) with |±α_t⟩ = a|e⟩ ± b|o⟩ in the orthonormal even/odd basis.
 
-    a = sqrt((1 + e^{-2|α_t|²})/2), b = sqrt((1 - e^{-2|α_t|²})/2); the
-    α_t → 0 limit (b → 0, odd state losing its normalization) is taken by
-    direct evaluation with no special-casing.
+    a = sqrt((1 + e^{-2|α_t|²})/2), b = sqrt((1 - e^{-2|α_t|²})/2),
+    elementwise over an array α_t; the α_t → 0 limit (b → 0, odd state
+    losing its normalization) is taken by direct evaluation with no
+    special-casing.
     """
-    q = math.exp(-2.0 * abs(alpha_t) ** 2)
-    return math.sqrt(0.5 * (1.0 + q)), math.sqrt(0.5 * (1.0 - q))
+    q = np.exp(-2.0 * np.abs(alpha_t) ** 2)
+    return np.sqrt(0.5 * (1.0 + q)), np.sqrt(0.5 * (1.0 - q))
 
 
 def evolve_cat(state: CatState, u: complex) -> np.ndarray:

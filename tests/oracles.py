@@ -93,6 +93,35 @@ def pv_power_exp_mp(s: float, w: float, dps: int = 17) -> tuple[float, float]:
         return float(near + far), float(mp.pi * fw)
 
 
+def phase_success_mp(n: int, p: float, dps: int = 50) -> float:
+    """Σ_{k ≤ (n-1)/2} C(n,k) (1-p)^{n-k} p^k, summed exactly in mpmath."""
+    with mp.workdps(dps):
+        p = mp.mpf(p)
+        return float(mp.fsum(mp.binomial(n, k) * (1 - p) ** (n - k) * p**k
+                             for k in range((n - 1) // 2 + 1)))
+
+
+def flip_damped_cluster_density(alpha0: complex, u: complex, c: float) -> np.ndarray:
+    """Cluster-state density matrix whose branch coherences are damped by c.
+
+    The 16 elements of the initial state |+α,+α⟩ + i|+α,-α⟩ + i|-α,+α⟩ +
+    |-α,-α⟩ are evolved one by one: amplitudes α → α u, each ket/bra sign
+    mismatch multiplies by c.  With c the coherence factor this is the bare
+    channel; with c' it is the phase-flip-corrected one.
+    """
+    q = np.exp(-2.0 * abs(alpha0 * u) ** 2)
+    a, b = np.sqrt(0.5 * (1.0 + q)), np.sqrt(0.5 * (1.0 - q))
+    vec = {1: np.array([a, b]), -1: np.array([a, -b])}
+    amps = {(1, 1): 1.0, (1, -1): 1j, (-1, 1): 1j, (-1, -1): 1.0}
+    rho = np.zeros((4, 4), dtype=complex)
+    for (s1, s2), ka in amps.items():
+        for (r1, r2), ba in amps.items():
+            damp = c ** ((s1 != r1) + (s2 != r2))
+            rho += ka * np.conj(ba) * damp * np.outer(np.kron(vec[s1], vec[s2]),
+                                                      np.kron(vec[r1], vec[r2]))
+    return rho / (4.0 * (1.0 + np.exp(-4.0 * abs(alpha0) ** 2)))
+
+
 def find_poles_scan(spec, omega0: float, y_max: float = 50.0, n_scan: int = 4000):
     """Pole search by sign changes of B_loc on a 4000-point log + linear scan
     of (0, y_max], each polished by brentq: assumes nothing of B_loc's shape.

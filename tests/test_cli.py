@@ -6,11 +6,12 @@ import os
 import numpy as np
 import pytest
 
-from cohlab import codes
+from cohlab import cli, codes
+from cohlab.propagator import PropagatorSolution, TimeGrid
 from cohlab.cli import (
     ConfigError,
     RunConfig,
-    _metric_row,
+    _channel_rows,
     _worker_count,
     main,
     parse_config_file,
@@ -184,19 +185,82 @@ def test_worker_count_capped(monkeypatch):
     assert _worker_count(12) == 1
 
 
-def test_phase_code_row_computes_c_prime_once(monkeypatch):
-    calls = []
+def test_phase_code_c_prime_once_per_curve(tmp_path, monkeypatch):
+    sizes = []
     original = codes.phase_success_prob
 
     def counting(n, p_e):
-        calls.append(n)
+        sizes.append(np.size(p_e))
         return original(n, p_e)
 
     monkeypatch.setattr(codes, "phase_success_prob", counting)
-    cfg = RunConfig(code="phase", n=9)
-    row = _metric_row(cfg, 1.0, 0.8 * np.exp(0.3j))
-    assert calls == [9]
-    assert row[-1] == codes.corrected_c(9, row[4])
+    assert main(["sweep", "--axis", "n", "--values", "1,3,9", "--code", "phase",
+                 "--eta0", "0.5", "--s", "3", "--tmax", "100", "--out-points", "20",
+                 "--out", str(tmp_path)]) == 0
+    assert sizes == [20, 20, 20]          # one array call per curve, none per row
+    _, columns, rows, _ = load(tmp_path / "sweep_n.csv")
+    for n in (1, 3, 9):
+        sel = rows[rows[:, 0] == n]
+        np.testing.assert_array_equal(sel[:, columns.index("c_prime")],
+                                      codes.corrected_c(n, sel[:, columns.index("p_e")]))
+
+
+@pytest.mark.parametrize("argv, solves", [
+    (["figure", "--id", "3"], 6),
+    (["figure", "--id", "4"], 3),
+    (["figure", "--id", "5"], 3),
+    (["figure", "--id", "6"], 3),
+    (["sweep", "--axis", "n", "--values", "1,3,5,9", "--code", "phase", "--eta0", "0.5"], 1),
+    (["sweep", "--axis", "alpha0", "--values", "0.6,1.2", "--tmax", "100"], 1),
+    (["sweep", "--axis", "eta0", "--values", "0.01,0.5,0.01", "--tmax", "100"], 2),
+], ids=["figure-3", "figure-4", "figure-5", "figure-6", "sweep-n", "sweep-alpha0", "sweep-eta0"])
+def test_each_distinct_propagator_solved_once(tmp_path, monkeypatch, argv, solves):
+    calls = []
+    original = cli.solve_laplace
+
+    def counting(spec, omega0, grid, **kw):
+        calls.append(spec)
+        return original(spec, omega0, grid, **kw)
+
+    monkeypatch.setattr(cli, "solve_laplace", counting)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert len(calls) == solves
+    # and again: nothing is remembered between calls
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert len(calls) == 2 * solves
+
+
+def test_figure_pool_matches_serial(tmp_path, monkeypatch):
+    def run(out):
+        assert main(["figure", "--id", "2b", "--out", str(out)]) == 0
+        return {f: [ln for ln in (out / f).read_text().splitlines() if not ln.startswith("# out =")]
+                for f in sorted(os.listdir(out))}
+
+    serial = run(tmp_path / "serial")
+    monkeypatch.setenv("COHLAB_THREADS", "2")
+    assert run(tmp_path / "pool") == serial
+
+
+def test_channel_rows_clamp_u_above_one():
+    grid = TimeGrid.uniform(1.0, 3)
+    u = np.array([1.0 + 1e-10, (1.0 + 2e-9) * np.exp(0.3j), 0.8j, 0.5])
+    clamped = np.array([1.0, np.exp(0.3j), 0.8j, 0.5])
+    for cfg in (RunConfig(), RunConfig(code="phase", n=101), RunConfig(code="bit", n=6)):
+        rows = _channel_rows(cfg, grid, {"laplace": PropagatorSolution(grid, u, "laplace")})
+        want = _channel_rows(cfg, grid, {"laplace": PropagatorSolution(grid, clamped, "laplace")})
+        np.testing.assert_allclose(rows, want, rtol=0, atol=1e-15)
+        assert rows[0][4] == 0.0          # p_e at |u| = 1
+
+
+def test_write_csv_formats(tmp_path):
+    # '%d' for int columns, '%.17g' for the rest: the same bytes as str(int)
+    # and f"{x:.17g}" per value
+    rows = [[3, 0.1, 1.0, np.float64(2.5)], [np.int64(5), 1e-300, -0.0, np.float64(np.pi)]]
+    path = tmp_path / "x.csv"
+    cli.write_csv(str(path), [("k", "'v'")], ["n", "x", "y", "z"], rows, ["foot = 1"])
+    body = [f"{r[0]:d}," + ",".join(f"{float(x):.17g}" for x in r[1:]) for r in rows]
+    assert path.read_text() == "\n".join(["# k = 'v'", "n,x,y,z", *body, "# foot = 1"]) + "\n"
+    assert body[0] == "3,0.10000000000000001,1,2.5"
 
 
 def test_sweep_alpha0_t0_concurrence(tmp_path):
@@ -234,3 +298,11 @@ def test_exit_codes(tmp_path, capsys):
                  str(tmp_path), "--s", "-3"]) == 2      # config error
     assert main(["sweep", "--axis", "eta0", "--values", "",
                  "--out", str(tmp_path)]) == 2
+
+
+def test_sweep_even_bit_code_large_amplitude(tmp_path):
+    rc = main(["sweep", "--axis", "alpha0", "--values", "2.0", "--code", "bit", "--n", "6",
+               "--eta0", "0.5", "--tmax", "100", "--out-points", "10", "--out", str(tmp_path)])
+    assert rc == 0
+    _, columns, rows, _ = load(tmp_path / "sweep_alpha0.csv")
+    assert rows[0][columns.index("f_max")] <= 1.0

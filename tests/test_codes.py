@@ -8,10 +8,13 @@ import pytest
 from scipy.stats import binom
 
 from cohlab.channel import (
+    ChannelMetrics,
+    TwoQubitState,
     element_map_density,
     fef_oracle,
     metrics_closed,
     wootters_concurrence,
+    x_state_metrics,
 )
 from cohlab.codes import (
     CodeConfig,
@@ -24,7 +27,7 @@ from cohlab.codes import (
 )
 from cohlab.qubit import phase_error_prob
 
-from oracles import random_channel_states
+from oracles import flip_damped_cluster_density, phase_success_mp, random_channel_states
 
 
 def brute_force_success(n: int, p: float) -> float:
@@ -186,3 +189,92 @@ def test_encoded_metrics_against_oracles_random():
         m = bitflip_metrics(n, a0, u)
         assert abs(m.concurrence - wootters_concurrence(state)) < 1e-10
         assert abs(m.f_max - fef_oracle(state)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 3, 9, 61, 101, 201])
+def test_corrected_c_against_exact_binomial_sum(n):
+    p = np.geomspace(1e-12, 0.499, 40)
+    ref = np.array([2.0 * phase_success_mp(n, x) - 1.0 for x in p])
+    np.testing.assert_allclose(corrected_c(n, p), ref, rtol=0, atol=2e-13)
+
+
+def test_phase_success_prob_is_elementwise():
+    p = np.array([0.0, 1e-9, 0.1, 0.3, 0.499])
+    got = phase_success_prob(9, p)
+    assert got.shape == p.shape
+    assert list(got) == [phase_success_prob(9, x) for x in p]
+    with pytest.raises(ValueError, match="outside"):
+        phase_success_prob(9, np.array([0.1, 1.0]))
+    with pytest.raises(ValueError, match="outside"):
+        phase_success_prob(9, np.array([-1e-3, 0.1]))
+
+
+def _curve(rng, size=30):
+    """Moduli spanning (0, 1] with a u = 1 row, random phases."""
+    r = np.concatenate([[1.0, 1e-8], rng.uniform(0.0, 1.0, size - 2)])
+    return r * np.exp(2j * np.pi * rng.uniform(size=size))
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 9, 101])
+def test_x_state_kernel_against_matrix_oracles(n):
+    """Bit code (any n) and phase code (odd n), one array call per curve,
+    row by row against Wootters and the magic-basis eigenvalue."""
+    rng = np.random.default_rng(200 + n)
+    a0 = 1.2
+    u = _curve(rng)
+    m = bitflip_metrics(n, a0, u)
+    for k, uk in enumerate(u):
+        state = bitflip_density(n, a0, uk)
+        assert abs(m.concurrence[k] - wootters_concurrence(state)) < 1e-10
+        assert abs(m.f_max[k] - fef_oracle(state)) < 1e-10
+    np.testing.assert_allclose(m.fidelity, (2.0 * m.f_max + 1.0) / 3.0, rtol=0, atol=1e-15)
+    if n % 2 == 0:
+        return
+    cp = corrected_c(n, phase_error_prob(a0, u))
+    m = corrected_channel_metrics(a0, u, n)
+    for k, uk in enumerate(u):
+        # normalized at t = 0, as the code's M is: trace 1 only where c' = c
+        state = TwoQubitState(flip_damped_cluster_density(a0, uk, cp[k]))
+        assert abs(m.concurrence[k] - wootters_concurrence(state)) < 1e-10
+        assert abs(m.f_max[k] - fef_oracle(state)) < 1e-10
+
+
+def test_x_state_kernel_matches_scalar_calls():
+    rng = np.random.default_rng(9)
+    u = _curve(rng)
+    for fn in (lambda x: metrics_closed(1.2, x), lambda x: bitflip_metrics(6, 1.2, x),
+               lambda x: corrected_channel_metrics(1.2, x, 9)):
+        m = fn(u)
+        for k, uk in enumerate(u):
+            one = fn(uk)
+            assert isinstance(one.concurrence, float)
+            for got, want in ((m.concurrence[k], one.concurrence), (m.f_max[k], one.f_max),
+                              (m.fidelity[k], one.fidelity)):
+                assert abs(got - want) <= 1e-15
+
+
+def test_x_state_kernel_range_checks():
+    u = np.array([0.9, 0.5, 0.2])
+    for modes in (1, 2):
+        # one unphysical row, c > 1, pushes f_max (and C) above 1
+        with pytest.raises(ValueError, match=r"f_max = 1\.0\d* outside \[0, 1\]"):
+            x_state_metrics(3.0, u, np.array([0.9, 1.0 + 1e-6, 0.2]), modes)
+        with pytest.raises(ValueError, match=r"f_max = nan outside \[0, 1\]"):
+            x_state_metrics(1.2, u, np.array([0.9, np.nan, 0.2]), modes)
+    ok = np.array([0.5, 0.5])
+    with pytest.raises(ValueError, match="concurrence 1.1 outside"):
+        ChannelMetrics(np.array([0.5, 1.1]), ok, ok)
+    with pytest.raises(ValueError, match="fidelity 0.3 outside"):
+        ChannelMetrics(ok, ok, np.array([0.5, 0.3]))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_even_n_fmax_at_large_amplitude_stays_in_range(n):
+    # |α_t|² large: a = b = 1/√2 up to rounding, where a²b² from the rounded
+    # a and b used to exceed 1/4 and push f_max to 1 + 2e-16 (a ValueError)
+    u = np.array([1.0, 0.9999, 0.99])
+    for a0 in (2.0, 3.0, 6.0):
+        m = bitflip_metrics(n, a0, u)
+        assert np.all(m.f_max <= 1.0)
+        for k, uk in enumerate(u):
+            assert abs(m.f_max[k] - fef_oracle(bitflip_density(n, a0, uk))) < 1e-10

@@ -11,7 +11,6 @@ from cohlab.qubit import (
     cat_evenodd_density,
     coherence_factor,
     coherent_overlap,
-    error_channel,
     evenodd_coeffs,
     evolve_cat,
     evolve_element,
@@ -75,12 +74,24 @@ def test_phase_error_prob_monotone_in_damping():
     assert all(0.0 <= p < 0.5 for p in ps)
 
 
-def test_error_channel_record():
-    ch = error_channel(1.2, 0.5j)
-    assert ch.alpha_t == 1.2 * 0.5j
-    assert 0.0 <= ch.p_e < 0.5
+def test_phase_error_prob_rejects_u_above_one():
     with pytest.raises(ValueError):
         phase_error_prob(1.2, 1.5)
+    with pytest.raises(ValueError, match="exceeds 1"):
+        phase_error_prob(1.2, np.array([0.5, 1.0, 1.5j]))
+    assert phase_error_prob(1.2, 1.0 + 1e-10) == 0.0   # solver roundoff is tolerated
+
+
+def test_channel_functions_are_elementwise():
+    rng = np.random.default_rng(8)
+    a0 = 1.1
+    u = rng.uniform(0, 1, 25) * np.exp(2j * np.pi * rng.uniform(size=25))
+    for f in (coherence_factor, phase_error_prob):
+        np.testing.assert_allclose(f(a0, u), [f(a0, x) for x in u], rtol=1e-15, atol=0)
+    a, b = evenodd_coeffs(a0 * u)
+    pairs = [evenodd_coeffs(a0 * x) for x in u]
+    np.testing.assert_allclose(a, [p[0] for p in pairs], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(b, [p[1] for p in pairs], rtol=1e-15, atol=0)
 
 
 def test_coherence_factor_is_one_minus_two_pe():
