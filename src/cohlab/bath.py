@@ -14,19 +14,24 @@ half-range Fourier transform of J, which evaluates in closed form to
 (principal branch).  The closed form is gated against direct quadrature of
 the defining integral in the test suite.
 
+The denominators need two dispersion integrals of x^s e^{-x}: the
+Stieltjes transform on the imaginary axis (`_stieltjes`) and the principal
+value on the real axis (`pv_power_exp`).  Both take one code path for
+every s > 0, whole-array and without quadrature (DLMF §13.2: Kummer's
+functions M and U).  The tests gate them against mpmath and against the
+hand-derived s ∈ {1/2, 1, 3} forms kept in `tests/oracles.py`.
+
 All frequencies are nondimensionalized by ω_c internally; τ_c = 1/ω_c only
 appears at the API boundary.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
-from scipy.integrate import quad
-
-from .specfun import gamma_real
 
 __all__ = [
     "BathSpec",
@@ -38,16 +43,18 @@ __all__ = [
     "pv_power_exp",
 ]
 
-# Dispersion integrals of x^s e^{-x} for s outside the hand-derived set.
 # scipy's hyp1f1, which gives the principal value, is inaccurate near
-# b = 1 - n for a positive integer n: within _NEAR_INTEGER of n the PV falls
-# back to per-point quad (slow, and good to quad's default 1.5e-8).  At the
-# band edge it is good to 2e-10 against mpmath (s ≤ 10).
-_NEAR_INTEGER = 0.02
+# b = 1 - n: within _NEAR_INTEGER of an integer n ≥ 0 the Kummer sum of
+# `_pv_kummer` takes over.  Outside it hyp1f1 is good to 1e-12 against
+# mpmath for s ≤ 10 and w ≤ 70 (3e-14 at |s - 2| = 0.1, 3e-12 at 0.02).
+_NEAR_INTEGER = 0.1
+_W_MAX = 700.0  # e^{-w}, the first Kummer term, underflows past it
 _CF_FROM = 1.0     # y at and above which I(y) comes from its continued fraction
-_CF_DEPTH = 120    # terms; converged to 2e-16 at y = 1 for s up to 10
+_CF_DEPTH = 120    # terms; converged to 2e-16 at y = 1 for s up to 15
 _SERIES_TERMS = 25  # y^m/m! < 1e-25 past it, for y < 1
-_ZETA_TERMS = 60    # ζ(k) ε^k/k < 1e-19 past it, for |ε| ≤ 1/2
+_ZETA_K = np.arange(2, 60)  # ζ(k) ε^k/k < 1e-19 past k = 59, for |ε| ≤ 1/2
+_ZETA = _sp.zeta(_ZETA_K)
+_FACTORIALS = _sp.factorial(np.arange(_SERIES_TERMS))
 
 
 @dataclass(frozen=True)
@@ -96,35 +103,14 @@ def correlation(spec: BathSpec, t):
     Valid for t ≥ 0 (and in fact all real t).
     """
     tt = np.asarray(t, dtype=float)
-    g0 = spec.eta_s * spec.omega_c**2 * gamma_real(spec.s + 1.0)
+    g0 = spec.eta_s * spec.omega_c**2 * math.gamma(spec.s + 1.0)
     out = g0 / (1.0 + 1j * spec.omega_c * tt) ** (spec.s + 1.0)
     return complex(out) if np.ndim(t) == 0 else out
 
 
-def _near_integer(s: float) -> bool:
-    """0 < |s - n| < _NEAR_INTEGER for a positive integer n."""
-    n = round(s)
-    return n >= 1 and s != n and abs(s - n) < _NEAR_INTEGER
-
-
-def _pv_quad(s: float, w: float) -> float:
-    """PV ∫_0^∞ x^s e^{-x}/(x - w) dx by symmetric splitting around w: on
-    [0, 2w] the principal value of f(w)/(x-w) vanishes, so
-
-        PV = ∫_0^{2w} (f(x)-f(w))/(x-w) dx + ∫_{2w}^∞ f(x)/(x-w) dx,
-
-    with f(x) = x^s e^{-x} and a regular first integrand.
-    """
-    fw = w**s * np.exp(-w)
-
-    def regular(x):
-        if x == w:
-            return (s / w - 1.0) * fw
-        return (x**s * np.exp(-x) - fw) / (x - w)
-
-    r1, _ = quad(regular, 0.0, 2.0 * w, points=[w], limit=400)
-    r2, _ = quad(lambda x: x**s * np.exp(-x) / (x - w), 2.0 * w, np.inf, limit=400)
-    return r1 + r2
+def _ln_gamma_1p(eps: float) -> float:
+    """ln Γ(1+ε) = -γε + Σ_{k≥2} ζ(k)(-ε)^k/k, for |ε| ≤ 1/2."""
+    return -np.euler_gamma * eps + float(np.sum(_ZETA * (-eps) ** _ZETA_K / _ZETA_K))
 
 
 def _u1_continued_fraction(s: float, y: np.ndarray) -> np.ndarray:
@@ -132,12 +118,14 @@ def _u1_continued_fraction(s: float, y: np.ndarray) -> np.ndarray:
 
         1/(y+1+s - 1(1+s)/(y+3+s - 2(2+s)/(y+5+s - ...))),
 
-    summed backward from a fixed depth; for y ≥ _CF_FROM.
+    summed backward for y ≥ _CF_FROM.  The depth 12 + 110/min(y), at most
+    _CF_DEPTH, exceeds what 2e-16 takes for s ≤ 15 (about 100/y terms).
     """
     f = np.zeros_like(y)
-    for k in range(_CF_DEPTH, 0, -1):
-        f = k * (k + s) / (y + 2 * k + 1 + s - f)
-    return 1.0 / (y + 1 + s - f)
+    b = y + (1.0 + s)
+    for k in range(min(_CF_DEPTH, 12 + int(110.0 / y.min())), 0, -1):
+        f = k * (k + s) / ((b + 2 * k) - f)
+    return 1.0 / (b - f)
 
 
 def _cut_part(s: float, y: np.ndarray):
@@ -154,12 +142,10 @@ def _cut_part(s: float, y: np.ndarray):
     if eps == 0.0:
         g = np.exp(y) * _sp.exp1(y)
         return g, g - 1.0 / y
-    j = np.arange(2, _ZETA_TERMS)
-    ln_gamma = np.euler_gamma * eps + np.sum(_sp.zeta(j) * eps**j / j)  # ln Γ(1-ε)
     m = np.arange(_SERIES_TERMS)
-    big_l = -ln_gamma - np.concatenate(([0.0], np.cumsum(np.log1p(-eps / m[1:]))))
+    big_l = -_ln_gamma_1p(-eps) - np.concatenate(([0.0], np.cumsum(np.log1p(-eps / m[1:]))))
     e = np.expm1(big_l[:, None] - eps * np.log(y))
-    t = y ** m[:, None] / _sp.factorial(m)[:, None] * e
+    t = y ** m[:, None] / _FACTORIALS[:, None] * e
     c = np.pi / np.sin(np.pi * eps) * y**eps
     return c * np.sum(t, axis=0), c / y * (np.sum(m[:, None] * t, axis=0) - eps * np.exp(y))
 
@@ -169,104 +155,130 @@ def _stieltjes(s: float, y: np.ndarray):
     -I'(y) = ∫_0^∞ x^s e^{-x}/(x+y)² dx, for y > 0, whole-array.
 
     For y ≥ 1, I from the continued fraction of U and -I' by the recurrence
-    -I' = (Γ(s+1) - (s+y) I)/y; below, the expansion of `_cut_part`.
-    Against mpmath over y ∈ [1e-9, 50] and s ≤ 15, including s within
-    1e-9 of an integer, both are good to 1e-12 relative.
+    -I' = (Γ(s+1) - (s+y) I)/y; below, the expansion of `_cut_part`.  Each
+    runs only if some y needs it.  Against mpmath over y ∈ [1e-9, 800] and
+    s ≤ 15, including s within 1e-9 of an integer, both are good to 1e-12
+    relative.
     """
     i = np.empty(y.shape)
     d = np.empty(y.shape)
+    g1 = math.gamma(s + 1.0)
     far = y >= _CF_FROM
-    yf = y[far]
-    i[far] = gamma_real(s + 1.0) * _u1_continued_fraction(s, yf)
-    d[far] = (gamma_real(s + 1.0) - (s + yf) * i[far]) / yf
-    yn = y[~far]
-    n = round(s)
-    g, dg = _cut_part(s, yn)
-    k = np.arange(n)[:, None]
-    gk = _sp.gamma(s - k)
-    i[~far] = np.sum(gk * (-yn) ** k, axis=0) + (-yn) ** n * g
-    d[~far] = np.sum(k[1:] * gk[1:] * (-yn) ** (k[1:] - 1), axis=0) \
-        + n * (-yn) ** (n - 1) * g - (-yn) ** n * dg
+    if far.any():
+        yf = y[far]
+        i[far] = g1 * _u1_continued_fraction(s, yf)
+        d[far] = (g1 - (s + yf) * i[far]) / yf
+    if not far.all():
+        yn = y[~far]
+        n = round(s)
+        g, dg = _cut_part(s, yn)
+        k = np.arange(n)[:, None]
+        gk = _sp.gamma(s - k)
+        i[~far] = np.sum(gk * (-yn) ** k, axis=0) + (-yn) ** n * g
+        d[~far] = np.sum(k[1:] * gk[1:] * (-yn) ** (k[1:] - 1), axis=0) \
+            + n * (-yn) ** (n - 1) * g - (-yn) ** n * dg
     return i, d
 
 
-def pv_power_exp(s: float, w):
-    """PV ∫_0^∞ x^s e^{-x} / (x - w) dx for w > 0 (vectorized).
+def _pv_kummer(s: float, w: np.ndarray) -> np.ndarray:
+    """PV ∫_0^∞ x^s e^{-x}/(x - w) dx by Kummer's transformation of
+    M(1, 1-s, -w) = e^{-w} M(-s, 1-s, w):
 
-        s not an integer: Γ(s) M(1, 1-s, -w) - π w^s e^{-w} cot(πs)
-        s = n           : Σ_{k<n} Γ(n-k) w^k - w^n e^{-w} Ei(w)
+        PV = -Γ(s+1) Σ_m p_m/(m-s) - π w^s e^{-w} cot(πs),   p_m = e^{-w} w^m/m!,
 
-    (DLMF §13.2 and §6.2), with M Kummer's function.  Against mpmath over
-    w ∈ [1e-9, 70] and s ≤ 15, the error relative to |PV + iπ w^s e^{-w}|
-    is at most 2e-10.  Per-point quad takes over within _NEAR_INTEGER of a
-    positive integer, and at integer s where the Ei form would cancel past
-    1e-10 (s ≥ 4 at w ≳ 40).
+    truncated at m < w + 9√w + 25.  With n = round(s) and ε = s - n, the
+    m = n term and the cot term combine without cancellation into
+
+        e^{-w} w^n [expm1(δ)/ε + 2 Σ_k ζ(2k) ε^{2k-1} - π cot(πε) expm1(ε ln w)],
+
+    δ = ln(Γ(s+1)/n!), which is ψ(n+1) - ln w at ε = 0.
     """
-    ww = np.asarray(w, dtype=float).ravel()
-    if np.any(ww <= 0):
-        raise ValueError("pv_power_exp requires w > 0")
-    if _near_integer(s):
-        out = np.array([_pv_quad(s, wi) for wi in ww])
-    elif s == round(s):
-        n = int(s)
-        k = np.arange(n)[:, None]
-        ei = ww**n * np.exp(-ww) * _sp.expi(ww)
-        out = np.sum(_sp.gamma(s - k) * ww**k, axis=0) - ei
-        # the sum cancels against the Ei term as w grows (s ≥ 4, w ≳ 40):
-        # where that costs more than 1e-10 of |PV + iπ w^n e^{-w}|, quad
-        lossy = 1e-15 * np.abs(ei) > 1e-10 * np.hypot(out, np.pi * ww**n * np.exp(-ww))
-        out[lossy] = [_pv_quad(s, wi) for wi in ww[lossy]]
+    top = w.max()
+    n = round(s)
+    eps = s - n
+    m = np.arange(max(int(top + 9.0 * math.sqrt(top)) + 25, n + 1), dtype=float)
+    p = np.empty((m.size, w.size))
+    p[0] = np.exp(-w)
+    np.divide(w, m[1:, None], out=p[1:])
+    np.cumprod(p, axis=0, out=p)
+    den = m - s
+    den[n] = np.inf  # the m = n term joins the cot term below
+    lnw = np.log(w)
+    if eps == 0.0:
+        bracket = _sp.digamma(n + 1.0) - lnw
     else:
-        out = gamma_real(s) * _sp.hyp1f1(1.0, 1.0 - s, -ww) \
-            - np.pi * ww**s * np.exp(-ww) / np.tan(np.pi * s)
-    return float(out[0]) if np.ndim(w) == 0 else out.reshape(np.shape(w))
+        delta = _ln_gamma_1p(eps) + math.fsum(math.log1p(eps / j) for j in range(1, n + 1))
+        cot_series = 2.0 * float(np.sum(_ZETA[::2] * eps ** (_ZETA_K[::2] - 1)))
+        bracket = math.expm1(delta) / eps + cot_series \
+            - np.pi / math.tan(np.pi * eps) * np.expm1(eps * lnw)
+    return -math.gamma(s + 1.0) * ((1.0 / den) @ p) + p[n] * math.factorial(n) * bracket
 
 
-def _denominator_generic(spec: BathSpec, w0: float, w: np.ndarray) -> np.ndarray:
-    s = spec.s
-    return w0 - w - spec.eta_s * (pv_power_exp(s, w) + 1j * np.pi * w**s * np.exp(-w))
+def _pv(s: float, w: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """`pv_power_exp` on an array w ∈ (0, _W_MAX], given f = w^s e^{-w}."""
+    n = round(s)
+    if s == n:
+        ei = f * _sp.expi(w)
+        out = 0.0
+        for j in range(n):  # Horner: the coefficient of w^k is (n-1-k)!
+            out = out * w + math.factorial(j)
+        out = out - ei
+        # ei carries an error of about 1e-15 |ei|, measured against mpmath
+        lossy = np.abs(ei) > 100.0 * np.hypot(out, np.pi * f)
+        if lossy.any():
+            out[lossy] = _pv_kummer(s, w[lossy])
+        return out
+    if abs(s - n) < _NEAR_INTEGER:
+        return _pv_kummer(s, w.ravel()).reshape(w.shape)
+    return math.gamma(s) * _sp.hyp1f1(1.0, 1.0 - s, -w) - np.pi / math.tan(np.pi * s) * f
 
 
-def inversion_denominator(spec: BathSpec, omega0: float, omega, *, allow_generic: bool = True):
+def _check_range(w: np.ndarray, name: str):
+    if w.size and not (0.0 < w.min() and w.max() <= _W_MAX):
+        raise ValueError(f"{name} requires 0 < w <= {_W_MAX:g} (w in units of omega_c)")
+
+
+def pv_power_exp(s: float, w):
+    """PV ∫_0^∞ x^s e^{-x} / (x - w) dx for 0 < w ≤ 700 (vectorized).
+
+        s = n   : Σ_{k<n} (n-1-k)! w^k - w^n e^{-w} Ei(w)
+        other s : Γ(s) M(1, 1-s, -w) - π w^s e^{-w} cot(πs)
+
+    (DLMF §6.2 and §13.2), with M Kummer's function from scipy's hyp1f1.
+    Within _NEAR_INTEGER of an integer, and at integer s where the Ei form
+    would cancel past 1e-13 (s ≥ 2 at large w), the Kummer sum of
+    `_pv_kummer` takes over.  Against mpmath over w ∈ [1e-9, 70], the
+    error relative to |PV + iπ w^s e^{-w}| is at most 2e-15 for the Kummer
+    sum, 1e-13 for the Ei form and 1e-12 for hyp1f1 (s ≤ 10; 1e-10 at
+    s = 15).  Raises ValueError outside 0 < w ≤ 700, where e^{-w} would
+    underflow.
+    """
+    ww = np.array(w, dtype=float, ndmin=1)
+    _check_range(ww, "pv_power_exp")
+    out = _pv(s, ww, ww**s * np.exp(-ww))
+    return float(out[0]) if np.ndim(w) == 0 else out
+
+
+def inversion_denominator(spec: BathSpec, omega0: float, omega):
     """Branch-cut denominator B(ω) of the Laplace inversion, ω > 0.
 
     B is the analytic continuation of the denominator of û(z) onto the
     right side of the cut (z = -iω + 0⁺), divided by i; the inversion reads
     u(t) ∋ (1/π) ∫_0^∞ Im{1/B(ω)} e^{-iω ω_c t} dω.  Arguments are physical;
-    ω and ω_0 are scaled by ω_c internally.  Hand-derived closed forms:
+    ω and ω_0 are scaled by ω_c internally.  For every s,
 
-        s = 3  : (ω0τc - 2η_s) - (1+η_s)ω - η_s ω² - η_s ω³ e^{-ω}(-Ei(ω)+iπ)
-        s = 1  : (ω0τc - η_s) - ω[1 + η_s e^{-ω}(-Ei(ω)+iπ)]
-        s = 1/2: (ω0τc - √π η_s) - ω - iπη_s √ω (e^{-ω} + i(2/√π)F(√ω))
+        B = ω0τc - ω - η_s (PV + iπ ω^s e^{-ω}),
 
-    with F Dawson's integral.  For other s, B = ω0τc - ω - η_s(PV + iπ ω^s e^{-ω})
-    with the whole-array principal value of `pv_power_exp` (per-point quad
-    within 0.02 of an integer); Im B = -π η_s ω^s e^{-ω} < 0 always.
+    with the principal value of `pv_power_exp` (so ω ≤ 700 ω_c), and
+    Im B = -π η_s ω^s e^{-ω} < 0 always.
     """
-    w = np.atleast_1d(np.asarray(omega, dtype=float)) / spec.omega_c
-    if np.any(w <= 0):
-        raise ValueError("inversion_denominator requires omega > 0")
-    w0 = omega0 / spec.omega_c
+    w = np.array(omega, dtype=float, ndmin=1) / spec.omega_c
+    _check_range(w, "inversion_denominator")
+    f = w**spec.s * np.exp(-w)
     es = spec.eta_s
-
-    if spec.s == 3.0:
-        ei = _sp.expi(w)
-        out = (w0 - 2 * es) - (1 + es) * w - es * w**2 \
-            - es * w**3 * np.exp(-w) * (-ei + 1j * np.pi)
-    elif spec.s == 1.0:
-        ei = _sp.expi(w)
-        out = (w0 - es) - w * (1 + es * np.exp(-w) * (-ei + 1j * np.pi))
-    elif spec.s == 0.5:
-        rw = np.sqrt(w)
-        out = (w0 - np.sqrt(np.pi) * es) - w \
-            - 1j * np.pi * es * rw * (np.exp(-w) + 1j * (2 / np.sqrt(np.pi)) * _sp.dawsn(rw))
-    elif allow_generic:
-        out = _denominator_generic(spec, w0, w)
-    else:
-        raise ValueError(
-            f"no hand-derived inversion denominator for s={spec.s} "
-            "and the generic fallback is disabled"
-        )
+    out = np.empty(w.shape, dtype=complex)
+    out.real = omega0 / spec.omega_c - w - es * _pv(spec.s, w, f)
+    out.imag = -np.pi * es * f
     return complex(out[0]) if np.ndim(omega) == 0 else out
 
 
@@ -277,15 +289,10 @@ def imaginary_axis_denominator(spec: BathSpec, omega0: float, y):
 
         B_loc(y) = ω0τc + y - η_s ∫_0^∞ x^s e^{-x}/(x+y) dx,
 
-    so poles of û(z) are real zeros of B_loc.  Closed forms:
-
-        s = 3  : integral = 2 - y + y² - y³ e^{y} E1(y)
-        s = 1  : integral = 1 - y e^{y} E1(y)
-        s = 1/2: integral = √π - π √y erfcx(√y)
-
-    and for other s the integral is Γ(s+1) U(1, 1-s, y), whole-array: a
-    continued fraction for y ≥ 1 and a power series below (`_stieltjes`,
-    good to 1e-12 relative).
+    so poles of û(z) are real zeros of B_loc.  For every s the integral is
+    Γ(s+1) U(1, 1-s, y), whole-array: a continued fraction for y ≥ 1 and a
+    power series below (`_stieltjes`, good to 1e-12 relative, and finite
+    for any y > 0).
 
     B_loc is strictly increasing (slope ≥ 1), so at most one zero exists;
     it does iff ω0τc < η_s Γ(s).
@@ -293,19 +300,7 @@ def imaginary_axis_denominator(spec: BathSpec, omega0: float, y):
     yy = np.atleast_1d(np.asarray(y, dtype=float))
     if np.any(yy <= 0):
         raise ValueError("imaginary_axis_denominator requires y > 0")
-    w0 = omega0 / spec.omega_c
-    es = spec.eta_s
-
-    if spec.s == 3.0:
-        integral = 2.0 - yy + yy**2 - yy**3 * np.exp(yy) * _sp.exp1(yy)
-    elif spec.s == 1.0:
-        integral = 1.0 - yy * np.exp(yy) * _sp.exp1(yy)
-    elif spec.s == 0.5:
-        ry = np.sqrt(yy)
-        integral = np.sqrt(np.pi) - np.pi * ry * _sp.erfcx(ry)
-    else:
-        integral = _stieltjes(spec.s, yy)[0]
-    out = w0 + yy - es * integral
+    out = omega0 / spec.omega_c + yy - spec.eta_s * _stieltjes(spec.s, yy)[0]
     return float(out[0]) if np.ndim(y) == 0 else out
 
 

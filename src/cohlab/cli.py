@@ -299,7 +299,7 @@ def _write_spectral_curve(cfg: RunConfig, label: str) -> tuple[str, bool]:
     eta0 = cfg.eta0 if label == "1b" else cfg.eta0 * (cfg.s / math.e) ** cfg.s
     spec = BathSpec(cfg.s, eta0, cfg.omega_c)
     w = np.linspace(0.0, 8.0 * cfg.omega_c, 801)
-    rows = [[wi, spectral_density(spec, wi)] for wi in w]
+    rows = np.column_stack([w, spectral_density(spec, w)])
     path = os.path.join(cfg.out, f"figure{label}_J_s{cfg.s:g}.csv")
     write_csv(path, cfg.header_items(), ["omega", "J"], rows)
     return path, True

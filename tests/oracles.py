@@ -9,6 +9,7 @@ import warnings
 
 import mpmath as mp
 import numpy as np
+from scipy import special as _sp
 from scipy.integrate import IntegrationWarning, quad
 
 
@@ -91,6 +92,55 @@ def pv_power_exp_mp(s: float, w: float, dps: int = 17) -> tuple[float, float]:
         near = mp.quad(lambda x: (x**s * mp.exp(-x) - fw) / (x - w), [0, w, 2 * w])
         far = mp.quad(lambda x: x**s * mp.exp(-x) / (x - w), [2 * w] + _decades(float(2 * w))[1:])
         return float(near + far), float(mp.pi * fw)
+
+
+def inversion_denominator_hand(spec, omega0: float, omega) -> np.ndarray:
+    """Branch-cut denominator B(ω) from the hand-derived closed forms
+
+        s = 3  : (ω0τc - 2η_s) - (1+η_s)ω - η_s ω² - η_s ω³ e^{-ω}(-Ei(ω)+iπ)
+        s = 1  : (ω0τc - η_s) - ω[1 + η_s e^{-ω}(-Ei(ω)+iπ)]
+        s = 1/2: (ω0τc - √π η_s) - ω - iπη_s √ω (e^{-ω} + i(2/√π)F(√ω))
+
+    with F Dawson's integral: Ei and F from scipy, no principal value.
+    """
+    w = np.asarray(omega, dtype=float) / spec.omega_c
+    w0 = omega0 / spec.omega_c
+    es = spec.eta_s
+    if spec.s == 3.0:
+        ei = _sp.expi(w)
+        return (w0 - 2 * es) - (1 + es) * w - es * w**2 \
+            - es * w**3 * np.exp(-w) * (-ei + 1j * np.pi)
+    if spec.s == 1.0:
+        ei = _sp.expi(w)
+        return (w0 - es) - w * (1 + es * np.exp(-w) * (-ei + 1j * np.pi))
+    if spec.s == 0.5:
+        rw = np.sqrt(w)
+        return (w0 - np.sqrt(np.pi) * es) - w \
+            - 1j * np.pi * es * rw * (np.exp(-w) + 1j * (2 / np.sqrt(np.pi)) * _sp.dawsn(rw))
+    raise ValueError(f"no hand-derived form for s = {spec.s}")
+
+
+def imaginary_axis_denominator_hand(spec, omega0: float, y) -> np.ndarray:
+    """B_loc(y) = ω0τc + y - η_s ∫_0^∞ x^s e^{-x}/(x+y) dx with the integral
+
+        s = 3  : 2 - y + y² - y³ e^{y} E1(y)
+        s = 1  : 1 - y e^{y} E1(y)
+        s = 1/2: √π - π √y erfcx(√y)
+
+    from scipy's E1 and erfcx.  The s = 1 and 3 forms cancel as y grows
+    (1.6e-10 at y = 200 for s = 3) and return NaN past y ≈ 709.
+    """
+    yy = np.asarray(y, dtype=float)
+    if spec.s == 3.0:
+        integral = 2.0 - yy + yy**2 - yy**3 * np.exp(yy) * _sp.exp1(yy)
+    elif spec.s == 1.0:
+        integral = 1.0 - yy * np.exp(yy) * _sp.exp1(yy)
+    elif spec.s == 0.5:
+        ry = np.sqrt(yy)
+        integral = np.sqrt(np.pi) - np.pi * ry * _sp.erfcx(ry)
+    else:
+        raise ValueError(f"no hand-derived form for s = {spec.s}")
+    return omega0 / spec.omega_c + yy - spec.eta_s * integral
 
 
 def phase_success_mp(n: int, p: float, dps: int = 50) -> float:

@@ -1,5 +1,7 @@
 """Bath model: scaling convention, closed-form correlation, denominators."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -15,11 +17,12 @@ from cohlab.bath import (
     correlation,
 )
 from cohlab.bath import _stieltjes
-from cohlab.specfun import gamma_real
 
 from oracles import (
     correlation_quadrature,
     ghat_laplace_quadrature,
+    imaginary_axis_denominator_hand,
+    inversion_denominator_hand,
     pv_power_exp_mp,
     stieltjes_mp,
 )
@@ -70,7 +73,7 @@ def test_spectral_density_edge_and_domain():
 def test_spectral_density_integral_identity(s):
     spec = BathSpec(s, 0.42)
     total, _ = quad(lambda w: spectral_density(spec, w), 0.0, np.inf, limit=400)
-    exact = 2 * np.pi * spec.eta_s * gamma_real(s + 1.0)
+    exact = 2 * np.pi * spec.eta_s * math.gamma(s + 1.0)
     assert abs(total - exact) <= 1e-8 * exact
 
 
@@ -80,7 +83,7 @@ def test_correlation_t0_matches_quadrature(s):
     g0 = correlation(spec, 0.0)
     ref = correlation_quadrature(spec, 0.0)
     assert abs(g0 - ref) <= 1e-10 * abs(ref)
-    assert abs(g0 - spec.eta_s * gamma_real(s + 1.0)) < 1e-14
+    assert abs(g0 - spec.eta_s * math.gamma(s + 1.0)) < 1e-14
 
 
 @pytest.mark.parametrize("s", S_VALUES)
@@ -100,7 +103,7 @@ def test_correlation_specific_point_ohmic():
 def test_correlation_modulus_identity():
     spec = BathSpec(3.0, 0.2)
     t = np.array([0.0, 0.7, 4.0, 31.0])
-    expect = spec.eta_s * gamma_real(4.0) / (1.0 + t**2) ** 2
+    expect = spec.eta_s * math.gamma(4.0) / (1.0 + t**2) ** 2
     np.testing.assert_allclose(np.abs(correlation(spec, t)), expect, rtol=1e-13)
 
 
@@ -121,21 +124,23 @@ def test_denominator_ohmic_vs_laplace_quadrature():
 
 @pytest.mark.parametrize("s", S_VALUES)
 def test_denominator_hand_forms_vs_generic(s):
-    # the generic dispersion-integral fallback must reproduce the closed forms
-    spec = BathSpec(s, 0.5)
-    from cohlab.bath import _denominator_generic
-    w = np.array([0.07, 0.5, 1.3, 6.0])
-    hand = inversion_denominator(spec, 0.1, w)
-    gen = _denominator_generic(spec, 0.1, w.copy())
-    np.testing.assert_allclose(hand, gen, rtol=1e-9, atol=1e-11)
+    # the one code path for every s must reproduce the hand-derived forms
+    w = np.geomspace(1e-8, 50.0, 200)
+    y = np.geomspace(1e-6, 50.0, 200)
+    for eta0 in (0.01, 0.5):
+        spec = BathSpec(s, eta0)
+        b = inversion_denominator(spec, 0.1, w)
+        b_hand = inversion_denominator_hand(spec, 0.1, w)
+        assert np.max(np.abs(b / b_hand - 1.0)) <= 1e-13
+        b_loc = imaginary_axis_denominator(spec, 0.1, y)
+        b_loc_hand = imaginary_axis_denominator_hand(spec, 0.1, y)
+        assert np.max(np.abs(b_loc / b_loc_hand - 1.0)) <= 1e-13
 
 
 def test_denominator_generic_s_supported_and_gate():
     spec = BathSpec(2.0, 0.3)
     val = inversion_denominator(spec, 0.1, 0.8)
     assert np.imag(val) < 0.0
-    with pytest.raises(ValueError):
-        inversion_denominator(spec, 0.1, 0.8, allow_generic=False)
 
 
 def test_subohmic_imaginary_part_limit():
@@ -201,14 +206,24 @@ def _dispersion_errors(s, points=10):
 
 
 @pytest.mark.parametrize("s,tol_pv", [(s, 1e-9) for s in GENERIC_S] + [
-    (1.98, 1e-9), (2.02, 1e-9),          # hypergeometric PV at the edge of the near-integer band
-    (1.981, 1e-7), (2.000001, 1e-7),     # per-point quad PV inside it, at quad's default 1.49e-8
-    (0.001, 1e-9), (3.000000001, 1e-7),
+    (1.9, 1e-12), (2.1, 1e-12),          # hyp1f1 PV at the edges of the near-integer band
+    (1.98, 1e-9), (2.02, 1e-9),          # the Kummer sum inside it
+    (1.981, 1e-12), (2.000001, 1e-12), (1.001, 1e-12), (6.001, 1e-12),
+    (0.001, 1e-9), (3.000000001, 1e-12),
+    (0.5, 1e-12), (1.0, 1e-12), (3.0, 1e-12),  # the reference s
 ])
 def test_dispersion_integrals_vs_mpmath(s, tol_pv):
     # I and -I' have no band: their series stays exact as s nears an integer
     err_i, err_d, err_pv = _dispersion_errors(s)
     assert err_i <= 1e-12 and err_d <= 1e-12 and err_pv <= tol_pv
+
+
+def test_pv_power_exp_integer_s_large_w():
+    # where the Ei form cancels (s ≥ 2, w ≳ 10) the Kummer sum takes over
+    w = np.linspace(10.0, 70.0, 13)
+    for s in (2.0, 3.0, 4.0, 6.0):
+        pv_ref, im_ref = np.array([pv_power_exp_mp(s, v) for v in w]).T
+        assert np.max(np.abs(pv_power_exp(s, w) - pv_ref) / np.hypot(pv_ref, im_ref)) <= 1e-13
 
 
 def test_pv_power_exp_keeps_shape():
@@ -219,3 +234,31 @@ def test_pv_power_exp_keeps_shape():
         assert out[1, 0] == pv_power_exp(s, 3.0)
     with pytest.raises(ValueError):
         pv_power_exp(1.5, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("s", (1.0, 3.0))
+def test_imaginary_axis_denominator_far_from_the_cut(s):
+    # e^y E1(y) overflows past y ≈ 709; the continued fraction does not
+    spec = BathSpec(s, 0.5)
+    y = np.array([200.0, 800.0])
+    b_loc = imaginary_axis_denominator(spec, 0.1, y)
+    ref = 0.1 + y - spec.eta_s * np.array([stieltjes_mp(s, v) for v in y])
+    assert np.all(np.isfinite(b_loc))
+    assert np.max(np.abs(b_loc / ref - 1.0)) <= 1e-13
+
+
+def test_pv_power_exp_rejects_underflowing_w():
+    # e^{-w} underflows in the Kummer sum: an error, not a silent 0
+    for s in (1.001, 2.5, 4.0):
+        with pytest.raises(ValueError):
+            pv_power_exp(s, np.array([1.0, 701.0]))
+    assert np.isfinite(pv_power_exp(1.001, 700.0))
+
+
+@pytest.mark.parametrize("s", (0.5, 3.0, 15.0))
+def test_stieltjes_pointwise_far_from_the_cut(s):
+    # one y per call, so each sets its own continued-fraction depth
+    for y in np.geomspace(1.0, 800.0, 12):
+        i, d = _stieltjes(s, np.array([y]))
+        assert abs(i[0] / stieltjes_mp(s, y) - 1.0) <= 1e-14
+        assert abs(d[0] / stieltjes_mp(s, y, power=2) - 1.0) <= 1e-12

@@ -1,9 +1,13 @@
-"""Special-function contracts, gated by high-precision independent oracles."""
+"""The scipy special functions behind `cohlab.bath` (E1 in `_cut_part`) and
+behind the hand-derived denominators of `tests/oracles.py` (Ei, E1, Dawson,
+erfcx), gated by high-precision independent oracles."""
 
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
-
-from cohlab.specfun import dawson, e1_complex, ei_real, gamma_real
+from scipy.special import dawsn as dawson, erfcx, exp1, expi
 
 from oracles import dawson_quadrature, e1_continued_fraction, e1_series, ei_series
 
@@ -19,37 +23,28 @@ def test_e1_reference_value():
     cf = complex(e1_continued_fraction(1.0))
     assert abs(series - cf) < 1e-45
     assert abs(series - E1_OF_1) < 1e-15
-    assert abs(e1_complex(1.0) - E1_OF_1) <= 1e-12 * E1_OF_1
+    assert abs(exp1(1.0) - E1_OF_1) <= 1e-12 * E1_OF_1
 
 
 @pytest.mark.parametrize("z", [0.5 + 0.0j, 2.0 - 1.0j, -1.5 + 2.0j, 0.1 + 0.1j, 8.0 + 3.0j])
 def test_e1_complex_against_oracle(z):
     ref = complex(e1_series(z) if abs(z) < 4 else e1_continued_fraction(z))
-    assert abs(e1_complex(z) - ref) <= 1e-12 * abs(ref)
+    assert abs(exp1(z) - ref) <= 1e-12 * abs(ref)
 
 
 def test_e1_asymptotic_ratio():
     for x in (50.0, 200.0, 600.0):
-        ratio = e1_complex(x) * x * np.exp(x)
+        ratio = exp1(x) * x * np.exp(x)
         assert abs(ratio - 1.0) < 2.0 / x
 
 
 def test_e1_branch_relation_to_ei():
     # E1(x e^{±iπ}) = -Ei(x) ∓ iπ: approach the cut from both sides
     for x in (0.5, 1.0, 2.5):
-        above = e1_complex(complex(-x, 1e-12))
-        below = e1_complex(complex(-x, -1e-12))
-        assert abs(above - (-ei_real(x) - 1j * np.pi)) < 1e-10
-        assert abs(below - (-ei_real(x) + 1j * np.pi)) < 1e-10
-
-
-def test_e1_domain_and_overflow_errors():
-    with pytest.raises(ValueError):
-        e1_complex(0.0)
-    with pytest.raises(ValueError):
-        e1_complex(-1.0 + 0.0j)
-    with pytest.raises(OverflowError):
-        e1_complex(-800.0 + 0.1j)
+        above = exp1(complex(-x, 1e-12))
+        below = exp1(complex(-x, -1e-12))
+        assert abs(above - (-expi(x) - 1j * np.pi)) < 1e-10
+        assert abs(below - (-expi(x) + 1j * np.pi)) < 1e-10
 
 
 def test_e1_derivative_identity():
@@ -58,34 +53,27 @@ def test_e1_derivative_identity():
     for _ in range(8):
         z = complex(rng.uniform(0.3, 4.0), rng.uniform(-3.0, 3.0))
         h = 1e-6
-        fd = (e1_complex(z + h) - e1_complex(z - h)) / (2 * h)
+        fd = (exp1(z + h) - exp1(z - h)) / (2 * h)
         exact = -np.exp(-z) / z
         assert abs(fd - exact) <= 1e-6 * abs(exact)
 
 
 def test_ei_reference_value():
     assert abs(float(ei_series(1.0)) - EI_OF_1) < 1e-15
-    assert abs(ei_real(1.0) - EI_OF_1) <= 1e-12 * EI_OF_1
+    assert abs(expi(1.0) - EI_OF_1) <= 1e-12 * EI_OF_1
 
 
 def test_ei_defining_series_small_x():
-    import math
     x = 0.3
     gamma_euler = 0.57721566490153286061
     partial = sum(x**k / (k * math.factorial(k)) for k in range(1, 30))
-    assert abs(ei_real(x) - np.log(x) - gamma_euler - partial) < 1e-13
-
-
-def test_ei_domain_error():
-    for bad in (0.0, -1.0):
-        with pytest.raises(ValueError):
-            ei_real(bad)
+    assert abs(expi(x) - np.log(x) - gamma_euler - partial) < 1e-13
 
 
 def test_ei_consistency_with_e1_across_cut():
     for x in (0.7, 1.3, 3.1):
-        assert abs((-ei_real(x) - 1j * np.pi) - e1_complex(complex(-x, 1e-13))) < 1e-10
-        assert abs((-ei_real(x) + 1j * np.pi) - e1_complex(complex(-x, -1e-13))) < 1e-10
+        assert abs((-expi(x) - 1j * np.pi) - exp1(complex(-x, 1e-13))) < 1e-10
+        assert abs((-expi(x) + 1j * np.pi) - exp1(complex(-x, -1e-13))) < 1e-10
 
 
 def test_dawson_values():
@@ -116,10 +104,25 @@ def test_dawson_vectorized():
 
 
 def test_gamma_values():
-    assert gamma_real(1.0) == 1.0
-    assert abs(gamma_real(1.5) - np.sqrt(np.pi) / 2) <= 1e-12
-    assert gamma_real(4.0) == 6.0
+    assert math.gamma(1.0) == 1.0
+    assert abs(math.gamma(1.5) - np.sqrt(np.pi) / 2) <= 1e-12
+    assert math.gamma(4.0) == 6.0
     with pytest.raises(ValueError):
-        gamma_real(0.0)
-    with pytest.raises(ValueError):
-        gamma_real(-2.5)
+        math.gamma(0.0)
+
+
+def test_special_functions_at_bath_arguments():
+    # E1 on (0, 1) as in `_cut_part`; Ei, E1, Dawson and erfcx over the
+    # ω, y ∈ [1e-8, 50] of the hand-derived oracle forms
+    for y in np.geomspace(1e-8, 0.999, 7):
+        assert abs(exp1(y) - float(e1_series(y))) <= 1e-14 * exp1(y)
+    for x in np.geomspace(1e-8, 50.0, 9):
+        ref_ei = float(ei_series(x))
+        assert abs(expi(x) - ref_ei) <= 1e-13 * abs(ref_ei)
+        ref_e1 = float(e1_series(x) if x < 4 else e1_continued_fraction(x))
+        assert abs(exp1(x) - ref_e1) <= 1e-13 * ref_e1
+        r = np.sqrt(x)
+        assert abs(dawson(r) - float(dawson_quadrature(r))) <= 1e-14
+        with mp.workdps(30):
+            ref_erfcx = float(mp.exp(mp.mpf(r) ** 2) * mp.erfc(r))
+        assert abs(erfcx(r) - ref_erfcx) <= 1e-14 * ref_erfcx
