@@ -23,7 +23,6 @@ from .channel import (
     wootters_concurrence,
 )
 from .codes import (
-    CodeConfig,
     bitflip_density,
     bitflip_metrics,
     bitflip_p_e,
@@ -59,6 +58,6 @@ __all__ = [
     "TwoQubitState", "ChannelMetrics", "cluster_state_density",
     "concurrence_closed", "wootters_concurrence", "fef_closed", "fef_oracle",
     "teleportation_fidelity", "metrics_closed",
-    "CodeConfig", "phase_success_prob", "corrected_c",
+    "phase_success_prob", "corrected_c",
     "corrected_channel_metrics", "bitflip_p_e", "bitflip_density", "bitflip_metrics",
 ]

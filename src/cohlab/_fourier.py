@@ -20,6 +20,8 @@ __all__ = ["FourierQuadratureError", "PanelSet", "build_panels", "fourier_integr
 _DEGREE = 12
 _GL_POINTS = 24
 _THETA_SWITCH = 14.0
+_REL_TOL = 1e-9      # panel accepted once its Chebyshev tail ≤ _REL_TOL × max |f|
+_MAX_PANELS = 6000
 
 # Chebyshev-Gauss-Lobatto nodes on [-1, 1], descending from +1
 _CGL_NODES = np.cos(np.pi * np.arange(_DEGREE + 1) / _DEGREE)
@@ -72,17 +74,17 @@ class PanelSet:
         return len(self.mids)
 
 
-def build_panels(f, a: float, b: float, *, seeds=(), rel_tol: float = 1e-9,
-                 max_panels: int = 6000, min_width: float | None = None) -> PanelSet:
+def build_panels(f, a: float, b: float, *, seeds=()) -> PanelSet:
     """Split [a, b] into panels on which f is Chebyshev-resolved.
 
     f must accept an ndarray of points and return an ndarray of (possibly
     complex) values.  `seeds` are forced breakpoints (e.g. resonance
     positions and their width scales) so that features much narrower than
     their surroundings cannot slip between sample points of a wide panel.
+    Panels are not split below (b - a) 2⁻⁵⁰; their tail goes into
+    `worst_tail`.
     """
-    if min_width is None:
-        min_width = (b - a) * 2.0**-50
+    min_width = (b - a) * 2.0**-50
     pts = [a, b]
     for x in seeds:
         if a < x < b:
@@ -103,23 +105,23 @@ def build_panels(f, a: float, b: float, *, seeds=(), rel_tol: float = 1e-9,
         vmax = float(np.max(np.abs(vals)))
         scale = max(scale, vmax)
         tail = float(np.max(np.abs(c[-3:])))
-        if tail <= rel_tol * max(scale, 1e-300) or (hi - lo) <= min_width:
+        if tail <= _REL_TOL * max(scale, 1e-300) or (hi - lo) <= min_width:
             mids.append(m)
             halfs.append(h)
             coeffs.append(c)
             worst_tail = max(worst_tail, 0.0 if (hi - lo) > min_width else tail)
             n_done += 1
-            if n_done > max_panels:
+            if n_done > _MAX_PANELS:
                 raise FourierQuadratureError(
-                    f"panel budget {max_panels} exhausted on [{a}, {b}]; "
+                    f"panel budget {_MAX_PANELS} exhausted on [{a}, {b}]; "
                     f"worst unresolved Chebyshev tail {tail:.3e} (scale {scale:.3e})"
                 )
         else:
             stack.append((m, hi))
             stack.append((lo, m))
-            if len(stack) + n_done > max_panels:
+            if len(stack) + n_done > _MAX_PANELS:
                 raise FourierQuadratureError(
-                    f"panel budget {max_panels} exhausted on [{a}, {b}]; "
+                    f"panel budget {_MAX_PANELS} exhausted on [{a}, {b}]; "
                     f"worst unresolved Chebyshev tail {tail:.3e} (scale {scale:.3e})"
                 )
 

@@ -19,7 +19,8 @@ Stieltjes transform on the imaginary axis (`_stieltjes`) and the principal
 value on the real axis (`pv_power_exp`).  Both take one code path for
 every s > 0, whole-array and without quadrature (DLMF §13.2: Kummer's
 functions M and U).  The tests gate them against mpmath and against the
-hand-derived s ∈ {1/2, 1, 3} forms kept in `tests/oracles.py`.
+hand-derived s ∈ {1/2, 1, 3} forms kept in `tests/oracles.py`.  The same
+principal value gives the Lamb shift of `propagator.lamb_shift`.
 
 All frequencies are nondimensionalized by ω_c internally; τ_c = 1/ω_c only
 appears at the API boundary.
@@ -44,9 +45,11 @@ __all__ = [
 ]
 
 # scipy's hyp1f1, which gives the principal value, is inaccurate near
-# b = 1 - n: within _NEAR_INTEGER of an integer n ≥ 0 the Kummer sum of
-# `_pv_kummer` takes over.  Outside it hyp1f1 is good to 1e-12 against
-# mpmath for s ≤ 10 and w ≤ 70 (3e-14 at |s - 2| = 0.1, 3e-12 at 0.02).
+# b = 1 - n and drifts as s grows: within _NEAR_INTEGER of an integer n ≥ 0,
+# and for every s > 3, the Kummer sum of `_pv_kummer` takes over.  Where
+# hyp1f1 serves (s < 3) it is within 9.9e-13 of mpmath for w ≤ 70 (worst
+# near s = 2.85, w ≈ 43); past s = 3 it is off by 7.6e-13 at s = 4.3 and
+# 3e-11 at s = 12.5, where the Kummer sum stays within 2e-15.
 _NEAR_INTEGER = 0.1
 _W_MAX = 700.0  # e^{-w}, the first Kummer term, underflows past it
 _CF_FROM = 1.0     # y at and above which I(y) comes from its continued fraction
@@ -228,7 +231,7 @@ def _pv(s: float, w: np.ndarray, f: np.ndarray) -> np.ndarray:
         if lossy.any():
             out[lossy] = _pv_kummer(s, w[lossy])
         return out
-    if abs(s - n) < _NEAR_INTEGER:
+    if abs(s - n) < _NEAR_INTEGER or s > 3.0:
         return _pv_kummer(s, w.ravel()).reshape(w.shape)
     return math.gamma(s) * _sp.hyp1f1(1.0, 1.0 - s, -w) - np.pi / math.tan(np.pi * s) * f
 
@@ -245,13 +248,13 @@ def pv_power_exp(s: float, w):
         other s : Γ(s) M(1, 1-s, -w) - π w^s e^{-w} cot(πs)
 
     (DLMF §6.2 and §13.2), with M Kummer's function from scipy's hyp1f1.
-    Within _NEAR_INTEGER of an integer, and at integer s where the Ei form
-    would cancel past 1e-13 (s ≥ 2 at large w), the Kummer sum of
-    `_pv_kummer` takes over.  Against mpmath over w ∈ [1e-9, 70], the
-    error relative to |PV + iπ w^s e^{-w}| is at most 2e-15 for the Kummer
-    sum, 1e-13 for the Ei form and 1e-12 for hyp1f1 (s ≤ 10; 1e-10 at
-    s = 15).  Raises ValueError outside 0 < w ≤ 700, where e^{-w} would
-    underflow.
+    The Kummer sum of `_pv_kummer` takes over within _NEAR_INTEGER of an
+    integer, for every non-integer s > 3, and at integer s where the Ei
+    form would cancel past 1e-13 (s ≥ 2 at large w).  Against mpmath over
+    w ∈ [1e-9, 70], the error relative to |PV + iπ w^s e^{-w}| is at most
+    2e-15 for the Kummer sum (s ≤ 15), 1e-13 for the Ei form and 9.9e-13
+    for hyp1f1 (s < 3).  Raises ValueError outside 0 < w ≤ 700, where
+    e^{-w} would underflow.
     """
     ww = np.array(w, dtype=float, ndmin=1)
     _check_range(ww, "pv_power_exp")

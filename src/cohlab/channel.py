@@ -21,7 +21,6 @@ import numpy as np
 from .qubit import coherence_factor, evenodd_coeffs
 
 __all__ = [
-    "EvenOddCoeffs",
     "TwoQubitState",
     "ChannelMetrics",
     "cluster_state_density",
@@ -35,25 +34,6 @@ __all__ = [
     "metrics_closed",
     "x_state_metrics",
 ]
-
-
-@dataclass(frozen=True)
-class EvenOddCoeffs:
-    """Expansion coefficients of |±α_t⟩ over the even/odd basis: a ≥ b ≥ 0."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (self.a >= self.b >= 0.0):
-            raise ValueError("need a >= b >= 0")
-        if abs(self.a**2 + self.b**2 - 1.0) > 1e-14:
-            raise ValueError("a^2 + b^2 must be 1")
-
-    @classmethod
-    def from_alpha_t(cls, alpha_t: complex) -> "EvenOddCoeffs":
-        a, b = evenodd_coeffs(alpha_t)
-        return cls(a, b)
 
 
 @dataclass

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .bath import BathSpec, spectral_density
-from .channel import metrics_closed
-from .codes import bitflip_metrics, bitflip_p_e, corrected_c, corrected_channel_metrics
+from .channel import metrics_closed, x_state_metrics
+from .codes import bitflip_metrics, bitflip_p_e, corrected_c
 from .propagator import TimeGrid, resample, solve_laplace, solve_volterra
 from .qubit import phase_error_prob
 
@@ -248,7 +248,7 @@ def _channel_rows(cfg: RunConfig, out_grid: TimeGrid, sols: dict) -> list[list[f
     p_e = phase_error_prob(cfg.alpha0, u)
     if cfg.code == "phase":
         c_prime = corrected_c(cfg.n, p_e)
-        m = corrected_channel_metrics(cfg.alpha0, u, cfg.n, c_prime=c_prime)
+        m = x_state_metrics(cfg.alpha0, u, c_prime)
         extra = [c_prime]
     elif cfg.code == "bit":
         m = bitflip_metrics(cfg.n, cfg.alpha0, u)

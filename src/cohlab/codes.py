@@ -20,7 +20,6 @@ channel metrics of both codes come from the one X-state kernel
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import bdtrc
@@ -33,7 +32,6 @@ from .channel import (
 from .qubit import coherence_factor, evenodd_coeffs, phase_error_prob
 
 __all__ = [
-    "CodeConfig",
     "phase_success_prob",
     "corrected_c",
     "corrected_channel_metrics",
@@ -41,26 +39,6 @@ __all__ = [
     "bitflip_density",
     "bitflip_metrics",
 ]
-
-@dataclass(frozen=True)
-class CodeConfig:
-    """kind ∈ {phase_flip, bit_flip, none}; n odd and positive for phase_flip."""
-
-    kind: str = "none"
-    n: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("phase_flip", "bit_flip", "none"):
-            raise ValueError(f"unknown code kind {self.kind!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.kind == "phase_flip" and self.n % 2 == 0:
-            raise ValueError("phase-flip repetition code requires odd n")
-
-
-def _require_odd(n: int) -> None:
-    if n < 1 or n % 2 == 0:
-        raise ValueError(f"n must be a positive odd integer, got {n}")
 
 
 def phase_success_prob(n: int, p_e):
@@ -70,7 +48,8 @@ def phase_success_prob(n: int, p_e):
     The complement is the incomplete beta function, so n = 101 and beyond
     need no factorials, no log-space sum and no clamp: p_s ≤ 1 as computed.
     """
-    _require_odd(n)
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"n must be a positive odd integer, got {n}")
     p = np.asarray(p_e)
     bad = ~((p >= 0.0) & (p < 1.0))
     if np.any(bad):
@@ -84,17 +63,14 @@ def corrected_c(n: int, p_e):
     return 2.0 * phase_success_prob(n, p_e) - 1.0
 
 
-def corrected_channel_metrics(alpha0: complex, u, n: int, *,
-                              c_prime=None) -> ChannelMetrics:
+def corrected_channel_metrics(alpha0: complex, u, n: int) -> ChannelMetrics:
     """Channel metrics with the phase-flip code applied: c → c'(n, p_e).
 
     Only the phase-error channel is corrected; a and b still come from the
-    damped amplitude α_t.  A caller that already holds
-    c' = corrected_c(n, phase_error_prob(alpha0, u)) passes it as c_prime.
+    damped amplitude α_t.  A caller that already holds c' calls
+    `x_state_metrics(alpha0, u, c')` directly.
     """
-    _require_odd(n)
-    cp = corrected_c(n, phase_error_prob(alpha0, u)) if c_prime is None else c_prime
-    return x_state_metrics(alpha0, u, cp)
+    return x_state_metrics(alpha0, u, corrected_c(n, phase_error_prob(alpha0, u)))
 
 
 def bitflip_p_e(n: int, alpha0: complex, u: complex) -> float:

@@ -13,7 +13,9 @@ non-decaying term at strong coupling) plus a branch-cut integral
     u(t) = Σ_p  e^{z_p t} / D'(z_p)
          + (1/π) ∫_0^∞ Im{1/B(ω)} e^{-i ω ω_c t} dω.
 
-A weak-coupling Markovian exponential is provided as a diagnostic.
+A weak-coupling Markovian exponential is provided as a diagnostic; it
+rotates at the Lamb-shifted frequency, whose principal value is the one
+`bath.pv_power_exp` gives B(ω).
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .bath import BathSpec
 __all__ = [
     "TimeGrid",
     "PropagatorSolution",
-    "ShiftedFrequency",
     "NonConvergenceError",
     "solve_volterra",
     "solve_laplace",
@@ -45,7 +46,15 @@ __all__ = [
 
 
 class NonConvergenceError(RuntimeError):
-    """A refinement or extrapolation loop exhausted its budget."""
+    """The step-halving gate exhausted its refinement budget."""
+
+
+_MODULUS_SLACK = 1e-9     # |u| roundoff tolerated above 1 by `validate`
+_HALVING_TOL = 1e-5       # step-halving gate on the change of |u|
+_RESIDUAL_SAMPLES = 50    # grid times the residual check re-evaluates
+_Y_MAX = 50.0             # top of the pole bracket on the imaginary axis
+_OMEGA_MAX = 50.0         # top of the branch-cut integral, in units of ω_c
+_TAIL_TOL = 1e-8          # bound on ∫|density| over [_OMEGA_MAX, _OMEGA_MAX + 20]
 
 
 @dataclass(frozen=True)
@@ -53,7 +62,6 @@ class TimeGrid:
     """Ordered sample times starting at t = 0 (in units of 1/ω_c by default)."""
 
     samples: np.ndarray
-    layout: str = "uniform"
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=float)
@@ -84,14 +92,14 @@ class TimeGrid:
     def uniform(cls, t_max: float, n_steps: int) -> "TimeGrid":
         if t_max <= 0 or n_steps < 1:
             raise ValueError("need t_max > 0 and n_steps >= 1")
-        return cls(np.linspace(0.0, t_max, n_steps + 1), "uniform")
+        return cls(np.linspace(0.0, t_max, n_steps + 1))
 
     @classmethod
     def log(cls, t_max: float, n_points: int, t_min: float = 1e-2) -> "TimeGrid":
         """t = 0 followed by n_points-1 log-spaced times in [t_min, t_max]."""
         if not (0 < t_min < t_max) or n_points < 2:
             raise ValueError("need 0 < t_min < t_max and n_points >= 2")
-        return cls(np.concatenate(([0.0], np.geomspace(t_min, t_max, n_points - 1))), "log")
+        return cls(np.concatenate(([0.0], np.geomspace(t_min, t_max, n_points - 1))))
 
 
 @dataclass
@@ -113,11 +121,11 @@ class PropagatorSolution:
     steady_modulus: float = 0.0
     diagnostics: dict = field(default_factory=dict)
 
-    def validate(self, u0_tol: float = 0.0, modulus_slack: float = 1e-9) -> None:
+    def validate(self, u0_tol: float = 0.0) -> None:
         if abs(self.u[0] - 1.0) > u0_tol:
             raise AssertionError(f"u(0) = {self.u[0]} deviates from 1 by more than {u0_tol}")
         worst = float(np.max(np.abs(self.u)))
-        if worst > 1.0 + modulus_slack:
+        if worst > 1.0 + _MODULUS_SLACK:
             raise AssertionError(f"|u| exceeds 1 by {worst - 1.0:.3e}")
         expect = abs(sum(r for _, r in self.poles)) if self.poles else 0.0
         if abs(self.steady_modulus - expect) > 1e-12:
@@ -226,12 +234,12 @@ def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
 
 
 def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *,
-                   halving_tol: float = 1e-5, max_refinements: int = 4) -> PropagatorSolution:
+                   max_refinements: int = 4) -> PropagatorSolution:
     """Solve the memory-kernel equation of motion by direct time stepping.
 
     The grid must be uniform.  The internal step starts at the grid step
     and is halved until one more halving changes the modulus profile |u|
-    by less than `halving_tol` everywhere (the self-validation gate); the
+    by less than _HALVING_TOL everywhere (the self-validation gate); the
     finer solution is returned, restricted to the requested grid, with
     the gate's `refinements`, `h_final` and `halving_delta` in its
     diagnostics (empty when no stepping was needed).
@@ -257,20 +265,19 @@ def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *,
         factor = 2**r
         _, u_fine = _step_history(spec, omega0, h0 / factor, n0 * factor)
         delta = float(np.max(np.abs(np.abs(u_fine[::2]) - np.abs(u_h))))
-        if delta < halving_tol:
+        if delta < _HALVING_TOL:
             u_out = u_fine[::factor].copy()
             u_out[0] = 1.0 + 0.0j
             diagnostics = {"refinements": r, "h_final": h0 / factor, "halving_delta": delta}
             return PropagatorSolution(grid, u_out, "volterra", diagnostics=diagnostics)
         u_h = u_fine
     raise NonConvergenceError(
-        f"step halving did not stabilize |u| to {halving_tol} within "
+        f"step halving did not stabilize |u| to {_HALVING_TOL} within "
         f"{max_refinements} refinements (last change {delta:.3e})"
     )
 
 
-def volterra_residual(spec: BathSpec, omega0: float, solution: PropagatorSolution,
-                      n_samples: int = 50) -> float:
+def volterra_residual(spec: BathSpec, omega0: float, solution: PropagatorSolution) -> float:
     """Max |du/dt + iω_0 u + ∫ g u| over sampled grid times, re-evaluated
     independently of the solver (4th-order finite-difference derivative,
     Simpson memory quadrature)."""
@@ -281,7 +288,7 @@ def volterra_residual(spec: BathSpec, omega0: float, solution: PropagatorSolutio
     if n < 8:
         raise ValueError("grid too short for a residual check")
     g = _bath.correlation(spec, t)
-    ks = np.unique(np.linspace(4, n - 2, n_samples).astype(int))
+    ks = np.unique(np.linspace(4, n - 2, _RESIDUAL_SAMPLES).astype(int))
     worst = 0.0
     for k in ks:
         du = (-u[k + 2] + 8 * u[k + 1] - 8 * u[k - 1] + u[k - 2]) / (12 * h)
@@ -294,15 +301,14 @@ def volterra_residual(spec: BathSpec, omega0: float, solution: PropagatorSolutio
 # Laplace inversion
 # ---------------------------------------------------------------------------
 
-def find_poles(spec: BathSpec, omega0: float, *,
-               y_max: float = 50.0) -> list[tuple[complex, complex]]:
+def find_poles(spec: BathSpec, omega0: float) -> list[tuple[complex, complex]]:
     """Poles of û(z) on the imaginary axis, with residues 1/D'(z_p).
 
     On the positive imaginary axis (z = i y ω_c, y > 0: frequencies below
     the bath band) the denominator is i B_loc(y) with B_loc real and
     strictly increasing (slope ≥ 1), so there is at most one zero: it is
-    bracketed by one sign test on [1e-9, y_max] and polished by brentq.  A
-    zero beyond y_max is not searched for and yields no pole.  On the
+    bracketed by one sign test on [1e-9, _Y_MAX] and polished by brentq.  A
+    zero beyond _Y_MAX is not searched for and yields no pole.  On the
     negative imaginary axis — the branch cut — Im B = -π η_s ω^s e^{-ω} < 0
     strictly, so no further pole can hide there for η_0 > 0.
     """
@@ -314,41 +320,38 @@ def find_poles(spec: BathSpec, omega0: float, *,
 
     y_min = 1e-9
     b_min = b_loc(y_min)
-    if b_min > 0.0 or b_loc(y_max) < 0.0:
+    if b_min > 0.0 or b_loc(_Y_MAX) < 0.0:
         return []
-    yp = y_min if b_min == 0.0 else brentq(b_loc, y_min, y_max, xtol=1e-14, rtol=8.9e-16)
+    yp = y_min if b_min == 0.0 else brentq(b_loc, y_min, _Y_MAX, xtol=1e-14, rtol=8.9e-16)
     res = 1.0 / _bath.imaginary_axis_denominator_derivative(spec, yp)
     return [(1j * yp * spec.omega_c, complex(res))]
 
 
-def _resonance_seeds(spec: BathSpec, omega0: float, omega_max: float) -> list[float]:
+def _resonance_seeds(spec: BathSpec, omega0: float) -> list[float]:
     """Forced panel breakpoints around zeros of Re B (narrow resonances)."""
     w0 = omega0 / spec.omega_c
     ws = np.unique(np.concatenate([
-        np.geomspace(1e-8, omega_max, 1200),
-        np.linspace(1e-6, omega_max, 1200),
+        np.geomspace(1e-8, _OMEGA_MAX, 1200),
+        np.linspace(1e-6, _OMEGA_MAX, 1200),
     ]))
     re = np.real(_bath.inversion_denominator(spec, omega0, ws * spec.omega_c))
     seeds = [w0]
-    for i in range(len(ws) - 1):
-        if (re[i] < 0) != (re[i + 1] < 0):
-            wstar = brentq(
-                lambda w: float(np.real(_bath.inversion_denominator(spec, omega0, w * spec.omega_c))),
-                ws[i], ws[i + 1], xtol=1e-15, rtol=8.9e-16)
-            width = np.pi * spec.eta_s * wstar**spec.s * np.exp(-wstar)
-            slope = abs(re[i + 1] - re[i]) / (ws[i + 1] - ws[i])
-            width = max(width / max(slope, 1e-3), 1e-14)
-            seeds.append(wstar)
-            for k in (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0):
-                seeds.extend((wstar - k * width, wstar + k * width))
+    for i in np.flatnonzero(np.diff(re < 0)):
+        wstar = brentq(
+            lambda w: float(np.real(_bath.inversion_denominator(spec, omega0, w * spec.omega_c))),
+            ws[i], ws[i + 1], xtol=1e-15, rtol=8.9e-16)
+        width = np.pi * spec.eta_s * wstar**spec.s * np.exp(-wstar)
+        slope = abs(re[i + 1] - re[i]) / (ws[i + 1] - ws[i])
+        width = max(width / max(slope, 1e-3), 1e-14)
+        seeds.append(wstar)
+        for k in (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0):
+            seeds.extend((wstar - k * width, wstar + k * width))
     # edge ladder resolves the ω^s (possibly fractional-power) band edge
     seeds.extend(10.0**np.arange(-8, 1))
-    return [s for s in seeds if 0.0 < s < omega_max]
+    return [s for s in seeds if 0.0 < s < _OMEGA_MAX]
 
 
-def solve_laplace(spec: BathSpec, omega0: float, grid: TimeGrid, *,
-                  omega_max: float = 50.0, rel_tol: float = 1e-9,
-                  tail_tol: float = 1e-8) -> PropagatorSolution:
+def solve_laplace(spec: BathSpec, omega0: float, grid: TimeGrid) -> PropagatorSolution:
     """Evaluate u on the grid from the pole + branch-cut decomposition.
 
     The branch-cut spectral density Im{1/B(ω)}/π is integrated against
@@ -359,7 +362,7 @@ def solve_laplace(spec: BathSpec, omega0: float, grid: TimeGrid, *,
     ------
     FourierQuadratureError
         If the panel construction cannot resolve the density, or the
-        neglected tail beyond ω_max exceeds `tail_tol`.
+        neglected tail beyond _OMEGA_MAX exceeds _TAIL_TOL.
     """
     t = grid.samples
     if spec.eta0 == 0.0:
@@ -377,13 +380,12 @@ def solve_laplace(spec: BathSpec, omega0: float, grid: TimeGrid, *,
         out[pos] = np.imag(1.0 / _bath.inversion_denominator(spec, omega0, w[pos] * spec.omega_c))
         return out  # Im B ∝ -ω^s e^{-ω} vanishes at the band edge ω = 0
 
-    tail, _ = quad(lambda w: abs(density(np.array([w]))[0]), omega_max, omega_max + 20.0, limit=100)
-    if tail > tail_tol:
+    tail, _ = quad(lambda w: abs(density(np.array([w]))[0]), _OMEGA_MAX, _OMEGA_MAX + 20.0, limit=100)
+    if tail > _TAIL_TOL:
         raise FourierQuadratureError(
-            f"branch-cut tail beyond omega_max={omega_max} is {tail:.3e} > {tail_tol}")
+            f"branch-cut tail beyond omega = {_OMEGA_MAX:g} omega_c is {tail:.3e} > {_TAIL_TOL}")
 
-    seeds = _resonance_seeds(spec, omega0, omega_max)
-    panels = build_panels(density, 0.0, omega_max, seeds=seeds, rel_tol=rel_tol)
+    panels = build_panels(density, 0.0, _OMEGA_MAX, seeds=_resonance_seeds(spec, omega0))
     tau = t * spec.omega_c
     u = fourier_integral(panels, tau) / np.pi
     for z_p, res in poles:
@@ -396,55 +398,16 @@ def solve_laplace(spec: BathSpec, omega0: float, grid: TimeGrid, *,
 # Markovian diagnostic
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShiftedFrequency:
-    """Lamb-shifted mode frequency ω_0' entering the Markovian exponential."""
+def lamb_shift(spec: BathSpec, omega0: float) -> float:
+    """ω_0' = ω_0 - (1/2π) PV ∫_0^∞ J(ω)/(ω-ω_0) dω = ω_0 - η_s ω_c PV(s, ω_0/ω_c),
 
-    omega0_prime: float
-
-
-def lamb_shift(spec: BathSpec, omega0: float, *, rel_tol: float = 1e-6,
-               max_levels: int = 10) -> ShiftedFrequency:
-    """ω_0' = ω_0 - (1/2π) PV ∫_0^∞ J(ω)/(ω-ω_0) dω.
-
-    The principal value is computed by symmetric excision with the radius
-    extrapolated to zero (Richardson on the ε, ε³, ε⁵ expansion of the
-    excision error).  The sign makes the diagnostic consistent with the
-    exact solver: the coupling to the band above ω_0 pushes the resonance
-    down, as the time-stepped phase confirms at weak coupling.
+    with PV the closed-form principal value of `bath.pv_power_exp`, the
+    one B(ω) is built from.  The sign makes the diagnostic consistent with
+    the exact solver: the coupling to the band above ω_0 pushes the
+    resonance down, as the time-stepped phase confirms at weak coupling.
+    Raises ValueError unless 0 < ω_0/ω_c ≤ 700.
     """
-    if omega0 <= 0:
-        raise ValueError("omega0 must lie inside the support of J (omega0 > 0)")
-    if spec.eta0 == 0.0:
-        return ShiftedFrequency(omega0)
-
-    def integrand(w):
-        return _bath.spectral_density(spec, w) / (w - omega0)
-
-    far = omega0 + max(5.0 * spec.omega_c, 3.0 * omega0)
-
-    def excised(eps: float) -> float:
-        left, _ = quad(integrand, 0.0, omega0 - eps, limit=400)
-        mid, _ = quad(integrand, omega0 + eps, far, limit=400)
-        right, _ = quad(integrand, far, np.inf, limit=400)
-        return left + mid + right
-
-    # excision error expands in odd powers: I(ε) = I_PV + a₁ε + a₃ε³ + ...
-    eps0 = omega0 / 4.0
-    table: list[list[float]] = []
-    prev_best = None
-    for k in range(max_levels):
-        row = [excised(eps0 / 2**k)]
-        for j in range(1, k + 1):
-            fac = 2.0 ** (2 * j - 1)
-            row.append((fac * row[j - 1] - table[k - 1][j - 1]) / (fac - 1.0))
-        table.append(row)
-        best = row[-1]
-        if k >= 2 and abs(best - prev_best) <= rel_tol * max(abs(best), 1e-300):
-            return ShiftedFrequency(omega0 - best / (2.0 * np.pi))
-        prev_best = best
-    raise NonConvergenceError(
-        f"principal-value extrapolation did not reach rel_tol={rel_tol}")
+    return omega0 - spec.eta_s * spec.omega_c * _bath.pv_power_exp(spec.s, omega0 / spec.omega_c)
 
 
 def markov_u(spec: BathSpec, omega0: float, t):
@@ -460,7 +423,7 @@ def markov_u(spec: BathSpec, omega0: float, t):
     tt = np.asarray(t, dtype=float)
     if np.any(tt < 0):
         raise ValueError("markov_u requires t >= 0")
-    w0p = lamb_shift(spec, omega0).omega0_prime
+    w0p = lamb_shift(spec, omega0)
     rate = 0.5 * _bath.spectral_density(spec, omega0)
     out = np.exp(-(1j * w0p + rate) * tt)
     return complex(out) if np.ndim(t) == 0 else out

@@ -250,6 +250,50 @@ def ghat_laplace_quadrature(spec, omega: float, eps: float = 1e-7) -> complex:
     return (rc - is_) + 1j * (rs + ic)
 
 
+def lamb_shift_excised(spec, omega0: float, rel_tol: float = 1e-6,
+                       max_levels: int = 10) -> float:
+    """ω_0' = ω_0 - (1/2π) PV ∫_0^∞ J(ω)/(ω-ω_0) dω by quadrature.
+
+    The principal value is computed by symmetric excision with the radius
+    extrapolated to zero (Richardson on the ε, ε³, ε⁵ expansion of the
+    excision error), so nothing of the closed-form principal value enters.
+    """
+    from cohlab.bath import spectral_density
+
+    if omega0 <= 0:
+        raise ValueError("omega0 must lie inside the support of J (omega0 > 0)")
+    if spec.eta0 == 0.0:
+        return omega0
+
+    def integrand(w):
+        return spectral_density(spec, w) / (w - omega0)
+
+    far = omega0 + max(5.0 * spec.omega_c, 3.0 * omega0)
+
+    def excised(eps: float) -> float:
+        left, _ = quad(integrand, 0.0, omega0 - eps, limit=400)
+        mid, _ = quad(integrand, omega0 + eps, far, limit=400)
+        right, _ = quad(integrand, far, np.inf, limit=400)
+        return left + mid + right
+
+    # excision error expands in odd powers: I(ε) = I_PV + a₁ε + a₃ε³ + ...
+    eps0 = omega0 / 4.0
+    table: list[list[float]] = []
+    prev_best = None
+    for k in range(max_levels):
+        row = [excised(eps0 / 2**k)]
+        for j in range(1, k + 1):
+            fac = 2.0 ** (2 * j - 1)
+            row.append((fac * row[j - 1] - table[k - 1][j - 1]) / (fac - 1.0))
+        table.append(row)
+        best = row[-1]
+        if k >= 2 and abs(best - prev_best) <= rel_tol * max(abs(best), 1e-300):
+            return omega0 - best / (2.0 * np.pi)
+        prev_best = best
+    raise RuntimeError(
+        f"principal-value extrapolation did not reach rel_tol={rel_tol}")
+
+
 def step_history_direct(spec, omega0: float, h: float, n: int):
     """The time stepper with its O(n²) history sum: one dot product over the
     whole history per step.

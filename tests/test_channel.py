@@ -7,7 +7,6 @@ import pytest
 
 from cohlab.channel import (
     ChannelMetrics,
-    EvenOddCoeffs,
     TwoQubitState,
     cluster_state_density,
     concurrence_closed,
@@ -22,13 +21,6 @@ from cohlab.channel import (
 from cohlab.qubit import coherence_factor
 
 from oracles import random_channel_states
-
-
-def test_evenodd_coeffs_type():
-    c = EvenOddCoeffs.from_alpha_t(1.2 * 0.7)
-    assert c.a >= c.b >= 0 and abs(c.a**2 + c.b**2 - 1) < 1e-14
-    with pytest.raises(ValueError):
-        EvenOddCoeffs(0.3, 0.5)
 
 
 def test_cluster_state_pure_at_u1():

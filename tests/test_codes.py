@@ -17,7 +17,6 @@ from cohlab.channel import (
     x_state_metrics,
 )
 from cohlab.codes import (
-    CodeConfig,
     bitflip_density,
     bitflip_metrics,
     bitflip_p_e,
@@ -38,17 +37,6 @@ def brute_force_success(n: int, p: float) -> float:
         if k <= (n - 1) // 2:
             total += p**k * (1 - p) ** (n - k)
     return total
-
-
-def test_code_config_validation():
-    CodeConfig("phase_flip", 3)
-    CodeConfig("bit_flip", 6)
-    with pytest.raises(ValueError):
-        CodeConfig("phase_flip", 4)
-    with pytest.raises(ValueError):
-        CodeConfig("hamming", 7)
-    with pytest.raises(ValueError):
-        CodeConfig("bit_flip", 0)
 
 
 def test_phase_success_prob_trivial_cases():
@@ -99,13 +87,6 @@ def test_corrected_metrics_reduce_to_unencoded_at_n1():
     m0 = metrics_closed(1.2, u)
     assert abs(m1.concurrence - m0.concurrence) < 1e-14
     assert abs(m1.fidelity - m0.fidelity) < 1e-14
-
-
-def test_corrected_metrics_take_precomputed_c_prime():
-    u = 0.7 * np.exp(0.4j)
-    for n in (1, 3, 101):
-        cp = corrected_c(n, phase_error_prob(1.2, u))
-        assert corrected_channel_metrics(1.2, u, n, c_prime=cp) == corrected_channel_metrics(1.2, u, n)
 
 
 def test_corrected_metrics_strong_coupling_headlines():

@@ -1,5 +1,6 @@
 """Propagator: time stepping vs Laplace inversion, poles, Markov diagnostic."""
 
+import itertools
 import math
 import warnings
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 
-from cohlab.bath import BathSpec, imaginary_axis_denominator, spectral_density
+from cohlab.bath import BathSpec, imaginary_axis_denominator, inversion_denominator, spectral_density
 from cohlab.propagator import (
     NonConvergenceError,
     PropagatorSolution,
@@ -20,10 +21,9 @@ from cohlab.propagator import (
     solve_volterra,
     volterra_residual,
 )
-from cohlab.bath import pv_power_exp
 from cohlab import propagator
 
-from oracles import find_poles_scan, step_history_direct
+from oracles import find_poles_scan, lamb_shift_excised, step_history_direct
 
 S_VALUES = (0.5, 1.0, 3.0)
 REFERENCE_PAIRS = [(s, e) for s in S_VALUES for e in (0.01, 0.5)]
@@ -236,6 +236,26 @@ def test_residue_matches_finite_difference_derivative():
     assert abs(1.0 / res - fd) <= 1e-6 * abs(fd)
 
 
+@pytest.mark.parametrize("s,eta0", REFERENCE_PAIRS + [(1.5, 0.01), (2.0, 0.5)])
+def test_resonance_seeds_bracket_each_sign_change(s, eta0, monkeypatch):
+    # the array scan brackets the pairs a pairwise loop over Re B finds
+    spec = BathSpec(s, eta0)
+    ws = np.unique(np.concatenate([np.geomspace(1e-8, 50.0, 1200), np.linspace(1e-6, 50.0, 1200)]))
+    re = np.real(inversion_denominator(spec, 0.1, ws))
+    expect = [(ws[i], ws[i + 1]) for i in range(len(ws) - 1) if (re[i] < 0) != (re[i + 1] < 0)]
+    brackets = []
+    brentq = propagator.brentq
+
+    def recording(f, a, b, **kw):
+        brackets.append((a, b))
+        return brentq(f, a, b, **kw)
+
+    monkeypatch.setattr(propagator, "brentq", recording)
+    propagator._resonance_seeds(spec, 0.1)
+    assert brackets == expect
+    assert len(expect) == (1 if eta0 == 0.01 else 0)
+
+
 def test_steady_modulus_matches_long_time_volterra():
     spec = BathSpec(3.0, 0.5)
     grid = TimeGrid.uniform(300.0, 30000)
@@ -251,15 +271,23 @@ def test_steady_modulus_matches_long_time_volterra():
 # ---------------------------------------------------------------------------
 
 def test_lamb_shift_free_limit():
-    assert lamb_shift(BathSpec(1.0, 0.0), 0.1).omega0_prime == 0.1
+    assert lamb_shift(BathSpec(1.0, 0.0), 0.1) == 0.1
 
 
 def test_lamb_shift_two_method_agreement():
-    # symmetric excision + extrapolation vs analytic-subtraction PV quadrature
-    spec = BathSpec(1.0, 0.01)
-    got = lamb_shift(spec, 0.1).omega0_prime
-    expect = 0.1 - spec.eta_s * pv_power_exp(1.0, 0.1)
-    assert abs(got - expect) <= 1e-6 * abs(expect)
+    # closed-form principal value vs symmetric excision + extrapolation
+    for s, eta0, omega_c in itertools.product((0.5, 1.0, 1.5, 3.0), (0.01, 0.5), (1.0, 2.5)):
+        spec = BathSpec(s, eta0, omega_c)
+        got = lamb_shift(spec, 0.1)
+        expect = lamb_shift_excised(spec, 0.1)
+        assert abs(got - expect) <= 1e-6 * abs(expect), (s, eta0, omega_c)
+
+
+def test_lamb_shift_rejects_omega0_past_the_principal_value_range():
+    # e^{-ω0/ωc} underflows in the principal value: an error, not a silent ω0
+    with pytest.raises(ValueError):
+        lamb_shift(BathSpec(1.0, 0.01, 2.0), 1401.0)
+    assert np.isfinite(lamb_shift(BathSpec(1.0, 0.01, 2.0), 1400.0))
 
 
 def test_markov_u_t0_and_modulus():
@@ -276,7 +304,7 @@ def test_markov_phase_convention_matches_exact_solver():
     grid = TimeGrid.uniform(50.0, 5000)
     sv = solve_volterra(spec, 0.1, grid)
     measured = np.angle(sv.u[-1])
-    w_minus = lamb_shift(spec, 0.1).omega0_prime
+    w_minus = lamb_shift(spec, 0.1)
     w_plus = 0.1 + (0.1 - w_minus)  # opposite sign convention
     def wrap(x):
         return (x + np.pi) % (2 * np.pi) - np.pi
