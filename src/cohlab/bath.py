@@ -75,6 +75,9 @@ class BathSpec:
     omega_c: float = 1.0
 
     def __post_init__(self):
+        for name in ("s", "eta0", "omega_c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.s > 0:
             raise ValueError(f"power s must be > 0, got {self.s}")
         if self.eta0 < 0:

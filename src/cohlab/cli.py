@@ -1,23 +1,32 @@
 """Command-line front end: figure reproduction, parameter sweeps, CSV output.
 
 Configuration comes from a flat key=value file plus command-line overrides
-(CLI > file > defaults).  Every CSV starts with a '#'-prefixed header
-recording the fully resolved configuration, uses 17-significant-digit
-floats, '\\n' newlines and UTF-8, so output is byte-deterministic for a
-fixed configuration and version.  A figure or sweep solves each distinct
-propagator once and derives all of its curves from that solution;
-COHLAB_THREADS sets the worker pool for those solves, capped by their
-number and the number of CPUs.
+(CLI > file > defaults); every float must be finite.  Each command runs one
+pipeline: configs -> each distinct propagator solved once -> CSV writers
+that only format.  A figure or sweep derives all of its curves from those
+solutions; COHLAB_THREADS sets the worker pool for the solves, capped by
+their number and the number of CPUs.  With solver 'both' every solve is
+checked against the other route once, and its footer line travels with the
+solution into every CSV drawn from it.
+
+Every CSV starts with a '#'-prefixed header recording the fully resolved
+configuration, uses 17-significant-digit floats, '\\n' newlines and UTF-8,
+so output is byte-deterministic for a fixed configuration and version.
+
+Exit codes: 0 ok; 1 for a solver error or a cross-solver discrepancy above
+CROSS_SOLVER_TOL; 2 for a configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +67,9 @@ class RunConfig:
     out: str = "."
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"parameter {f.name} must be finite, got {getattr(self, f.name)}")
         if self.solver not in ("volterra", "laplace", "both"):
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.code not in ("none", "phase", "bit"):
@@ -153,12 +165,23 @@ def write_csv(path: str, header_items, columns: list[str], rows, footer: list[st
 
 
 # ---------------------------------------------------------------------------
-# propagator evaluation shared by the commands
+# solve: each distinct propagator once, with its cross-solver check
 # ---------------------------------------------------------------------------
 
 # the RunConfig fields that determine u on the output grid
 _PROPAGATOR_FIELDS = ("s", "eta0", "omega_c", "omega0", "tmax", "points",
                       "out_points", "tmin_out", "log_out", "solver")
+
+
+class _Solved(NamedTuple):
+    """u on the output grid per solver, and the cross-solver check that
+    every CSV drawn from it carries: footer lines and verdict (none and
+    True for a single solver)."""
+
+    grid: TimeGrid
+    sols: dict
+    footer: list
+    ok: bool
 
 
 def _output_grid(cfg: RunConfig) -> TimeGrid:
@@ -167,8 +190,8 @@ def _output_grid(cfg: RunConfig) -> TimeGrid:
     return TimeGrid.uniform(cfg.tmax, cfg.out_points - 1)
 
 
-def _solve_u(cfg: RunConfig) -> tuple[TimeGrid, dict]:
-    """The output grid and u on it per requested solver(s).
+def _solve_u(cfg: RunConfig) -> _Solved:
+    """u on the output grid per requested solver(s), checked against each other.
 
     Time stepping always runs on the uniform grid and is cubic-resampled;
     Laplace inversion is evaluated on the output grid directly.
@@ -181,10 +204,14 @@ def _solve_u(cfg: RunConfig) -> tuple[TimeGrid, dict]:
         sols["volterra"] = resample(solve_volterra(spec, cfg.omega0, uniform), out_grid)
     if cfg.solver in ("laplace", "both"):
         sols["laplace"] = solve_laplace(spec, cfg.omega0, out_grid)
-    return out_grid, sols
+    if len(sols) < 2:
+        return _Solved(out_grid, sols, [], True)
+    diff = float(np.max(np.abs(sols["volterra"].u - sols["laplace"].u)))
+    return _Solved(out_grid, sols, [f"max_solver_discrepancy = {diff:.17g} (tol {CROSS_SOLVER_TOL})"],
+                  diff <= CROSS_SOLVER_TOL)
 
 
-def _solve_each_once(cfgs: list[RunConfig]) -> list[tuple[TimeGrid, dict]]:
+def _solve_each_once(cfgs: list[RunConfig]) -> list[_Solved]:
     """_solve_u for every config, solving each distinct propagator once.
 
     Configs that differ only outside _PROPAGATOR_FIELDS (α0, code, n, out)
@@ -203,173 +230,6 @@ def _solve_each_once(cfgs: list[RunConfig]) -> list[tuple[TimeGrid, dict]]:
     return [by_key[k] for k in keys]
 
 
-def _discrepancy_footer(sols: dict) -> tuple[list[str], bool]:
-    if len(sols) < 2:
-        return [], True
-    diff = float(np.max(np.abs(sols["volterra"].u - sols["laplace"].u)))
-    return [f"max_solver_discrepancy = {diff:.17g} (tol {CROSS_SOLVER_TOL})"], diff <= CROSS_SOLVER_TOL
-
-
-def _write_propagator(cfg: RunConfig, out_grid: TimeGrid, sols: dict,
-                      prefix: str = "propagator_") -> tuple[str, bool]:
-    methods = sorted(sols)
-    columns = ["t"] + [f"{c}_{m}" for m in methods for c in ("re_u", "im_u", "abs_u")]
-    data = [out_grid.samples]
-    for m in methods:
-        u = sols[m].u
-        # hypot rounds |u| as the scalar abs() does; np.abs on a complex array
-        # differs from it in the last bit
-        data += [u.real, u.imag, np.hypot(u.real, u.imag)]
-    footer, ok = _discrepancy_footer(sols)
-    path = os.path.join(cfg.out, f"{prefix}s{cfg.s:g}_eta{cfg.eta0:g}.csv")
-    write_csv(path, cfg.header_items(), columns, np.column_stack(data).tolist(), footer)
-    return path, ok
-
-
-def cmd_propagator(cfg: RunConfig) -> tuple[str, bool]:
-    return _write_propagator(cfg, *_solve_u(cfg))
-
-
-def _channel_columns(cfg: RunConfig) -> list[str]:
-    cols = ["t", "concurrence", "f_max", "fidelity", "p_e"]
-    if cfg.code == "phase":
-        cols.append("c_prime")
-    elif cfg.code == "bit":
-        cols.append("p_e_n")
-    return cols
-
-
-def _channel_rows(cfg: RunConfig, out_grid: TimeGrid, sols: dict) -> list[list[float]]:
-    """One row per output time under _channel_columns, from the Laplace
-    solution when there is one; every metric is one array pass over u,
-    with |u| > 1 roundoff clamped to the unit circle."""
-    u = sols.get("laplace", sols.get("volterra")).u
-    u = u / np.maximum(np.abs(u), 1.0)
-    p_e = phase_error_prob(cfg.alpha0, u)
-    if cfg.code == "phase":
-        c_prime = corrected_c(cfg.n, p_e)
-        m = x_state_metrics(cfg.alpha0, u, c_prime)
-        extra = [c_prime]
-    elif cfg.code == "bit":
-        m = bitflip_metrics(cfg.n, cfg.alpha0, u)
-        extra = [bitflip_p_e(cfg.n, cfg.alpha0, u)]
-    else:
-        m = metrics_closed(cfg.alpha0, u)
-        extra = []
-    cols = [out_grid.samples, m.concurrence, m.f_max, m.fidelity, p_e] + extra
-    return np.column_stack(cols).tolist()
-
-
-def _write_channel(cfg: RunConfig, out_grid: TimeGrid, sols: dict,
-                   prefix: str = "channel_") -> tuple[str, bool]:
-    footer, ok = _discrepancy_footer(sols)
-    tag = "" if cfg.code == "none" else f"_{cfg.code}{cfg.n}"
-    path = os.path.join(cfg.out, f"{prefix}s{cfg.s:g}_eta{cfg.eta0:g}{tag}.csv")
-    write_csv(path, cfg.header_items(), _channel_columns(cfg),
-              _channel_rows(cfg, out_grid, sols), footer)
-    return path, ok
-
-
-def cmd_channel(cfg: RunConfig) -> tuple[str, bool]:
-    return _write_channel(cfg, *_solve_u(cfg))
-
-
-def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> tuple[str, bool]:
-    if axis not in ("eta0", "s", "n", "alpha0", "omega0"):
-        raise ConfigError(f"unknown sweep axis {axis!r}")
-    cfgs = [replace(cfg, **{axis: int(v) if axis == "n" else float(v)}) for v in values]
-    rows = []
-    for c, (out_grid, sols) in zip(cfgs, _solve_each_once(cfgs)):
-        v = getattr(c, axis)
-        rows += [[v] + r for r in _channel_rows(c, out_grid, sols)]
-    path = os.path.join(cfg.out, f"sweep_{axis}.csv")
-    write_csv(path, cfg.header_items(), [axis] + _channel_columns(cfg), rows)
-    return path, True
-
-
-# ---------------------------------------------------------------------------
-# figure bundles
-# ---------------------------------------------------------------------------
-
-_S_VALUES = (0.5, 1.0, 3.0)
-
-
-def _write_spectral_curve(cfg: RunConfig, label: str) -> tuple[str, bool]:
-    # 1b keeps η0 (scaled coupling); 1a rescales it so that η_s = η0
-    eta0 = cfg.eta0 if label == "1b" else cfg.eta0 * (cfg.s / math.e) ** cfg.s
-    spec = BathSpec(cfg.s, eta0, cfg.omega_c)
-    w = np.linspace(0.0, 8.0 * cfg.omega_c, 801)
-    rows = np.column_stack([w, spectral_density(spec, w)])
-    path = os.path.join(cfg.out, f"figure{label}_J_s{cfg.s:g}.csv")
-    write_csv(path, cfg.header_items(), ["omega", "J"], rows)
-    return path, True
-
-
-def _figure_tasks(fig_id: str, cfg: RunConfig) -> list[tuple]:
-    """(kind, label, config) task triples with each caption's parameters."""
-    tasks = []
-    if fig_id in ("1a", "1b"):
-        for s in _S_VALUES:
-            tasks.append(("J", fig_id, replace(cfg, s=s, eta0=0.5)))
-        return tasks
-    if fig_id in ("2a", "2b"):
-        eta0 = 0.01 if fig_id == "2a" else 0.5
-        for s in _S_VALUES:
-            tasks.append(("u", fig_id, replace(cfg, s=s, eta0=eta0, tmax=1000.0)))
-        return tasks
-    if fig_id == "3":
-        for s in _S_VALUES:
-            for eta0, tmax in ((0.01, 10000.0), (0.5, 1000.0)):
-                tasks.append(("channel", fig_id, replace(cfg, s=s, eta0=eta0, tmax=tmax, code="none")))
-        return tasks
-    if fig_id in ("4", "5"):
-        eta0, tmax = (0.01, 10000.0) if fig_id == "4" else (0.5, 1000.0)
-        for s in _S_VALUES:
-            for n in (1, 3, 9, 101):
-                code = "none" if n == 1 else "phase"
-                tasks.append(("channel", fig_id, replace(cfg, s=s, eta0=eta0, tmax=tmax, code=code, n=n)))
-        return tasks
-    if fig_id == "6":
-        for s in _S_VALUES:
-            for n in (1, 3, 6, 9):
-                code = "none" if n == 1 else "bit"
-                tasks.append(("channel", fig_id, replace(cfg, s=s, eta0=0.5, tmax=1000.0, code=code, n=n)))
-        return tasks
-    raise ConfigError(f"unknown figure id {fig_id!r}; known: 1a 1b 2a 2b 3 4 5 6")
-
-
-_RECIPES = {
-    "1a": "plot J vs omega for each CSV; linear axes; omega in units of omega_c (unscaled coupling)",
-    "1b": "plot J vs omega for each CSV; linear axes; omega in units of omega_c (scaled coupling, common peak 2*pi*eta0*omega_c)",
-    "2a": "plot abs_u_laplace vs t; x axis log scale, t in units of 1/omega_c; one curve per s",
-    "2b": "plot abs_u_laplace vs t; x axis log scale; one curve per s",
-    "3": "two panels per eta0: concurrence vs t and fidelity vs t; x axis log scale; draw horizontal line F = 2/3 on fidelity panels",
-    "4": "per s: concurrence vs t and fidelity vs t for n = 1, 3, 9, 101; x axis log scale; horizontal line F = 2/3",
-    "5": "per s: concurrence vs t and fidelity vs t for n = 1, 3, 9, 101; x axis log scale; horizontal line F = 2/3",
-    "6": "per s: concurrence vs t and fidelity vs t for bit-flip n = 1, 3, 6, 9; x axis log scale; horizontal line F = 2/3",
-}
-
-
-def cmd_figure(fig_id: str, cfg: RunConfig) -> tuple[list[str], bool]:
-    tasks = _figure_tasks(fig_id, cfg)
-    if fig_id in ("1a", "1b"):
-        results = [_write_spectral_curve(c, label) for _, label, c in tasks]
-    else:
-        solved = _solve_each_once([c for _, _, c in tasks])
-        write = {"u": _write_propagator, "channel": _write_channel}
-        prefix = {"u": f"figure{fig_id}_u_", "channel": f"figure{fig_id}_"}
-        results = [write[kind](c, *sol, prefix=prefix[kind])
-                   for (kind, _, c), sol in zip(tasks, solved)]
-    paths = [p for p, _ in results]
-    ok = all(flag for _, flag in results)
-    recipe = os.path.join(cfg.out, f"figure{fig_id}_recipe.txt")
-    with open(recipe, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"figure {fig_id}\n{_RECIPES[fig_id]}\nfiles:\n")
-        for p in paths:
-            fh.write(f"  {os.path.basename(p)}\n")
-    return paths + [recipe], ok
-
-
 def _worker_count(n_tasks: int) -> int:
     """Pool size: COHLAB_THREADS, capped by the task count and the CPU count."""
     try:
@@ -377,6 +237,149 @@ def _worker_count(n_tasks: int) -> int:
     except ValueError:
         wanted = 1
     return max(1, min(wanted, n_tasks, os.cpu_count() or 1))
+
+
+# ---------------------------------------------------------------------------
+# write: tables formatted from a solution
+# ---------------------------------------------------------------------------
+
+def _u_table(cfg: RunConfig, sol: _Solved) -> tuple[list[str], list]:
+    methods = sorted(sol.sols)
+    columns = ["t"] + [f"{c}_{m}" for m in methods for c in ("re_u", "im_u", "abs_u")]
+    data = [sol.grid.samples]
+    for m in methods:
+        u = sol.sols[m].u
+        # hypot rounds |u| as the scalar abs() does; np.abs on a complex array
+        # differs from it in the last bit
+        data += [u.real, u.imag, np.hypot(u.real, u.imag)]
+    return columns, np.column_stack(data).tolist()
+
+
+def _channel_table(cfg: RunConfig, sol: _Solved) -> tuple[list[str], list]:
+    """One row per output time, from the Laplace solution when there is one;
+    every metric is one array pass over u, with |u| > 1 roundoff clamped to
+    the unit circle."""
+    u = sol.sols.get("laplace", sol.sols.get("volterra")).u
+    u = u / np.maximum(np.abs(u), 1.0)
+    p_e = phase_error_prob(cfg.alpha0, u)
+    if cfg.code == "phase":
+        c_prime = corrected_c(cfg.n, p_e)
+        m, extra = x_state_metrics(cfg.alpha0, u, c_prime), {"c_prime": c_prime}
+    elif cfg.code == "bit":
+        m, extra = bitflip_metrics(cfg.n, cfg.alpha0, u), {"p_e_n": bitflip_p_e(cfg.n, cfg.alpha0, u)}
+    else:
+        m, extra = metrics_closed(cfg.alpha0, u), {}
+    columns = ["t", "concurrence", "f_max", "fidelity", "p_e", *extra]
+    data = [sol.grid.samples, m.concurrence, m.f_max, m.fidelity, p_e, *extra.values()]
+    return columns, np.column_stack(data).tolist()
+
+
+_TABLES = {"u": _u_table, "channel": _channel_table}
+
+
+def _write_curves(kind: str, prefix: str, cfgs: list[RunConfig]) -> tuple[list[str], bool]:
+    """One CSV per config: the `kind` table of its solution under the
+    solution's footer; the verdict is that of every solution."""
+    solved = _solve_each_once(cfgs)
+    paths = []
+    for c, sol in zip(cfgs, solved):
+        tag = "" if kind == "u" or c.code == "none" else f"_{c.code}{c.n}"
+        paths.append(os.path.join(c.out, f"{prefix}s{c.s:g}_eta{c.eta0:g}{tag}.csv"))
+        write_csv(paths[-1], c.header_items(), *_TABLES[kind](c, sol), sol.footer)
+    return paths, all(sol.ok for sol in solved)
+
+
+def _sweep_values(axis: str, text: str) -> list:
+    """The comma-separated --values, as integers on the n axis."""
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        values = []  # a non-number gets the empty list's error
+    if not values or (axis == "n" and not all(v.is_integer() for v in values)):
+        want = "integers" if axis == "n" else "numbers"
+        raise ConfigError(f"--values must be a comma-separated list of {want}, got {text!r}")
+    return [int(v) for v in values] if axis == "n" else values
+
+
+def _write_sweep(cfg: RunConfig, axis: str, values: list) -> tuple[list[str], bool]:
+    """One long-format CSV, the axis value first in every row; each curve's
+    cross-solver footer lines are tagged with its axis value."""
+    cfgs = [replace(cfg, **{axis: v}) for v in values]
+    solved = _solve_each_once(cfgs)
+    rows, footer = [], []
+    for c, sol in zip(cfgs, solved):
+        v = getattr(c, axis)
+        columns, table = _channel_table(c, sol)
+        rows += [[v] + r for r in table]
+        footer += [f"{axis} = {v!r}: {line}" for line in sol.footer]
+    path = os.path.join(cfg.out, f"sweep_{axis}.csv")
+    write_csv(path, cfg.header_items(), [axis] + columns, rows, footer)
+    return [path], all(sol.ok for sol in solved)
+
+
+# ---------------------------------------------------------------------------
+# figure bundles
+# ---------------------------------------------------------------------------
+
+def _curves(common: dict, *axes: list[dict]) -> list[dict]:
+    """Per-curve RunConfig overrides: `common` plus one entry of each axis,
+    the first axis outermost."""
+    return [{k: v for d in (common, *pick) for k, v in d.items()}
+            for pick in itertools.product(*axes)]
+
+
+_S = [{"s": s} for s in (0.5, 1.0, 3.0)]
+_PHASE = [{"code": "none", "n": 1}] + [{"code": "phase", "n": n} for n in (3, 9, 101)]
+_BIT = [{"code": "none", "n": 1}] + [{"code": "bit", "n": n} for n in (3, 6, 9)]
+_CODE_RECIPE = ("per s: concurrence vs t and fidelity vs t for {}; x axis log scale; "
+                "horizontal line F = 2/3")
+
+# figure id -> (curve kind, per-curve overrides with each caption's parameters, recipe)
+_FIGURES = {
+    "1a": ("J", _curves({"eta0": 0.5}, _S),
+           "plot J vs omega for each CSV; linear axes; omega in units of omega_c (unscaled coupling)"),
+    "1b": ("J", _curves({"eta0": 0.5}, _S),
+           "plot J vs omega for each CSV; linear axes; omega in units of omega_c "
+           "(scaled coupling, common peak 2*pi*eta0*omega_c)"),
+    "2a": ("u", _curves({"eta0": 0.01, "tmax": 1000.0}, _S),
+           "plot abs_u_laplace vs t; x axis log scale, t in units of 1/omega_c; one curve per s"),
+    "2b": ("u", _curves({"eta0": 0.5, "tmax": 1000.0}, _S),
+           "plot abs_u_laplace vs t; x axis log scale; one curve per s"),
+    "3": ("channel", _curves({"code": "none"}, _S, [{"eta0": 0.01, "tmax": 10000.0},
+                                                    {"eta0": 0.5, "tmax": 1000.0}]),
+          "two panels per eta0: concurrence vs t and fidelity vs t; x axis log scale; "
+          "draw horizontal line F = 2/3 on fidelity panels"),
+    "4": ("channel", _curves({"eta0": 0.01, "tmax": 10000.0}, _S, _PHASE),
+          _CODE_RECIPE.format("n = 1, 3, 9, 101")),
+    "5": ("channel", _curves({"eta0": 0.5, "tmax": 1000.0}, _S, _PHASE),
+          _CODE_RECIPE.format("n = 1, 3, 9, 101")),
+    "6": ("channel", _curves({"eta0": 0.5, "tmax": 1000.0}, _S, _BIT),
+          _CODE_RECIPE.format("bit-flip n = 1, 3, 6, 9")),
+}
+
+
+def _write_spectral_curve(cfg: RunConfig, fig_id: str) -> str:
+    # 1b keeps η0 (scaled coupling); 1a rescales it so that η_s = η0
+    eta0 = cfg.eta0 if fig_id == "1b" else cfg.eta0 * (cfg.s / math.e) ** cfg.s
+    w = np.linspace(0.0, 8.0 * cfg.omega_c, 801)
+    rows = np.column_stack([w, spectral_density(BathSpec(cfg.s, eta0, cfg.omega_c), w)])
+    path = os.path.join(cfg.out, f"figure{fig_id}_J_s{cfg.s:g}.csv")
+    write_csv(path, cfg.header_items(), ["omega", "J"], rows)
+    return path
+
+
+def _write_figure(fig_id: str, cfg: RunConfig) -> tuple[list[str], bool]:
+    kind, curves, recipe = _FIGURES[fig_id]
+    cfgs = [replace(cfg, **o) for o in curves]
+    if kind == "J":
+        paths, ok = [_write_spectral_curve(c, fig_id) for c in cfgs], True
+    else:
+        paths, ok = _write_curves(kind, f"figure{fig_id}_" + ("u_" if kind == "u" else ""), cfgs)
+    recipe_path = os.path.join(cfg.out, f"figure{fig_id}_recipe.txt")
+    with open(recipe_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"figure {fig_id}\n{recipe}\nfiles:\n")
+        fh.writelines(f"  {os.path.basename(p)}\n" for p in paths)
+    return paths + [recipe_path], ok
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=desc)
         _add_config_flags(p)
         if name == "figure":
-            p.add_argument("--id", required=True, dest="fig_id",
-                           choices=["1a", "1b", "2a", "2b", "3", "4", "5", "6"])
+            p.add_argument("--id", required=True, dest="fig_id", choices=list(_FIGURES))
         if name == "sweep":
-            p.add_argument("--axis", required=True,
-                           choices=["eta0", "s", "n", "alpha0", "omega0"])
+            p.add_argument("--axis", required=True, choices=["eta0", "s", "n", "alpha0", "omega0"])
             p.add_argument("--values", required=True,
                            help="comma-separated axis values")
     return ap
@@ -426,20 +427,13 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         os.makedirs(cfg.out, exist_ok=True)
-        if args.command == "propagator":
-            path, ok = cmd_propagator(cfg)
-            paths = [path]
-        elif args.command == "channel":
-            path, ok = cmd_channel(cfg)
-            paths = [path]
-        elif args.command == "figure":
-            paths, ok = cmd_figure(args.fig_id, cfg)
+        if args.command == "figure":
+            paths, ok = _write_figure(args.fig_id, cfg)
+        elif args.command == "sweep":
+            paths, ok = _write_sweep(cfg, args.axis, _sweep_values(args.axis, args.values))
         else:
-            values = [float(v) for v in args.values.split(",") if v.strip()]
-            if not values:
-                raise ConfigError("--values must list at least one number")
-            path, ok = cmd_sweep(cfg, args.axis, values)
-            paths = [path]
+            kind = "u" if args.command == "propagator" else "channel"
+            paths, ok = _write_curves(kind, f"{args.command}_", [cfg])
     except ConfigError as exc:
         print(f"cohlab: configuration error: {exc}", file=sys.stderr)
         return 2

@@ -328,7 +328,11 @@ def find_poles(spec: BathSpec, omega0: float) -> list[tuple[complex, complex]]:
 
 
 def _resonance_seeds(spec: BathSpec, omega0: float) -> list[float]:
-    """Forced panel breakpoints around zeros of Re B (narrow resonances)."""
+    """Forced panel breakpoints around zeros of Re B (narrow resonances).
+
+    Raises FourierQuadratureError for a resonance narrower than 1e-14 (in
+    units of ω_c), which no panel ladder resolves.
+    """
     w0 = omega0 / spec.omega_c
     ws = np.unique(np.concatenate([
         np.geomspace(1e-8, _OMEGA_MAX, 1200),
@@ -342,7 +346,11 @@ def _resonance_seeds(spec: BathSpec, omega0: float) -> list[float]:
             ws[i], ws[i + 1], xtol=1e-15, rtol=8.9e-16)
         width = np.pi * spec.eta_s * wstar**spec.s * np.exp(-wstar)
         slope = abs(re[i + 1] - re[i]) / (ws[i + 1] - ws[i])
-        width = max(width / max(slope, 1e-3), 1e-14)
+        width = width / max(slope, 1e-3)
+        if width < 1e-14:
+            raise FourierQuadratureError(
+                f"resonance at omega = {wstar:.6g} omega_c has width {width:.2g}, "
+                "narrower than the 1e-14 the panels can resolve")
         seeds.append(wstar)
         for k in (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0):
             seeds.extend((wstar - k * width, wstar + k * width))
@@ -361,8 +369,9 @@ def solve_laplace(spec: BathSpec, omega0: float, grid: TimeGrid) -> PropagatorSo
     Raises
     ------
     FourierQuadratureError
-        If the panel construction cannot resolve the density, or the
-        neglected tail beyond _OMEGA_MAX exceeds _TAIL_TOL.
+        If a resonance is narrower than 1e-14 ω_c, the panel construction
+        cannot resolve the density, or the neglected tail beyond
+        _OMEGA_MAX exceeds _TAIL_TOL.
     """
     t = grid.samples
     if spec.eta0 == 0.0:

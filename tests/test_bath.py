@@ -41,6 +41,14 @@ def test_spec_validation():
         BathSpec(1.0, 0.1, 0.0)
 
 
+@pytest.mark.parametrize("field", ["s", "eta0", "omega_c"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spec_rejects_non_finite(field, bad):
+    values = {"s": 1.0, "eta0": 0.1, "omega_c": 1.0, field: bad}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        BathSpec(**values)
+
+
 def test_eta_s_scaling():
     spec = BathSpec(3.0, 0.5)
     assert abs(spec.eta_s - 0.5 * (np.e / 3.0) ** 3) < 1e-15

@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from cohlab.propagator import PropagatorSolution, TimeGrid
 from cohlab.cli import (
     ConfigError,
     RunConfig,
-    _channel_rows,
+    _channel_table,
+    _Solved,
     _worker_count,
     main,
     parse_config_file,
@@ -75,6 +77,22 @@ def test_run_config_validation():
         RunConfig(solver="magic")
     with pytest.raises(ConfigError):
         RunConfig(tmax=-1.0)
+
+
+@pytest.mark.parametrize("field", ["s", "eta0", "omega_c", "omega0", "alpha0", "tmax", "tmin_out"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_run_config_rejects_non_finite(field, bad):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        RunConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("flag, bad", [("--eta0", "nan"), ("--eta0", "inf"), ("--alpha0", "inf"),
+                                       ("--omega0", "nan")])
+def test_non_finite_flag_is_a_config_error(tmp_path, capsys, flag, bad):
+    assert main(["channel", flag, bad, "--tmax", "10", "--out-points", "5",
+                 "--out", str(tmp_path)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_propagator_free_evolution_column(tmp_path):
@@ -246,8 +264,9 @@ def test_channel_rows_clamp_u_above_one():
     u = np.array([1.0 + 1e-10, (1.0 + 2e-9) * np.exp(0.3j), 0.8j, 0.5])
     clamped = np.array([1.0, np.exp(0.3j), 0.8j, 0.5])
     for cfg in (RunConfig(), RunConfig(code="phase", n=101), RunConfig(code="bit", n=6)):
-        rows = _channel_rows(cfg, grid, {"laplace": PropagatorSolution(grid, u, "laplace")})
-        want = _channel_rows(cfg, grid, {"laplace": PropagatorSolution(grid, clamped, "laplace")})
+        _, rows = _channel_table(cfg, _Solved(grid, {"laplace": PropagatorSolution(grid, u, "laplace")}, [], True))
+        _, want = _channel_table(cfg, _Solved(grid, {"laplace": PropagatorSolution(grid, clamped, "laplace")},
+                                              [], True))
         np.testing.assert_allclose(rows, want, rtol=0, atol=1e-15)
         assert rows[0][4] == 0.0          # p_e at |u| = 1
 
@@ -298,6 +317,46 @@ def test_exit_codes(tmp_path, capsys):
                  str(tmp_path), "--s", "-3"]) == 2      # config error
     assert main(["sweep", "--axis", "eta0", "--values", "",
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("axis, values", [("eta0", "1,x"), ("n", "2.7"), ("n", "1,inf"),
+                                          ("eta0", "0.5,nan")])
+def test_sweep_bad_values_are_config_errors(tmp_path, capsys, axis, values):
+    assert main(["sweep", "--axis", axis, "--values", values, "--tmax", "10",
+                 "--out-points", "5", "--out", str(tmp_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / f"sweep_{axis}.csv").exists()
+
+
+@pytest.mark.parametrize("values, s, tmax, rc", [
+    ("0.01,0.5", "1", "50", 0),
+    # two undamped polaritons the Laplace route misses: off by 0.999
+    ("1000", "1", "0.5", 1),
+], ids=["agree", "eta0-1000"])
+def test_sweep_both_solvers_footer_and_gate(tmp_path, values, s, tmax, rc):
+    assert main(["sweep", "--axis", "eta0", "--values", values, "--s", s, "--solver", "both",
+                 "--tmax", tmax, "--points", "2000", "--out-points", "20",
+                 "--out", str(tmp_path)]) == rc
+    _, _, rows, footer = load(tmp_path / "sweep_eta0.csv")
+    assert len(rows) == 20 * len(values.split(","))
+    assert [f.split(":")[0] for f in footer] == [f"eta0 = {float(v)!r}" for v in values.split(",")]
+    diffs = [float(f.split("max_solver_discrepancy = ")[1].split()[0]) for f in footer]
+    assert all((d <= cli.CROSS_SOLVER_TOL) == (rc == 0) for d in diffs)
+
+
+def test_cross_solver_check_once_per_solve(tmp_path, monkeypatch):
+    # 6 curves, 2 propagators: each solve's footer line goes to its 3 CSVs
+    solves = []
+    original = cli._solve_u
+    monkeypatch.setattr(cli, "_solve_u", lambda cfg: solves.append(cfg.s) or original(cfg))
+    base = RunConfig(solver="both", tmax=50.0, points=2000, out_points=20, out=str(tmp_path))
+    cfgs = [replace(base, s=s, code=code, n=n) for s in (1.0, 3.0)
+            for code, n in (("none", 1), ("phase", 3), ("bit", 6))]
+    paths, ok = cli._write_curves("channel", "x_", cfgs)
+    assert ok and sorted(solves) == [1.0, 3.0]
+    for s in ("1", "3"):
+        footers = {tuple(load(p)[3]) for p in paths if f"_s{s}_" in p}
+        assert len(footers) == 1 and "max_solver_discrepancy" in footers.pop()[0]
 
 
 def test_sweep_even_bit_code_large_amplitude(tmp_path):

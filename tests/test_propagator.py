@@ -22,6 +22,7 @@ from cohlab.propagator import (
     volterra_residual,
 )
 from cohlab import propagator
+from cohlab._fourier import FourierQuadratureError
 
 from oracles import find_poles_scan, lamb_shift_excised, step_history_direct
 
@@ -254,6 +255,13 @@ def test_resonance_seeds_bracket_each_sign_change(s, eta0, monkeypatch):
     propagator._resonance_seeds(spec, 0.1)
     assert brackets == expect
     assert len(expect) == (1 if eta0 == 0.01 else 0)
+
+
+def test_resonance_narrower_than_panel_floor_raises():
+    # the resonance near ω0 is 2.7e-17 wide; clamped to the 1e-14 floor it
+    # left u off by 0.090 from time stepping on this grid, with no error
+    with pytest.raises(FourierQuadratureError, match="width 2.7e-17"):
+        solve_laplace(BathSpec(9.5, 0.01), 0.1, TimeGrid.uniform(100.0, 2000))
 
 
 def test_steady_modulus_matches_long_time_volterra():
