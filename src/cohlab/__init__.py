@@ -14,16 +14,12 @@ from .bath import BathSpec, correlation, inversion_denominator, spectral_density
 from .channel import (
     ChannelMetrics,
     TwoQubitState,
-    cluster_state_density,
-    concurrence_closed,
-    fef_closed,
     fef_oracle,
     metrics_closed,
     teleportation_fidelity,
     wootters_concurrence,
 )
 from .codes import (
-    bitflip_density,
     bitflip_metrics,
     bitflip_p_e,
     corrected_c,
@@ -55,9 +51,8 @@ __all__ = [
     "find_poles", "lamb_shift", "markov_u",
     "CoherentElement", "CatState", "evolve_element", "evolve_cat",
     "coherence_factor", "phase_error_prob",
-    "TwoQubitState", "ChannelMetrics", "cluster_state_density",
-    "concurrence_closed", "wootters_concurrence", "fef_closed", "fef_oracle",
+    "TwoQubitState", "ChannelMetrics", "wootters_concurrence", "fef_oracle",
     "teleportation_fidelity", "metrics_closed",
     "phase_success_prob", "corrected_c",
-    "corrected_channel_metrics", "bitflip_p_e", "bitflip_density", "bitflip_metrics",
+    "corrected_channel_metrics", "bitflip_p_e", "bitflip_metrics",
 ]

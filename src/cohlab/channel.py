@@ -5,10 +5,11 @@ is expressed in the orthonormal even/odd product basis, where it takes an
 X-form.  Channel quality is tracked by the concurrence, the fully
 entangled fraction f_max, and the teleportation fidelity F = (2 f_max+1)/3.
 Closed forms for all three exist, as one elementwise kernel
-(`x_state_metrics`) that the repetition codes share; independent
-matrix-level oracles (Wootters spin-flip spectrum, magic-basis eigenvalue,
-direct search over maximally entangled states) are kept alongside and
-never collapsed into the closed-form route.
+(`x_state_metrics`) that the repetition codes share.  The density matrix
+itself is built in one place, `element_map_density`, which feeds the
+independent matrix-level oracles (Wootters spin-flip spectrum, magic-basis
+eigenvalue, direct search over maximally entangled states); they are kept
+alongside and never collapsed into the closed-form route.
 """
 
 from __future__ import annotations
@@ -23,11 +24,8 @@ from .qubit import coherence_factor, evenodd_coeffs
 __all__ = [
     "TwoQubitState",
     "ChannelMetrics",
-    "cluster_state_density",
     "element_map_density",
-    "concurrence_closed",
     "wootters_concurrence",
-    "fef_closed",
     "fef_oracle",
     "fef_direct_search",
     "teleportation_fidelity",
@@ -36,27 +34,29 @@ __all__ = [
 ]
 
 
+_TRACE_TOL = 1e-10
+_HERM_TOL = 1e-12
+_PSD_TOL = 1e-10
+
+
 @dataclass
 class TwoQubitState:
-    """4×4 density matrix in the basis {|ee⟩, |eo⟩, |oe⟩, |oo⟩}.
-
-    params records (alpha0, u, c, n_bits) that generated the state.
-    """
+    """4×4 density matrix in the basis {|ee⟩, |eo⟩, |oe⟩, |oo⟩}."""
 
     rho: np.ndarray
-    params: tuple = ()
 
-    def validate(self, trace_tol: float = 1e-10, herm_tol: float = 1e-12,
-                 psd_tol: float = 1e-10) -> None:
+    def validate(self) -> None:
+        """AssertionError unless rho is 4×4, of trace 1 (to _TRACE_TOL),
+        Hermitian (to _HERM_TOL) and positive semidefinite (to -_PSD_TOL)."""
         r = self.rho
         if r.shape != (4, 4):
             raise AssertionError("density matrix must be 4x4")
-        if abs(np.trace(r) - 1.0) > trace_tol:
+        if abs(np.trace(r) - 1.0) > _TRACE_TOL:
             raise AssertionError(f"trace deviates from 1 by {abs(np.trace(r)-1.0):.3e}")
-        if np.max(np.abs(r - r.conj().T)) > herm_tol:
+        if np.max(np.abs(r - r.conj().T)) > _HERM_TOL:
             raise AssertionError("density matrix is not Hermitian")
         ev = np.linalg.eigvalsh(0.5 * (r + r.conj().T))
-        if ev.min() < -psd_tol:
+        if ev.min() < -_PSD_TOL:
             raise AssertionError(f"negative eigenvalue {ev.min():.3e}")
 
 
@@ -82,40 +82,18 @@ def _require_within(x, lo: float, hi: float, name: str, interval: str) -> None:
         raise ValueError(f"{name} {x[bad].flat[0]} outside {interval}")
 
 
-def cluster_state_density(alpha0: complex, u: complex) -> TwoQubitState:
-    """Exact evolved density matrix of the cluster-type state (closed X-form).
-
-    With a, b from α_t = α_0 u, c the coherence factor and
-    M = 4(1 + e^{-4|α_0|²}):
-
-        ρ = (4/M) [[a⁴(1+c²), 0, 0, 2ic a²b²],
-                   [0, a²b²(1-c²), 0, 0],
-                   [0, 0, a²b²(1-c²), 0],
-                   [-2ic a²b², 0, 0, b⁴(1+c²)]]
-    """
-    a, b = evenodd_coeffs(alpha0 * u)
-    c = coherence_factor(alpha0, u)
-    m = 4.0 * (1.0 + math.exp(-4.0 * abs(alpha0) ** 2))
-    a2b2 = a * a * b * b
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = a**4 * (1 + c * c)
-    rho[1, 1] = a2b2 * (1 - c * c)
-    rho[2, 2] = a2b2 * (1 - c * c)
-    rho[3, 3] = b**4 * (1 + c * c)
-    rho[0, 3] = 2j * c * a2b2
-    rho[3, 0] = -2j * c * a2b2
-    return TwoQubitState(rho * (4.0 / m), (alpha0, u, c, 1))
-
-
 def element_map_density(alpha0: complex, u: complex, n: int = 1) -> TwoQubitState:
-    """Dual construction: evolve all 16 elements of the (n-fold encoded)
-    cluster state through the tensor-product element map and express the
-    result in the even/odd basis.
+    """Evolved density matrix of the (n-fold encoded) cluster state: all 16
+    elements go through the tensor-product element map and the result is
+    expressed in the even/odd basis.
 
-    Independent of the closed-form matrices; used to gate them.  The
-    encoded initial state carries amplitudes (1, -z^n, -z^n, -z^{2n}) with
-    z = -i, each n-mode block damps by c^n when ket and bra signs differ,
-    and |±α_t⟩^{⊗n} = a_n|e_n⟩ ± b_n|o_n⟩.
+    The one matrix construction of the channel state; the tests hand it to
+    the matrix oracles (Wootters, magic basis, direct search) to gate the
+    closed form `x_state_metrics`.  The encoded initial state carries amplitudes
+    (1, -z^n, -z^n, -z^{2n}) with z = -i, each n-mode block damps by c^n
+    when ket and bra signs differ, and |±α_t⟩^{⊗n} = a_n|e_n⟩ ± b_n|o_n⟩.
+    Odd n gives an X-form normalized by M_n = 4(1 + e^{-4n|α_0|²}); even n
+    gives a dense matrix that is trace-1 with M_n = 4.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -139,15 +117,7 @@ def element_map_density(alpha0: complex, u: complex, n: int = 1) -> TwoQubitStat
                     ket = np.kron(vec[s1], vec[s2])
                     bra = np.kron(vec[r1], vec[r2])
                     rho += coeff * damp * np.outer(ket, bra)
-    return TwoQubitState(rho / m_n, (alpha0, u, c, n))
-
-
-def concurrence_closed(alpha0: complex, u):
-    """C = 2a²b²/(1+e^{-4|α_0|²}) · max{0, c² + 2c - 1}.
-
-    Vanishes (entanglement sudden death) once c drops below √2 - 1.
-    """
-    return metrics_closed(alpha0, u).concurrence
+    return TwoQubitState(rho / m_n)
 
 
 _YY = np.array([
@@ -174,11 +144,6 @@ def wootters_concurrence(state: TwoQubitState) -> float:
     w = vec * np.sqrt(np.clip(lam, 0.0, None))
     sigma = np.linalg.svd(w.T @ _YY @ w, compute_uv=False)
     return max(0.0, sigma[0] - sigma[1] - sigma[2] - sigma[3])
-
-
-def fef_closed(alpha0: complex, u):
-    """f_max = (c² - 2a²b²(1-c)² + 1) / (2(1 + e^{-4|α_0|²}))."""
-    return metrics_closed(alpha0, u).f_max
 
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -231,8 +196,10 @@ def _rotate(base: np.ndarray, x: np.ndarray) -> np.ndarray:
     return base @ (np.cos(theta) * np.eye(2) + 1j * np.sin(theta) * h)
 
 
-def fef_direct_search(state: TwoQubitState, n_samples: int = 10000,
-                      seed: int = 0) -> float:
+_SEARCH_SAMPLES = 10000  # Haar draws per unitary before the local polish
+
+
+def fef_direct_search(state: TwoQubitState, seed: int = 0) -> float:
     """Brute-force f_max: maximize ⟨ψ|ρ|ψ⟩ over maximally entangled states
     |ψ⟩ = (U1 ⊗ U2)|Φ+⟩ — Haar sampling followed by derivative-free local
     ascent on the (U1, U2) group chart.
@@ -246,8 +213,8 @@ def fef_direct_search(state: TwoQubitState, n_samples: int = 10000,
 
     rng = np.random.default_rng(seed)
     rho = state.rho
-    u1 = _haar_unitaries(rng, n_samples)
-    u2 = _haar_unitaries(rng, n_samples)
+    u1 = _haar_unitaries(rng, _SEARCH_SAMPLES)
+    u2 = _haar_unitaries(rng, _SEARCH_SAMPLES)
     best, k = _best_overlap(rho, u1, u2)
     b1, b2 = u1[k], u2[k]
 
@@ -302,5 +269,9 @@ def x_state_metrics(alpha0: complex, u, c, modes: int = 1) -> ChannelMetrics:
 
 
 def metrics_closed(alpha0: complex, u) -> ChannelMetrics:
-    """Closed-form metrics of the unencoded channel, elementwise over u."""
+    """Closed-form metrics of the unencoded channel, elementwise over u.
+
+    C = 2a²b²/(1+e^{-4|α_0|²}) · max{0, c² + 2c - 1} vanishes (entanglement
+    sudden death) once c drops below √2 - 1.
+    """
     return x_state_metrics(alpha0, u, coherence_factor(alpha0, u))

@@ -302,7 +302,8 @@ def _sweep_values(axis: str, text: str) -> list:
 
 
 def _write_sweep(cfg: RunConfig, axis: str, values: list) -> tuple[list[str], bool]:
-    """One long-format CSV, the axis value first in every row; each curve's
+    """One long-format CSV, the axis value first in every row; the header
+    gives the swept values for the axis field, and each curve's
     cross-solver footer lines are tagged with its axis value."""
     cfgs = [replace(cfg, **{axis: v}) for v in values]
     solved = _solve_each_once(cfgs)
@@ -313,7 +314,8 @@ def _write_sweep(cfg: RunConfig, axis: str, values: list) -> tuple[list[str], bo
         rows += [[v] + r for r in table]
         footer += [f"{axis} = {v!r}: {line}" for line in sol.footer]
     path = os.path.join(cfg.out, f"sweep_{axis}.csv")
-    write_csv(path, cfg.header_items(), [axis] + columns, rows, footer)
+    header = [(k, repr(values) if k == axis else v) for k, v in cfg.header_items()]
+    write_csv(path, header, [axis] + columns, rows, footer)
     return [path], all(sol.ok for sol in solved)
 
 

@@ -19,24 +19,17 @@ channel metrics of both codes come from the one X-state kernel
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.special import bdtrc
 
-from .channel import (
-    ChannelMetrics,
-    TwoQubitState,
-    x_state_metrics,
-)
-from .qubit import coherence_factor, evenodd_coeffs, phase_error_prob
+from .channel import ChannelMetrics, x_state_metrics
+from .qubit import coherence_factor, phase_error_prob
 
 __all__ = [
     "phase_success_prob",
     "corrected_c",
     "corrected_channel_metrics",
     "bitflip_p_e",
-    "bitflip_density",
     "bitflip_metrics",
 ]
 
@@ -82,58 +75,13 @@ def bitflip_p_e(n: int, alpha0: complex, u: complex) -> float:
     return 0.5 * (1.0 - c**n)
 
 
-def _encoded_coeffs(n: int, alpha0: complex, u: complex):
-    # e^{-2n|α_t|²} = e^{-2|√n α_t|²}: reuse the single audited helper
-    return evenodd_coeffs(math.sqrt(n) * alpha0 * u)
-
-
-def bitflip_density(n: int, alpha0: complex, u: complex) -> TwoQubitState:
-    """Evolved density matrix of the n-bit encoded channel in the basis
-    {|e_n e_n⟩, |e_n o_n⟩, |o_n e_n⟩, |o_n o_n⟩}.
-
-    Odd n keeps the X-form with prefactor 4/M_n, M_n = 4(1+e^{-4n|α_0|²});
-    even n is dense with i^n phases and is trace-1 as it stands (M_n = 4).
-    Both forms are gated against the element-map tensor construction.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    a, b = _encoded_coeffs(n, alpha0, u)
-    c = coherence_factor(alpha0, u)
-    cn = c**n
-    c2n = cn * cn
-    a2b2 = (a * b) ** 2
-    rho = np.zeros((4, 4), dtype=complex)
-    if n % 2 == 1:
-        m_n = 4.0 * (1.0 + math.exp(-4.0 * n * abs(alpha0) ** 2))
-        phase = 1j ** (n % 4)
-        rho[0, 0] = a**4 * (1 + c2n)
-        rho[1, 1] = a2b2 * (1 - c2n)
-        rho[2, 2] = a2b2 * (1 - c2n)
-        rho[3, 3] = b**4 * (1 + c2n)
-        rho[0, 3] = 2.0 * phase * a2b2 * cn
-        rho[3, 0] = -2.0 * phase * a2b2 * cn
-        rho *= 4.0 / m_n
-    else:
-        sign = (1j ** (n % 4)).real  # i^n = ±1 for even n
-        a3b = a**3 * b * cn * sign
-        ab3 = a * b**3 * cn * sign
-        rho[0, 0] = a**4
-        rho[1, 1] = rho[2, 2] = a2b2
-        rho[3, 3] = b**4
-        rho[0, 1] = rho[1, 0] = rho[0, 2] = rho[2, 0] = -a3b
-        rho[1, 3] = rho[3, 1] = rho[2, 3] = rho[3, 2] = ab3
-        rho[0, 3] = rho[3, 0] = -a2b2 * c2n
-        rho[1, 2] = rho[2, 1] = a2b2 * c2n
-    return TwoQubitState(rho, (alpha0, u, c, n))
-
-
 def bitflip_metrics(n: int, alpha0: complex, u) -> ChannelMetrics:
     """Closed-form metrics of the n-bit encoded channel, elementwise over u:
     the X-state kernel with c → cⁿ and α → √n α.
 
     C = (8 a_n² b_n²/M_n) max{0, c^{2n} + 2c^n - 1}; f_max distinguishes
     even and odd n (even-n form carries the square root and is gated on
-    the magic-basis oracle in the tests).
+    the magic-basis oracle of `channel.element_map_density` in the tests).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

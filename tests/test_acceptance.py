@@ -25,16 +25,13 @@ from scipy.optimize import brentq
 
 from cohlab.bath import BathSpec, inversion_denominator, spectral_density
 from cohlab.channel import (
-    cluster_state_density,
-    concurrence_closed,
-    fef_closed,
+    element_map_density,
     fef_direct_search,
     fef_oracle,
     metrics_closed,
     wootters_concurrence,
 )
 from cohlab.codes import (
-    bitflip_density,
     bitflip_metrics,
     bitflip_p_e,
     corrected_channel_metrics,
@@ -224,19 +221,16 @@ def test_criterion_9_oracle_equivalences():
     params += [(ALPHA0, u, 1) for u in np.linspace(0.0, 1.0, 11)]
     params += random_channel_states(rng, 100)
     for a0, u, n in params:
-        state = bitflip_density(n, a0, u) if n > 1 else cluster_state_density(a0, u)
-        if n > 1:
-            m = bitflip_metrics(n, a0, u)
-            cc, fc = m.concurrence, m.f_max
-        else:
-            cc, fc = concurrence_closed(a0, u), fef_closed(a0, u)
+        state = element_map_density(a0, u, n)
+        m = bitflip_metrics(n, a0, u) if n > 1 else metrics_closed(a0, u)
+        cc, fc = m.concurrence, m.f_max
         worst_c = max(worst_c, abs(cc - wootters_concurrence(state)))
         worst_f = max(worst_f, abs(fc - fef_oracle(state)))
     ok = worst_c <= 1e-10 and worst_f <= 1e-10
     worst_direct = 0.0
     for a0, u, n in random_channel_states(rng, 10):
-        state = cluster_state_density(a0, u)
-        direct = fef_direct_search(state, n_samples=10000, seed=int(rng.integers(1 << 30)))
+        state = element_map_density(a0, u)
+        direct = fef_direct_search(state, seed=int(rng.integers(1 << 30)))
         worst_direct = max(worst_direct, abs(direct - fef_oracle(state)))
     ok = ok and worst_direct <= 1e-4
     report(9, ok,
@@ -258,14 +252,14 @@ def test_criterion_10_structural_invariants():
             lap.validate(u0_tol=1e-3)
     checked = 0
     for a0, u, n in random_channel_states(rng, 60):
-        bitflip_density(n, a0, u).validate()
-        cluster_state_density(a0, u).validate()
+        element_map_density(a0, u, n).validate()
+        element_map_density(a0, u).validate()
         checked += 2
     for eta0 in (0.01, 0.5):
         sol = laplace_long(1.0, eta0)
         for u in sol.u[:: len(sol.u) // 20]:
             u = u / abs(u) if abs(u) > 1.0 else u
-            cluster_state_density(ALPHA0, u).validate()
+            element_map_density(ALPHA0, u).validate()
             checked += 1
     report(10, worst_mod <= 1.0 + 1e-9,
            f"max |u| over all six solutions = {worst_mod:.12f} (<= 1+1e-9); "

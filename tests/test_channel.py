@@ -8,10 +8,7 @@ import pytest
 from cohlab.channel import (
     ChannelMetrics,
     TwoQubitState,
-    cluster_state_density,
-    concurrence_closed,
     element_map_density,
-    fef_closed,
     fef_direct_search,
     fef_oracle,
     metrics_closed,
@@ -24,7 +21,7 @@ from oracles import random_channel_states
 
 
 def test_cluster_state_pure_at_u1():
-    state = cluster_state_density(1.2, 1.0)
+    state = element_map_density(1.2, 1.0)
     state.validate()
     ev = np.linalg.eigvalsh(state.rho)
     assert abs(ev[-1] - 1.0) < 1e-10         # rank one
@@ -37,32 +34,36 @@ def test_cluster_state_trace_identity_random():
     for _ in range(50):
         a0 = rng.uniform(0.2, 2.0)
         u = rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform())
-        state = cluster_state_density(a0, u)
+        state = element_map_density(a0, u)
         assert abs(np.trace(state.rho) - 1.0) < 1e-12
         state.validate()
 
 
 def test_cluster_state_x_structure():
-    state = cluster_state_density(1.2, 0.6 * np.exp(0.9j))
+    state = element_map_density(1.2, 0.6 * np.exp(0.9j))
     off_x = [(0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2)]
     for i, j in off_x:
         assert abs(state.rho[i, j]) < 1e-14
 
 
-def test_dual_construction_matches_closed_form():
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        a0 = rng.uniform(0.2, 2.0)
-        u = rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform())
-        closed = cluster_state_density(a0, u).rho
-        generic = element_map_density(a0, u, 1).rho
-        assert np.max(np.abs(closed - generic)) < 1e-12
+def test_validate_rejects_each_violation():
+    rho = element_map_density(1.2, 0.7 * np.exp(0.4j)).rho
+    TwoQubitState(rho).validate()
+    skewed = rho.copy()
+    skewed[0, 3] += 1e-6
+    negative = np.diag([0.5 + 1e-6, 0.5, 0.0, -1e-6]).astype(complex)
+    for bad, why in ((np.eye(3, dtype=complex) / 3, "must be 4x4"),
+                     (1.1 * rho, "trace deviates"),
+                     (skewed, "not Hermitian"),
+                     (negative, "negative eigenvalue")):
+        with pytest.raises(AssertionError, match=why):
+            TwoQubitState(bad).validate()
 
 
 def test_concurrence_closed_values():
-    assert abs(concurrence_closed(1.2, 1.0) - math.tanh(2 * 1.44)) < 1e-14
-    assert abs(concurrence_closed(1.2, 1.0) - 0.9937) < 5e-4
-    assert concurrence_closed(1e-8, 0.9) < 1e-14    # vacuum limit
+    assert abs(metrics_closed(1.2, 1.0).concurrence - math.tanh(2 * 1.44)) < 1e-14
+    assert abs(metrics_closed(1.2, 1.0).concurrence - 0.9937) < 5e-4
+    assert metrics_closed(1e-8, 0.9).concurrence < 1e-14    # vacuum limit
 
 
 def test_concurrence_sudden_death_threshold():
@@ -70,8 +71,8 @@ def test_concurrence_sudden_death_threshold():
     a0 = 1.2
     target_c = math.sqrt(2.0) - 1.0
     u_star = math.sqrt(1.0 + math.log(target_c) / (2 * a0 * a0))
-    assert concurrence_closed(a0, u_star * 0.999) == 0.0
-    assert concurrence_closed(a0, u_star * 1.001) > 0.0
+    assert metrics_closed(a0, u_star * 0.999).concurrence == 0.0
+    assert metrics_closed(a0, u_star * 1.001).concurrence > 0.0
 
 
 def test_wootters_on_known_states():
@@ -85,15 +86,15 @@ def test_wootters_on_known_states():
 
 def test_wootters_matches_closed_form_sweep():
     for u in np.linspace(0.0, 1.0, 20):
-        state = cluster_state_density(1.2, u * np.exp(0.3j))
-        assert abs(wootters_concurrence(state) - concurrence_closed(1.2, u)) < 1e-10
+        state = element_map_density(1.2, u * np.exp(0.3j))
+        assert abs(wootters_concurrence(state) - metrics_closed(1.2, u).concurrence) < 1e-10
 
 
 def test_fef_closed_values():
-    assert abs(fef_closed(6.0, 1.0) - 1.0) < 1e-12          # large amplitude
+    assert abs(metrics_closed(6.0, 1.0).f_max - 1.0) < 1e-12  # large amplitude
     expect = 1.0 / (1.0 + math.exp(-4 * 1.44))
-    assert abs(fef_closed(1.2, 1.0) - expect) < 1e-14
-    assert abs(fef_closed(1.2, 1.0) - 0.99686) < 5e-6
+    assert abs(metrics_closed(1.2, 1.0).f_max - expect) < 1e-14
+    assert abs(metrics_closed(1.2, 1.0).f_max - 0.99686) < 5e-6
 
 
 def test_fef_oracle_on_known_states():
@@ -105,8 +106,8 @@ def test_fef_oracle_on_known_states():
 
 def test_fef_oracle_matches_closed_form_sweep():
     for u in np.linspace(0.0, 1.0, 20):
-        state = cluster_state_density(1.2, u * np.exp(-0.8j))
-        assert abs(fef_oracle(state) - fef_closed(1.2, u)) < 1e-10
+        state = element_map_density(1.2, u * np.exp(-0.8j))
+        assert abs(fef_oracle(state) - metrics_closed(1.2, u).f_max) < 1e-10
 
 
 def test_fef_direct_search_certifies_oracle():
@@ -114,8 +115,8 @@ def test_fef_direct_search_certifies_oracle():
     for _ in range(3):
         a0 = rng.uniform(0.5, 1.6)
         u = rng.uniform(0.3, 1.0) * np.exp(2j * np.pi * rng.uniform())
-        state = cluster_state_density(a0, u)
-        direct = fef_direct_search(state, n_samples=10000, seed=int(rng.integers(1 << 30)))
+        state = element_map_density(a0, u)
+        direct = fef_direct_search(state, seed=int(rng.integers(1 << 30)))
         assert abs(direct - fef_oracle(state)) < 1e-4
 
 
@@ -140,7 +141,7 @@ def test_metrics_closed_bundle():
 def test_state_invariants_across_random_family():
     rng = np.random.default_rng(6)
     for a0, u, _ in random_channel_states(rng, 60):
-        state = cluster_state_density(a0, u)
+        state = element_map_density(a0, u)
         state.validate()
         c = coherence_factor(a0, u)
         assert 0.0 < c <= 1.0
@@ -148,7 +149,7 @@ def test_state_invariants_across_random_family():
 
 def test_degenerate_amplitude_limit():
     # alpha_t -> 0: b -> 0, the odd sector empties but nothing blows up
-    state = cluster_state_density(1.2, 0.0)
+    state = element_map_density(1.2, 0.0)
     state.validate()
     assert wootters_concurrence(state) < 1e-12
-    assert abs(fef_oracle(state) - fef_closed(1.2, 0.0)) < 1e-10
+    assert abs(fef_oracle(state) - metrics_closed(1.2, 0.0).f_max) < 1e-10

@@ -293,6 +293,23 @@ def test_sweep_alpha0_t0_concurrence(tmp_path):
         assert abs(sel[0][columns.index("concurrence")] - math.tanh(2 * a0 * a0)) < 1e-12
 
 
+@pytest.mark.parametrize("axis, values, want", [("eta0", "0.01,0.5", "[0.01, 0.5]"),
+                                                ("alpha0", "0.6,2", "[0.6, 2.0]"),
+                                                ("n", "1,3", "[1, 3]")])
+def test_sweep_header_gives_swept_values(tmp_path, axis, values, want):
+    # the axis field's header line names the values the rows were solved at,
+    # not the base configuration's value; every other field is the base's
+    assert main(["sweep", "--axis", axis, "--values", values, "--code", "bit",
+                 "--tmax", "1", "--points", "200", "--out-points", "5",
+                 "--out", str(tmp_path)]) == 0
+    header, _, _, _ = load(tmp_path / f"sweep_{axis}.csv")
+    assert header[axis] == want
+    base = dict(RunConfig(code="bit", tmax=1.0, points=200, out_points=5,
+                          out=str(tmp_path)).header_items())
+    assert {k: v for k, v in header.items() if k != axis} == \
+        {k: v for k, v in base.items() if k != axis}
+
+
 def test_sweep_eta0_zero_constant_concurrence(tmp_path):
     rc = main(["sweep", "--axis", "eta0", "--values", "0",
                "--out", str(tmp_path), "--tmax", "100", "--out-points", "15"])

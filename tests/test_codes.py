@@ -17,7 +17,6 @@ from cohlab.channel import (
     x_state_metrics,
 )
 from cohlab.codes import (
-    bitflip_density,
     bitflip_metrics,
     bitflip_p_e,
     corrected_c,
@@ -108,35 +107,14 @@ def test_bitflip_p_e_consistency_and_monotonicity():
     assert p3 < p6 < p9 < 0.5
 
 
-def test_bitflip_density_n1_equals_cluster_state():
-    from cohlab.channel import cluster_state_density
-    u = 0.65 * np.exp(1.1j)
-    d1 = bitflip_density(1, 1.2, u)
-    d0 = cluster_state_density(1.2, u)
-    assert np.max(np.abs(d1.rho - d0.rho)) < 1e-14
-
-
 @pytest.mark.parametrize("n", [2, 3, 6, 9])
 def test_bitflip_density_trace_and_invariants(n):
     rng = np.random.default_rng(n)
     for _ in range(10):
         u = rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform())
-        state = bitflip_density(n, 1.2, u)
+        state = element_map_density(1.2, u, n)
         assert abs(np.trace(state.rho) - 1.0) < 1e-12
         state.validate()
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9])
-def test_bitflip_density_matches_element_map(n):
-    # printed even/odd matrices (including the i^n phases) vs the
-    # independent tensor-product construction
-    rng = np.random.default_rng(100 + n)
-    for _ in range(20):
-        a0 = rng.uniform(0.3, 1.8)
-        u = rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform())
-        closed = bitflip_density(n, a0, u).rho
-        generic = element_map_density(a0, u, n).rho
-        assert np.max(np.abs(closed - generic)) < 1e-12
 
 
 def test_bitflip_metrics_n1_reduces_to_unencoded():
@@ -150,7 +128,7 @@ def test_bitflip_metrics_n1_reduces_to_unencoded():
 @pytest.mark.parametrize("n", [2, 3, 6, 9])
 def test_bitflip_metrics_match_matrix_oracles(n):
     for u in np.linspace(0.05, 1.0, 12):
-        state = bitflip_density(n, 1.2, u)
+        state = element_map_density(1.2, u, n)
         m = bitflip_metrics(n, 1.2, u)
         assert abs(m.concurrence - wootters_concurrence(state)) < 1e-10
         assert abs(m.f_max - fef_oracle(state)) < 1e-10
@@ -165,7 +143,7 @@ def test_bitflip_encoding_degrades_strong_channel():
 def test_encoded_metrics_against_oracles_random():
     rng = np.random.default_rng(42)
     for a0, u, n in random_channel_states(rng, 40):
-        state = bitflip_density(n, a0, u)
+        state = element_map_density(a0, u, n)
         state.validate()
         m = bitflip_metrics(n, a0, u)
         assert abs(m.concurrence - wootters_concurrence(state)) < 1e-10
@@ -205,7 +183,7 @@ def test_x_state_kernel_against_matrix_oracles(n):
     u = _curve(rng)
     m = bitflip_metrics(n, a0, u)
     for k, uk in enumerate(u):
-        state = bitflip_density(n, a0, uk)
+        state = element_map_density(a0, uk, n)
         assert abs(m.concurrence[k] - wootters_concurrence(state)) < 1e-10
         assert abs(m.f_max[k] - fef_oracle(state)) < 1e-10
     np.testing.assert_allclose(m.fidelity, (2.0 * m.f_max + 1.0) / 3.0, rtol=0, atol=1e-15)
@@ -258,4 +236,4 @@ def test_even_n_fmax_at_large_amplitude_stays_in_range(n):
         m = bitflip_metrics(n, a0, u)
         assert np.all(m.f_max <= 1.0)
         for k, uk in enumerate(u):
-            assert abs(m.f_max[k] - fef_oracle(bitflip_density(n, a0, uk))) < 1e-10
+            assert abs(m.f_max[k] - fef_oracle(element_map_density(a0, uk, n))) < 1e-10
