@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, simpson
+from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
@@ -40,7 +40,6 @@ __all__ = [
     "find_poles",
     "lamb_shift",
     "markov_u",
-    "volterra_residual",
     "resample",
 ]
 
@@ -51,7 +50,6 @@ class NonConvergenceError(RuntimeError):
 
 _MODULUS_SLACK = 1e-9     # |u| roundoff tolerated above 1 by `validate`
 _HALVING_TOL = 1e-5       # step-halving gate on the change of |u|
-_RESIDUAL_SAMPLES = 50    # grid times the residual check re-evaluates
 _Y_MAX = 50.0             # top of the pole bracket on the imaginary axis
 _OMEGA_MAX = 50.0         # top of the branch-cut integral, in units of ω_c
 _TAIL_TOL = 1e-8          # bound on ∫|density| over [_OMEGA_MAX, _OMEGA_MAX + 20]
@@ -113,7 +111,11 @@ class PropagatorSolution:
     diagnostics holds the evidence the solution rests on; time stepping
     records `refinements` (halvings of the grid step), `h_final` (the
     step of the returned solution) and `halving_delta` (the last
-    max ||u_fine| - |u_coarse|| seen by the halving gate).
+    max ||u_fine| - |u_coarse|| seen by the halving gate); Laplace
+    inversion records `panels` (the panel count of the branch-cut
+    quadrature), `worst_tail` (the largest Chebyshev tail of a panel kept
+    at the minimum width, 0 when every panel converged) and
+    `sum_rule_delta` (|u(0) - 1|, which vanishes for an exact solution).
     """
 
     grid: TimeGrid
@@ -279,26 +281,6 @@ def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *,
     )
 
 
-def volterra_residual(spec: BathSpec, omega0: float, solution: PropagatorSolution) -> float:
-    """Max |du/dt + iω_0 u + ∫ g u| over sampled grid times, re-evaluated
-    independently of the solver (4th-order finite-difference derivative,
-    Simpson memory quadrature)."""
-    u = solution.u
-    t = solution.grid.samples
-    h = solution.grid.step
-    n = len(u) - 1
-    if n < 8:
-        raise ValueError("grid too short for a residual check")
-    g = _bath.correlation(spec, t)
-    ks = np.unique(np.linspace(4, n - 2, _RESIDUAL_SAMPLES).astype(int))
-    worst = 0.0
-    for k in ks:
-        du = (-u[k + 2] + 8 * u[k + 1] - 8 * u[k - 1] + u[k - 2]) / (12 * h)
-        mem = simpson(g[k::-1] * u[:k + 1], dx=h)
-        worst = max(worst, abs(du + 1j * omega0 * u[k] + mem))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Laplace inversion
 # ---------------------------------------------------------------------------
@@ -401,7 +383,9 @@ def solve_laplace(spec: BathSpec, omega0: float, grid: TimeGrid) -> PropagatorSo
     u = fourier_integral(panels, tau) / np.pi
     for z_p, res in poles:
         u = u + res * np.exp(z_p * t)
-    return PropagatorSolution(grid, u, "laplace", poles)
+    diagnostics = {"panels": len(panels), "worst_tail": panels.worst_tail,
+                   "sum_rule_delta": float(abs(u[0] - 1.0))}
+    return PropagatorSolution(grid, u, "laplace", poles, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 from scipy import special as _sp
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import IntegrationWarning, quad, simpson
 
 
 def e1_series(z, dps: int = 60):
@@ -355,6 +355,51 @@ def step_history_direct(spec, omega0: float, h: float, n: int):
         u[k + 1] = u[k] + h / 24.0 * (9 * fp + 19 * f[k] - 5 * f[k - 1] + f[k - 2])
         f[k + 1] = -1j * omega0 * u[k + 1] - (mem_p + c38 * (u[k + 1] - up))
     return t, u
+
+
+def volterra_residual(spec, omega0: float, solution) -> float:
+    """Max |du/dt + iω_0 u + ∫ g u| over 50 grid times of a uniform-grid
+    solution, re-evaluated independently of the solver (4th-order
+    finite-difference derivative, Simpson memory quadrature)."""
+    from cohlab.bath import correlation
+
+    u = solution.u
+    t = solution.grid.samples
+    h = solution.grid.step
+    n = len(u) - 1
+    if n < 8:
+        raise ValueError("grid too short for a residual check")
+    g = correlation(spec, t)
+    ks = np.unique(np.linspace(4, n - 2, 50).astype(int))
+    worst = 0.0
+    for k in ks:
+        du = (-u[k + 2] + 8 * u[k + 1] - 8 * u[k - 1] + u[k - 2]) / (12 * h)
+        mem = simpson(g[k::-1] * u[:k + 1], dx=h)
+        worst = max(worst, abs(du + 1j * omega0 * u[k] + mem))
+    return worst
+
+
+def fourier_integral_panelwise(panels, times) -> np.ndarray:
+    """`cohlab._fourier.fourier_integral` as a loop over panels: on each
+    panel, the 24-point Gauss-Legendre sum with one complex exponential per
+    node and time where |h t| ≤ 14, and the Filon rule beyond."""
+    from cohlab import _fourier as F
+
+    t = np.atleast_1d(np.asarray(times, dtype=float))
+    out = np.zeros(len(t), dtype=complex)
+    for i in range(len(panels)):
+        m, h = panels.mids[i], panels.halfs[i]
+        theta = h * t
+        small = np.abs(theta) <= F._THETA_SWITCH
+        phase = np.exp(-1j * m * t)
+        if np.any(small):
+            ker = np.exp(-1j * np.outer(theta[small], F._GL_X))
+            out[small] += h * phase[small] * (ker @ (F._GL_W * panels.gl_vals[i]))
+        if np.any(~small):
+            mono = F._MONO_MAT @ panels.coeffs[i]
+            mom = F._monomial_moments(theta[~small], F._DEGREE)
+            out[~small] += h * phase[~small] * (mono @ mom)
+    return out if np.ndim(times) else out[0]
 
 
 def random_channel_states(rng: np.random.Generator, count: int):

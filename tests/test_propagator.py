@@ -19,12 +19,11 @@ from cohlab.propagator import (
     resample,
     solve_laplace,
     solve_volterra,
-    volterra_residual,
 )
 from cohlab import propagator
 from cohlab._fourier import FourierQuadratureError
 
-from oracles import find_poles_scan, lamb_shift_excised, step_history_direct
+from oracles import find_poles_scan, lamb_shift_excised, step_history_direct, volterra_residual
 
 S_VALUES = (0.5, 1.0, 3.0)
 REFERENCE_PAIRS = [(s, e) for s in S_VALUES for e in (0.01, 0.5)]
@@ -115,6 +114,25 @@ def test_laplace_sum_rule():
         spec = BathSpec(s, eta0)
         sol = solve_laplace(spec, 0.1, TimeGrid.uniform(1.0, 4))
         assert abs(sol.u[0] - 1.0) < 1e-3
+
+
+@pytest.mark.parametrize("s,eta0", REFERENCE_PAIRS)
+def test_laplace_diagnostics_record_panel_evidence(s, eta0):
+    sol = solve_laplace(BathSpec(s, eta0), 0.1, TimeGrid.log(1000.0, 50))
+    d = sol.diagnostics
+    assert d["panels"] >= 1
+    assert 0.0 <= d["worst_tail"] < 1e-7
+    assert d["sum_rule_delta"] == abs(sol.u[0] - 1.0) <= 1e-9
+    assert resample(sol, TimeGrid.log(500.0, 10)).diagnostics == d
+
+
+@pytest.mark.parametrize("s", [1.0, 3.0])
+def test_laplace_sum_rule_delta_shows_the_strong_coupling_miss(s):
+    # find_poles misses the bound state at eta0 = 1000 (ROADMAP item 1);
+    # the solution is still returned, and the delta records the miss
+    sol = solve_laplace(BathSpec(s, 1000.0), 0.1, TimeGrid.log(0.5, 20, 0.05))
+    assert sol.poles == []
+    assert sol.diagnostics["sum_rule_delta"] > 0.99
 
 
 def test_volterra_u0_exact_and_residual():
