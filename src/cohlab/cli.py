@@ -6,8 +6,9 @@ pipeline: configs -> each distinct propagator solved once -> CSV writers
 that only format.  A figure or sweep derives all of its curves from those
 solutions; COHLAB_THREADS sets the worker pool for the solves, capped by
 their number and the number of CPUs.  With solver 'both' every solve is
-checked against the other route once, and its footer line travels with the
-solution into every CSV drawn from it.
+checked against the other route once.  That check and each solver's
+diagnostics are footer lines that travel with the solution into every CSV
+drawn from it.
 
 Every CSV starts with a '#'-prefixed header recording the fully resolved
 configuration, uses 17-significant-digit floats, '\\n' newlines and UTF-8,
@@ -174,9 +175,10 @@ _PROPAGATOR_FIELDS = ("s", "eta0", "omega_c", "omega0", "tmax", "points",
 
 
 class _Solved(NamedTuple):
-    """u on the output grid per solver, and the cross-solver check that
-    every CSV drawn from it carries: footer lines and verdict (none and
-    True for a single solver)."""
+    """u on the output grid per solver, and the footer lines and verdict
+    that every CSV drawn from it carries: the cross-solver check (no line
+    and True for a single solver) followed by one line of diagnostics per
+    solver."""
 
     grid: TimeGrid
     sols: dict
@@ -194,7 +196,9 @@ def _solve_u(cfg: RunConfig) -> _Solved:
     """u on the output grid per requested solver(s), checked against each other.
 
     Time stepping always runs on the uniform grid and is cubic-resampled;
-    Laplace inversion is evaluated on the output grid directly.
+    Laplace inversion is evaluated on the output grid directly.  Each
+    solver's diagnostics become one footer line (`laplace: panels = …`),
+    values by repr; they record and never gate, and η₀ = 0 has none.
     """
     out_grid = _output_grid(cfg)
     sols = {}
@@ -204,11 +208,14 @@ def _solve_u(cfg: RunConfig) -> _Solved:
         sols["volterra"] = resample(solve_volterra(spec, cfg.omega0, uniform), out_grid)
     if cfg.solver in ("laplace", "both"):
         sols["laplace"] = solve_laplace(spec, cfg.omega0, out_grid)
+    evidence = [f"{m}: " + ", ".join(f"{k} = {v!r}" for k, v in sol.diagnostics.items())
+                for m, sol in sorted(sols.items()) if sol.diagnostics]
     if len(sols) < 2:
-        return _Solved(out_grid, sols, [], True)
+        return _Solved(out_grid, sols, evidence, True)
     diff = float(np.max(np.abs(sols["volterra"].u - sols["laplace"].u)))
-    return _Solved(out_grid, sols, [f"max_solver_discrepancy = {diff:.17g} (tol {CROSS_SOLVER_TOL})"],
-                  diff <= CROSS_SOLVER_TOL)
+    return _Solved(out_grid, sols,
+                   [f"max_solver_discrepancy = {diff:.17g} (tol {CROSS_SOLVER_TOL})"] + evidence,
+                   diff <= CROSS_SOLVER_TOL)
 
 
 def _solve_each_once(cfgs: list[RunConfig]) -> list[_Solved]:

@@ -312,10 +312,12 @@ def find_poles(spec: BathSpec, omega0: float) -> list[tuple[complex, complex]]:
 
 
 def _resonance_seeds(spec: BathSpec, omega0: float) -> list[float]:
-    """Forced panel breakpoints around zeros of Re B (narrow resonances).
+    """Forced panel breakpoints: ω_0 and the zeros of Re B (narrow resonances).
 
-    Raises FourierQuadratureError for a resonance narrower than 1e-14 (in
-    units of ω_c), which no panel ladder resolves.
+    A breakpoint on a peak keeps it from slipping between the samples of a
+    wide panel; `build_panels` refines the rest.  Raises
+    FourierQuadratureError for a resonance narrower than 1e-14 (in units
+    of ω_c), which no panel resolves.
     """
     w0 = omega0 / spec.omega_c
     ws = np.unique(np.concatenate([
@@ -336,10 +338,6 @@ def _resonance_seeds(spec: BathSpec, omega0: float) -> list[float]:
                 f"resonance at omega = {wstar:.6g} omega_c has width {width:.2g}, "
                 "narrower than the 1e-14 the panels can resolve")
         seeds.append(wstar)
-        for k in (1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0):
-            seeds.extend((wstar - k * width, wstar + k * width))
-    # edge ladder resolves the ω^s (possibly fractional-power) band edge
-    seeds.extend(10.0**np.arange(-8, 1))
     return [s for s in seeds if 0.0 < s < _OMEGA_MAX]
 
 
@@ -348,7 +346,8 @@ def solve_laplace(spec: BathSpec, omega0: float, grid: TimeGrid) -> PropagatorSo
 
     The branch-cut spectral density Im{1/B(ω)}/π is integrated against
     e^{-iωτ} by adaptive panel quadrature that is uniformly accurate in τ,
-    so arbitrarily late times cost the same as early ones.
+    so arbitrarily late times cost the same as early ones; the panels
+    start from `_resonance_seeds` and meet `build_panels`' error budget.
 
     Raises
     ------

@@ -356,9 +356,15 @@ def test_sweep_both_solvers_footer_and_gate(tmp_path, values, s, tmax, rc):
                  "--out", str(tmp_path)]) == rc
     _, _, rows, footer = load(tmp_path / "sweep_eta0.csv")
     assert len(rows) == 20 * len(values.split(","))
-    assert [f.split(":")[0] for f in footer] == [f"eta0 = {float(v)!r}" for v in values.split(",")]
-    diffs = [float(f.split("max_solver_discrepancy = ")[1].split()[0]) for f in footer]
+    # per value: the discrepancy, then the laplace and volterra diagnostics
+    assert [[f.split(": ")[0], f.split(": ")[1].split(" = ")[0]] for f in footer] == [
+        [f"eta0 = {float(v)!r}", line] for v in values.split(",")
+        for line in ("max_solver_discrepancy", "laplace", "volterra")]
+    diffs = [float(f.split("max_solver_discrepancy = ")[1].split()[0]) for f in footer[0::3]]
     assert all((d <= cli.CROSS_SOLVER_TOL) == (rc == 0) for d in diffs)
+    # the missed bound states show as the sum rule u(0) = 1 failing
+    deltas = [float(f.split("sum_rule_delta = ")[1]) for f in footer[1::3]]
+    assert all((d > 0.99) == (rc == 1) for d in deltas)
 
 
 def test_cross_solver_check_once_per_solve(tmp_path, monkeypatch):
@@ -382,3 +388,28 @@ def test_sweep_even_bit_code_large_amplitude(tmp_path):
     assert rc == 0
     _, columns, rows, _ = load(tmp_path / "sweep_alpha0.csv")
     assert rows[0][columns.index("f_max")] <= 1.0
+
+
+@pytest.mark.parametrize("argv, csv", [
+    (["propagator", "--solver", "both", "--tmax", "50", "--points", "2000", "--out-points", "20"],
+     "propagator_s1_eta0.01.csv"),
+    (["channel", "--tmax", "100", "--out-points", "20"], "channel_s1_eta0.01.csv"),
+    (["figure", "--id", "2a"], "figure2a_u_s3_eta0.01.csv"),
+], ids=["propagator", "channel", "figure"])
+def test_solver_diagnostics_footer(tmp_path, argv, csv):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    first = (tmp_path / csv).read_bytes()
+    footer = load(tmp_path / csv)[3]
+    methods = ["laplace", "volterra"] if "both" in argv else ["laplace"]
+    lines = [f for f in footer if not f.startswith("max_solver_discrepancy")]
+    assert [f.split(": ")[0] for f in lines] == methods
+    keys = {"laplace": ["panels", "worst_tail", "sum_rule_delta"],
+            "volterra": ["refinements", "h_final", "halving_delta"]}
+    for m, line in zip(methods, lines):
+        items = [kv.split(" = ") for kv in line.split(": ")[1].split(", ")]
+        assert [k for k, _ in items] == keys[m]
+        assert all(float(v) >= 0.0 for _, v in items)
+    assert float(lines[0].split("sum_rule_delta = ")[1]) <= 1e-9
+    # the diagnostics are deterministic: a second run writes the same bytes
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert (tmp_path / csv).read_bytes() == first

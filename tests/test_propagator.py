@@ -126,6 +126,23 @@ def test_laplace_diagnostics_record_panel_evidence(s, eta0):
     assert resample(sol, TimeGrid.log(500.0, 10)).diagnostics == d
 
 
+@pytest.mark.parametrize("s", [3.0, 4.3, 5.5, 7.5])
+def test_laplace_matches_time_stepping_past_the_reference_s(s):
+    # a running panel scale left u off by 4.1e-5, 1.0e-4 and 3.1e-4 at
+    # s = 3, 4.3 and 5.5, and exhausted the panel budget at s = 7.5
+    spec, grid = BathSpec(s, 0.01), TimeGrid.uniform(100.0, 2000)
+    sl = solve_laplace(spec, 0.1, grid)
+    assert np.max(np.abs(sl.u - solve_volterra(spec, 0.1, grid).u)) <= 1e-5
+    assert sl.diagnostics["sum_rule_delta"] <= 1e-6
+
+
+def test_sub_ohmic_band_edge_leaves_no_unresolved_panel():
+    # the ω^½ edge is resolved by the panel rule alone, with no edge
+    # breakpoints; a tail of 2.4e-8 was left at the minimum panel width
+    sol = solve_laplace(BathSpec(0.5, 0.01), 0.1, TimeGrid.log(1000.0, 50))
+    assert sol.diagnostics["worst_tail"] == 0.0
+
+
 @pytest.mark.parametrize("s", [1.0, 3.0])
 def test_laplace_sum_rule_delta_shows_the_strong_coupling_miss(s):
     # find_poles misses the bound state at eta0 = 1000 (ROADMAP item 1);
@@ -270,9 +287,12 @@ def test_resonance_seeds_bracket_each_sign_change(s, eta0, monkeypatch):
         return brentq(f, a, b, **kw)
 
     monkeypatch.setattr(propagator, "brentq", recording)
-    propagator._resonance_seeds(spec, 0.1)
+    seeds = propagator._resonance_seeds(spec, 0.1)
     assert brackets == expect
     assert len(expect) == (1 if eta0 == 0.01 else 0)
+    # ω0 and the zeros of Re B, nothing else
+    assert seeds[0] == 0.1 and len(seeds) == 1 + len(expect)
+    assert all(a < w < b for w, (a, b) in zip(seeds[1:], expect))
 
 
 def test_resonance_narrower_than_panel_floor_raises():
