@@ -114,8 +114,9 @@ def build_panels(f, a: float, b: float, *, seeds=()) -> PanelSet:
     its share of ∫|f - p|, is at most _PANEL_TOL (tail: the largest of its
     last three Chebyshev coefficients); the rule is absolute, carrying no
     scale from one panel to the next.  `seeds` are forced breakpoints.
-    Panels are not split below (b - a) 2⁻⁵⁰; their tail goes into
-    `worst_tail`.
+    Panels are not split below (b - a) 2⁻⁵⁰; the largest share h × tail
+    of such a panel goes into `worst_tail` (0 when every panel met
+    _PANEL_TOL).
     """
     min_width = (b - a) * 2.0**-50
     pts = [a, b]
@@ -137,7 +138,7 @@ def build_panels(f, a: float, b: float, *, seeds=()) -> PanelSet:
             mids.append(m)
             halfs.append(h)
             coeffs.append(c)
-            worst_tail = max(worst_tail, 0.0 if (hi - lo) > min_width else tail)
+            worst_tail = max(worst_tail, 0.0 if (hi - lo) > min_width else h * tail)
         else:
             stack.append((m, hi))
             stack.append((lo, m))

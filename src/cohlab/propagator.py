@@ -113,8 +113,9 @@ class PropagatorSolution:
     step of the returned solution) and `halving_delta` (the last
     max ||u_fine| - |u_coarse|| seen by the halving gate); Laplace
     inversion records `panels` (the panel count of the branch-cut
-    quadrature), `worst_tail` (the largest Chebyshev tail of a panel kept
-    at the minimum width, 0 when every panel converged) and
+    quadrature), `worst_tail` (the largest share half-width × Chebyshev
+    tail of the error budget taken by a panel kept at the minimum width, 0
+    when every panel met the budget) and
     `sum_rule_delta` (|u(0) - 1|, which vanishes for an exact solution).
     """
 
@@ -140,7 +141,45 @@ class PropagatorSolution:
 # direct time stepping
 # ---------------------------------------------------------------------------
 
-_NEAR_BLOCK = 64  # lags summed directly each step; a power of two above the 8 start-up steps
+_NEAR_BLOCK = 64  # steps per fixed block map; a power of two above the 8 start-up steps
+
+
+def _block_map(g: np.ndarray, omega0: float, h: float, n_first: int):
+    """The `_NEAR_BLOCK` coarse steps from an aligned index r as one linear map.
+
+    A PECE step with Gregory end corrections is linear in u and in the
+    forcing d_m (the history sum over j below the block, plus the Gregory
+    corrections at j = 0, 1, 2), with coefficients that depend only on h,
+    ω_0 and g_0..g_{nb-1}.  Columns of the map are d_r..d_{r+nb-1}, then
+    the state (u_{r-1}, u_{r-2}, f_{r-1}, f_{r-2}, f_{r-3}, f_{r-4}); rows
+    are u_r..u_{r+nb-1}, then the same state at r + nb.  It is built by
+    running the step recurrence on the unit vectors.  The second map is
+    the first n_first steps alone: rows u_r..u_{r+n_first-1} and the state
+    at r + n_first, columns d_r..d_{r+n_first-1} and the state.
+    """
+    nb = _NEAR_BLOCK
+    basis = np.eye(nb + 6, dtype=complex)
+    uk, ukm1, fk, fk1, fk2, fk3 = basis[nb:]
+    rows = np.empty((nb + 6, nb + 6), dtype=complex)
+    g_lags = g[nb - 1:0:-1]  # g_{nb-1}, ..., g_1
+    w = -1j * omega0
+    a = h / 24.0
+    c38 = 0.375 * h * g[0]
+    for i in range(nb):
+        # Gregory weights 3/8, 7/6, 23/24, 1, ..., 1, 23/24, 7/6, 3/8: the
+        # j = 0, 1, 2 corrections are in d, the u_m end term is c38 * u_m
+        base = h * (basis[i] + g_lags[nb - 1 - i:] @ rows[:i]
+                    + g[1] * uk / 6.0 - g[2] * ukm1 / 24.0)
+        up = uk + a * (55 * fk - 59 * fk1 + 37 * fk2 - 9 * fk3)
+        fp = w * up - (base + c38 * up)
+        un = uk + a * (9 * fp + 19 * fk - 5 * fk1 + fk2)
+        rows[i] = un
+        ukm1, uk = uk, un
+        fk3, fk2, fk1, fk = fk2, fk1, fk, w * un - (base + c38 * un)
+        if i + 1 == n_first:
+            first = np.vstack((rows[:n_first], [uk, ukm1, fk, fk1, fk2, fk3]))
+    rows[nb:] = uk, ukm1, fk, fk1, fk2, fk3
+    return rows, first[:, np.r_[:n_first, nb:nb + 6]]
 
 
 def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
@@ -155,14 +194,21 @@ def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
     Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6 (1985) 532),
     which tiles the pairs (m, j) by dyadic squares.  Once u is known below
     index r, with L the largest power of two dividing r and L at least the
-    near block, the square j ∈ [r-L, r), m ∈ [r, r+L) is added to a far
-    accumulator by one cyclic FFT convolution of length 2L against the
-    kernel segment g_0..g_{2L-1}, transformed once per level.  Lags inside
-    the aligned near block holding m are summed directly.  Cost is
-    O(n log² n) for the far part and O(n · near block) for the near part.
+    near block, the square j ∈ [r-L, r), m ∈ [r, r+L) is added to the
+    forcing d by one cyclic FFT convolution of length 2L against the kernel
+    segment g_0..g_{2L-1}, transformed once per level; the smallest square
+    (L = near block) is one Toeplitz matrix-vector product instead.  Lags
+    inside the aligned near block holding m are in `_block_map`, so each
+    block of steps is one matrix-vector product, as in the block-wise
+    convolution quadrature of Lubich & Schädle (SIAM J. Sci. Comput. 24
+    (2002) 161); the first block, [9, 64), carries the start-up history in
+    its forcing.  Cost is O(n log² n) for the far part and O(n · near
+    block) for the near part.
     """
+    nb = _NEAR_BLOCK
+    size = (n // nb + 1) * nb  # whole blocks; u past n is computed, not returned
     t = np.arange(n + 1) * h
-    u = np.empty(n + 1, dtype=complex)
+    u = np.empty(size, dtype=complex)
     n0 = min(8, n)
     f = np.empty(n0 + 1, dtype=complex)  # f_k = -i w0 u_k - I_k
     u[0] = 1.0
@@ -192,49 +238,34 @@ def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
     if n <= 8:
         return t, u[:n + 1]
 
-    nb = _NEAR_BLOCK
-    # g_near needs lags up to nb; lags past n only ever feed m > n
-    g = _bath.correlation(spec, np.arange(max(n, nb) + 1) * h)
-    g_near = g[nb - 1:0:-1].copy()  # g_{nb-1}, ..., g_1
-    g_hat = {}                      # 2L -> FFT of g_0..g_{2L-1}
-    far = np.zeros(n + 1, dtype=complex)
-    far_blk = [0j] * nb             # far_m over the current near block
-    g_blk = g[:nb].tolist()         # g_m over the current near block
-    g0, g1, g2 = g_blk[:3]
-    gm, gm1 = g_blk[n0], g_blk[n0 - 1]
-    u0, u1, u2 = (complex(x) for x in u[:3])
-    uk, ukm1 = complex(u[n0]), complex(u[n0 - 1])
-    fk, fk1, fk2, fk3 = (complex(x) for x in f[n0 - 3:][::-1])
-    w = -1j * omega0
-    a = h / 24.0
-    c38 = 0.375 * h * g0
-    for m in range(n0 + 1, n + 1):
-        i = m % nb
-        if i == 0:
-            size = 2 * (m & -m)
-            gh = g_hat.get(size)
-            if gh is None:
-                gh = g_hat[size] = np.fft.fft(g[:size], size)
-            y = np.fft.ifft(np.fft.fft(u[m - size // 2:m], size) * gh)
-            far[m:m + size // 2] += y[size // 2:size // 2 + n + 1 - m]
-            far_blk = far[m:m + nb].tolist()
-            g_blk = g[m:m + nb].tolist()
-            c = far_blk[0]
+    # lags up to 2 nb - 1 fill the smallest square; lags past n only ever feed m > n
+    g = _bath.correlation(spec, np.arange(max(size, 2 * nb)) * h)
+    step_map, first_map = _block_map(g, omega0, h, nb - n0 - 1)
+    lag = np.arange(nb)
+    square = g[nb + lag[:, None] - lag]  # the L = nb square: g_{nb+i-k}
+    g_hat = {}                           # L -> FFT of g_0..g_{2L-1}
+    # forcing: the Gregory corrections at j = 0, 1, 2; the first block also
+    # carries the start-up history Σ_{j ≤ 8} g_{m-j} u_j
+    m = np.arange(n0 + 1, size)
+    d = np.zeros(size, dtype=complex)
+    d[n0 + 1:] = -0.625 * g[m] * u[0] + g[m - 1] * u[1] / 6.0 - g[m - 2] * u[2] / 24.0
+    d[n0 + 1:nb] += np.convolve(g[:nb], u[:n0 + 1])[n0 + 1:nb]
+
+    state = np.array([u[n0], u[n0 - 1], f[n0], f[n0 - 1], f[n0 - 2], f[n0 - 3]])
+    y = first_map @ np.concatenate((d[n0 + 1:nb], state))
+    u[n0 + 1:nb], state = y[:-6], y[-6:]
+    for r in range(nb, size, nb):
+        L = r & -r
+        if L == nb:
+            d[r:r + nb] += square @ u[r - nb:r]
         else:
-            c = far_blk[i] + complex(np.dot(g_near[nb - 1 - i:], u[m - i:m]))
-        gm2, gm1, gm = gm1, gm, g_blk[i]
-        # Gregory weights 3/8, 7/6, 23/24, 1, ..., 1, 23/24, 7/6, 3/8; the
-        # u_m end term c38 * u_m is added where u_m is known
-        base = h * (c - 0.625 * gm * u0
-                    + (gm1 * u1 + g1 * uk) / 6.0
-                    - (gm2 * u2 + g2 * ukm1) / 24.0)
-        up = uk + a * (55 * fk - 59 * fk1 + 37 * fk2 - 9 * fk3)
-        fp = w * up - (base + c38 * up)
-        un = uk + a * (9 * fp + 19 * fk - 5 * fk1 + fk2)
-        u[m] = un
-        ukm1, uk = uk, un
-        fk3, fk2, fk1, fk = fk2, fk1, fk, w * un - (base + c38 * un)
-    return t, u
+            gh = g_hat.get(L)
+            if gh is None:
+                gh = g_hat[L] = np.fft.fft(g[:2 * L], 2 * L)
+            d[r:r + L] += np.fft.ifft(np.fft.fft(u[r - L:r], 2 * L) * gh)[L:L + size - r]
+        y = step_map @ np.concatenate((d[r:r + nb], state))
+        u[r:r + nb], state = y[:nb], y[nb:]
+    return t, u[:n + 1]
 
 
 def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *,

@@ -300,7 +300,8 @@ def step_history_direct(spec, omega0: float, h: float, n: int):
 
     Same discrete scheme as `cohlab.propagator._step_history` (ABM4 PECE,
     Gregory end corrections, 64x refined 8-step start-up), so the two agree
-    to rounding; the blocked FFT convolution there is what this checks.
+    to rounding; this checks the blocked FFT convolution there and the
+    fixed block map that takes each near block's steps at once.
     Returns (t, u) on t = 0, h, ..., n h.
     """
     from cohlab.bath import correlation

@@ -143,6 +143,13 @@ def test_sub_ohmic_band_edge_leaves_no_unresolved_panel():
     assert sol.diagnostics["worst_tail"] == 0.0
 
 
+def test_worst_tail_is_the_floor_panels_share_of_the_budget():
+    # panels stop at the minimum width on the s = 7.5 resonance; their raw
+    # Chebyshev tail read 2.3e7 although u is within 3e-7 of time stepping
+    sol = solve_laplace(BathSpec(7.5, 0.01), 0.1, TimeGrid.log(100.0, 20))
+    assert 0.0 < sol.diagnostics["worst_tail"] <= 1e-6
+
+
 @pytest.mark.parametrize("s", [1.0, 3.0])
 def test_laplace_sum_rule_delta_shows_the_strong_coupling_miss(s):
     # find_poles misses the bound state at eta0 = 1000 (ROADMAP item 1);
@@ -161,11 +168,13 @@ def test_volterra_u0_exact_and_residual():
 
 @pytest.mark.parametrize("s,eta0", REFERENCE_PAIRS)
 def test_step_history_matches_direct_sum(s, eta0):
-    # the blocked FFT history sum against the O(n^2) direct sum: n = 9 is
-    # the first step past the start-up, 1000, 3001 and 5000 cross several
-    # dyadic block levels, 3001 is no power of two times the near block
+    # the block maps and the blocked FFT history sum against the O(n^2)
+    # direct sum: n = 9 is the first step past the start-up, 63 to 65 and
+    # 127 to 129 end on either side of the first two block edges, 1000,
+    # 3001 and 5000 cross several dyadic block levels, 3001 is no power of
+    # two times the near block
     spec = BathSpec(s, eta0)
-    for n in (1, 8, 9, 1000, 3001, 5000):
+    for n in (1, 8, 9, 63, 64, 65, 127, 128, 129, 1000, 3001, 5000):
         t, u = propagator._step_history(spec, 0.1, 0.05, n)
         t_ref, u_ref = step_history_direct(spec, 0.1, 0.05, n)
         assert len(u) == n + 1
