@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
@@ -144,42 +145,53 @@ class PropagatorSolution:
 _NEAR_BLOCK = 64  # steps per fixed block map; a power of two above the 8 start-up steps
 
 
+def _series_inverse(t: np.ndarray) -> np.ndarray:
+    """1/t(z) to len(t) terms, for a power series with t_0 = 1, by Newton doubling."""
+    q = np.ones(1, dtype=complex)
+    while len(q) < len(t):  # q <- q (2 - t q) with t q = 1 + z^p R: append -q R
+        m = min(2 * len(q), len(t))
+        r = np.convolve(t[1:m], q, "valid")  # (t q)_p .. (t q)_{m-1}, p = len(q)
+        q = np.concatenate((q, -np.convolve(q, r)[:len(r)]))
+    return q
+
+
+def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
+    """The lower-triangular Toeplitz matrix with first column c, as a read-only view."""
+    return sliding_window_view(np.concatenate((np.zeros(len(c) - 1, c.dtype), c)), len(c))[:, ::-1]
+
+
 def _block_map(g: np.ndarray, omega0: float, h: float, n_first: int):
     """The `_NEAR_BLOCK` coarse steps from an aligned index r as one linear map.
 
-    A PECE step with Gregory end corrections is linear in u and in the
-    forcing d_m (the history sum over j below the block, plus the Gregory
-    corrections at j = 0, 1, 2), with coefficients that depend only on h,
-    ω_0 and g_0..g_{nb-1}.  Columns of the map are d_r..d_{r+nb-1}, then
-    the state (u_{r-1}, u_{r-2}, f_{r-1}, f_{r-2}, f_{r-3}, f_{r-4}); rows
-    are u_r..u_{r+nb-1}, then the same state at r + nb.  It is built by
-    running the step recurrence on the unit vectors.  The second map is
-    the first n_first steps alone: rows u_r..u_{r+n_first-1} and the state
-    at r + n_first, columns d_r..d_{r+n_first-1} and the state.
+    Columns are the forcing d_r..d_{r+nb-1} (history below the block plus
+    the Gregory corrections at j = 0, 1, 2) and the state (u_{r-1}, u_{r-2},
+    f_{r-1}, ..., f_{r-4}); rows are u_r..u_{r+nb-1} and the state at r + nb.
+    With f = A u - base, base_i being h d_i plus the in-block Gregory sum,
+    the PECE steps are one unit lower-triangular Toeplitz system in u,
+    solved by `_series_inverse`.  The second map is the first n_first steps.
     """
     nb = _NEAR_BLOCK
-    basis = np.eye(nb + 6, dtype=complex)
-    uk, ukm1, fk, fk1, fk2, fk3 = basis[nb:]
-    rows = np.empty((nb + 6, nb + 6), dtype=complex)
-    g_lags = g[nb - 1:0:-1]  # g_{nb-1}, ..., g_1
-    w = -1j * omega0
     a = h / 24.0
-    c38 = 0.375 * h * g[0]
-    for i in range(nb):
-        # Gregory weights 3/8, 7/6, 23/24, 1, ..., 1, 23/24, 7/6, 3/8: the
-        # j = 0, 1, 2 corrections are in d, the u_m end term is c38 * u_m
-        base = h * (basis[i] + g_lags[nb - 1 - i:] @ rows[:i]
-                    + g[1] * uk / 6.0 - g[2] * ukm1 / 24.0)
-        up = uk + a * (55 * fk - 59 * fk1 + 37 * fk2 - 9 * fk3)
-        fp = w * up - (base + c38 * up)
-        un = uk + a * (9 * fp + 19 * fk - 5 * fk1 + fk2)
-        rows[i] = un
-        ukm1, uk = uk, un
-        fk3, fk2, fk1, fk = fk2, fk1, fk, w * un - (base + c38 * un)
-        if i + 1 == n_first:
-            first = np.vstack((rows[:n_first], [uk, ukm1, fk, fk1, fk2, fk3]))
-    rows[nb:] = uk, ukm1, fk, fk1, fk2, fk3
-    return rows, first[:, np.r_[:n_first, nb:nb + 6]]
+    big_a = -1j * omega0 - 0.375 * h * g[0]
+    # predictor substituted: u_i = (1 + 9 a A) u_{i-1} + Σ_p w_p f_{i-p} - 9 a base_i
+    w = np.array([495 * a * big_a + 19, -531 * a * big_a - 5, 333 * a * big_a + 1, -81 * a * big_a]) * a
+    v = np.concatenate(([9 * a], w))  # weights of base_i..base_{i-4}
+    b = h * g[:nb] * np.r_[0.0, 7 / 6, 23 / 24, np.ones(nb - 3)]  # base_i = h d_i + Σ_l b_l u_{i-l}
+    # the system's first column, as a series: 1 - z - A (9 a z + Σ_p w_p z^p) + v b
+    t = np.convolve(v, b)[:nb] - np.r_[-1, 1 + big_a * (9 * a + w[0]), big_a * w[1:], np.zeros(nb - 5)]
+    q = _series_inverse(t)
+    # state columns (rows 0-5): u_{r-1}, u_{r-2} also in base_0, base_1; f_{r-k} weighs w_{i+k}
+    e_s = np.zeros((6, 6), dtype=complex)
+    e_s[:, 0] = -h * np.convolve(v, [g[1] / 6.0, -g[2] / 24.0])
+    e_s[0, 0] += 1.0 + 9 * a * big_a
+    e_s[:5, 1] = v * h * g[2] / 24.0
+    e_s[:4, 2:] = sliding_window_view(np.r_[w, 0.0, 0.0, 0.0], 4)
+    rows = np.hstack((-h * _lower_toeplitz(np.convolve(q, v)[:nb]), _lower_toeplitz(q)[:, :6] @ e_s))
+    j = np.r_[n_first - 4:n_first, nb - 4:nb]  # f_j at the ends of both maps
+    f = big_a * rows[j] - _lower_toeplitz(b)[j] @ rows
+    f[np.arange(8), j] -= h
+    first_map = np.vstack((rows[:n_first], rows[n_first - 1], rows[n_first - 2], f[3::-1]))
+    return np.vstack((rows, rows[-1], rows[-2], f[:3:-1])), first_map[:, np.r_[:n_first, nb:nb + 6]]
 
 
 def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
@@ -187,8 +199,8 @@ def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
 
     Fourth-order scheme: Adams-Bashforth-Moulton PECE for the local terms
     combined with Gregory (end-corrected trapezoid, O(h^4)) quadrature of
-    the memory integral; the first eight coarse steps come from a
-    second-order predictor-corrector on a 64x refined grid.
+    the memory integral; the first eight coarse steps, a second-order
+    predictor-corrector on a 64x refined grid, are one power-series division.
 
     The history sum C_m = Σ_{j<m} g_{m-j} u_j is the blocked convolution of
     Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6 (1985) 532),
@@ -196,76 +208,63 @@ def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
     index r, with L the largest power of two dividing r and L at least the
     near block, the square j ∈ [r-L, r), m ∈ [r, r+L) is added to the
     forcing d by one cyclic FFT convolution of length 2L against the kernel
-    segment g_0..g_{2L-1}, transformed once per level; the smallest square
-    (L = near block) is one Toeplitz matrix-vector product instead.  Lags
-    inside the aligned near block holding m are in `_block_map`, so each
-    block of steps is one matrix-vector product, as in the block-wise
-    convolution quadrature of Lubich & Schädle (SIAM J. Sci. Comput. 24
-    (2002) 161); the first block, [9, 64), carries the start-up history in
-    its forcing.  Cost is O(n log² n) for the far part and O(n · near
-    block) for the near part.
+    segment g_0..g_{2L-1}, transformed once per level, or for L up to twice
+    the near block by one Toeplitz matrix-vector product.  Lags inside the
+    aligned near block holding m are in `_block_map`, so each block of steps
+    is one matrix-vector product, as in the block-wise convolution
+    quadrature of Lubich & Schädle (SIAM J. Sci. Comput. 24 (2002) 161);
+    the first block, [9, 64), carries the start-up history in its forcing.
+    Cost is O(n log² n) for the far part and O(n · near block) for the near.
     """
     nb = _NEAR_BLOCK
     size = (n // nb + 1) * nb  # whole blocks; u past n is computed, not returned
-    t = np.arange(n + 1) * h
     u = np.empty(size, dtype=complex)
     n0 = min(8, n)
-    f = np.empty(n0 + 1, dtype=complex)  # f_k = -i w0 u_k - I_k
-    u[0] = 1.0
-    f[0] = -1j * omega0
 
+    # the fine steps (Heun, trapezoid memory, H = h/64) as power series in z are
+    # (1 - e - δ z) u = 1 - e/2, δ = 1 + H w + (H w)²/2 - (H² g_0)²/8 and e_l =
+    # -(H²/2) ((1 + H w - H² g_0 / 2) g_{l-1} + g_l): u = (1 + q + δ z q)/2, q = 1/(1 - e - δ z)
     refine = 64
     hf = h / refine
-    nf = n0 * refine
-    tf = np.arange(nf + 1) * hf
-    gf = _bath.correlation(spec, tf)
-    uf = np.empty(nf + 1, dtype=complex)
-    uf[0] = 1.0
-    mem = 0.0 + 0.0j
-    for k in range(nf):
-        fk = -1j * omega0 * uf[k] - mem
-        up = uf[k] + hf * fk
-        s = np.dot(gf[1:k + 1], uf[k:0:-1]) if k > 0 else 0.0
-        mem_p = hf * (0.5 * gf[k + 1] * uf[0] + s + 0.5 * gf[0] * up)
-        uf[k + 1] = uf[k] + 0.5 * hf * (fk + (-1j * omega0 * up - mem_p))
-        mem = mem_p + 0.5 * hf * gf[0] * (uf[k + 1] - up)
-        if (k + 1) % refine == 0:
-            m = (k + 1) // refine
-            u[m] = uf[k + 1]
-            wts = np.ones(k + 2)
-            wts[0] = wts[-1] = 0.5
-            f[m] = -1j * omega0 * u[m] - hf * np.dot(wts * gf[k + 1::-1], uf[:k + 2])
+    gf = _bath.correlation(spec, np.arange(n0 * refine + 1) * hf)
+    w = -1j * omega0
+    hh = 0.5 * hf * hf
+    delta = 1.0 + hf * w * (1.0 + 0.5 * hf * w) - 0.5 * (hh * gf[0]) ** 2
+    series = np.concatenate(([1.0], hh * ((1.0 + hf * w - hh * gf[0]) * gf[:-1] + gf[1:])))
+    series[1] -= delta
+    q = _series_inverse(series)
+    uf = 0.5 * (q + np.r_[1.0, delta * q[:-1]])
+    u[:n0 + 1] = uf[::refine]
     if n <= 8:
-        return t, u[:n + 1]
+        return np.arange(n + 1) * h, u[:n + 1]
+    k = refine * np.arange(n0, n0 - 4, -1)  # f_m = w u_m - trapezoid memory, m = 8, 7, 6, 5
+    f = w * uf[k] - hf * np.array([gf[j::-1] @ uf[:j + 1] - 0.5 * (gf[j] + gf[0] * uf[j]) for j in k])
 
-    # lags up to 2 nb - 1 fill the smallest square; lags past n only ever feed m > n
-    g = _bath.correlation(spec, np.arange(max(size, 2 * nb)) * h)
+    # lags up to 4 nb - 1 fill the two smallest squares; lags past n only ever feed m > n
+    g = _bath.correlation(spec, np.arange(max(size, 4 * nb)) * h)
     step_map, first_map = _block_map(g, omega0, h, nb - n0 - 1)
-    lag = np.arange(nb)
-    square = g[nb + lag[:, None] - lag]  # the L = nb square: g_{nb+i-k}
+    squares = {L: g[L + np.arange(L)[:, None] - np.arange(L)] for L in (nb, 2 * nb)}  # g_{L+i-k}
     g_hat = {}                           # L -> FFT of g_0..g_{2L-1}
     # forcing: the Gregory corrections at j = 0, 1, 2; the first block also
     # carries the start-up history Σ_{j ≤ 8} g_{m-j} u_j
-    m = np.arange(n0 + 1, size)
     d = np.zeros(size, dtype=complex)
-    d[n0 + 1:] = -0.625 * g[m] * u[0] + g[m - 1] * u[1] / 6.0 - g[m - 2] * u[2] / 24.0
+    d[n0 + 1:] = (-0.625 * g[n0 + 1:size] * u[0] + g[n0:size - 1] * u[1] / 6.0
+                  - g[n0 - 1:size - 2] * u[2] / 24.0)
     d[n0 + 1:nb] += np.convolve(g[:nb], u[:n0 + 1])[n0 + 1:nb]
 
-    state = np.array([u[n0], u[n0 - 1], f[n0], f[n0 - 1], f[n0 - 2], f[n0 - 3]])
-    y = first_map @ np.concatenate((d[n0 + 1:nb], state))
+    y = first_map @ np.concatenate((d[n0 + 1:nb], u[n0:n0 - 2:-1], f))
     u[n0 + 1:nb], state = y[:-6], y[-6:]
     for r in range(nb, size, nb):
         L = r & -r
-        if L == nb:
-            d[r:r + nb] += square @ u[r - nb:r]
+        if L in squares:
+            d[r:r + L] += squares[L][:size - r] @ u[r - L:r]
         else:
-            gh = g_hat.get(L)
-            if gh is None:
-                gh = g_hat[L] = np.fft.fft(g[:2 * L], 2 * L)
-            d[r:r + L] += np.fft.ifft(np.fft.fft(u[r - L:r], 2 * L) * gh)[L:L + size - r]
+            if L not in g_hat:
+                g_hat[L] = np.fft.fft(g[:2 * L], 2 * L)
+            d[r:r + L] += np.fft.ifft(np.fft.fft(u[r - L:r], 2 * L) * g_hat[L])[L:L + size - r]
         y = step_map @ np.concatenate((d[r:r + nb], state))
         u[r:r + nb], state = y[:nb], y[nb:]
-    return t, u[:n + 1]
+    return np.arange(n + 1) * h, u[:n + 1]
 
 
 def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *,

@@ -299,8 +299,9 @@ def step_history_direct(spec, omega0: float, h: float, n: int):
     whole history per step.
 
     Same discrete scheme as `cohlab.propagator._step_history` (ABM4 PECE,
-    Gregory end corrections, 64x refined 8-step start-up), so the two agree
-    to rounding; this checks the blocked FFT convolution there and the
+    Gregory end corrections, 64x refined 8-step start-up), stepping one
+    step at a time, so the two agree to rounding; this checks the start-up
+    there (one power-series division), the blocked history sum and the
     fixed block map that takes each near block's steps at once.
     Returns (t, u) on t = 0, h, ..., n h.
     """
@@ -356,6 +357,41 @@ def step_history_direct(spec, omega0: float, h: float, n: int):
         u[k + 1] = u[k] + h / 24.0 * (9 * fp + 19 * f[k] - 5 * f[k - 1] + f[k - 2])
         f[k + 1] = -1j * omega0 * u[k + 1] - (mem_p + c38 * (u[k + 1] - up))
     return t, u
+
+
+def block_map_recurrence(g, omega0: float, h: float, n_first: int):
+    """`cohlab.propagator._block_map` built by running the 64 ABM4 PECE
+    steps with Gregory end corrections on the unit vectors, one step at a
+    time.
+
+    Columns are the forcing d_r..d_{r+63} and the state (u_{r-1}, u_{r-2},
+    f_{r-1}, ..., f_{r-4}); rows are u_r..u_{r+63} and the same state at
+    r + 64.  The second map is the first n_first steps alone, with columns
+    d_r..d_{r+n_first-1} and the state.
+    """
+    nb = 64
+    basis = np.eye(nb + 6, dtype=complex)
+    uk, ukm1, fk, fk1, fk2, fk3 = basis[nb:]
+    rows = np.empty((nb + 6, nb + 6), dtype=complex)
+    g_lags = g[nb - 1:0:-1]  # g_{nb-1}, ..., g_1
+    w = -1j * omega0
+    a = h / 24.0
+    c38 = 0.375 * h * g[0]
+    for i in range(nb):
+        # Gregory weights 3/8, 7/6, 23/24, 1, ..., 1, 23/24, 7/6, 3/8: the
+        # j = 0, 1, 2 corrections are in d, the u_m end term is c38 * u_m
+        base = h * (basis[i] + g_lags[nb - 1 - i:] @ rows[:i]
+                    + g[1] * uk / 6.0 - g[2] * ukm1 / 24.0)
+        up = uk + a * (55 * fk - 59 * fk1 + 37 * fk2 - 9 * fk3)
+        fp = w * up - (base + c38 * up)
+        un = uk + a * (9 * fp + 19 * fk - 5 * fk1 + fk2)
+        rows[i] = un
+        ukm1, uk = uk, un
+        fk3, fk2, fk1, fk = fk2, fk1, fk, w * un - (base + c38 * un)
+        if i + 1 == n_first:
+            first = np.vstack((rows[:n_first], [uk, ukm1, fk, fk1, fk2, fk3]))
+    rows[nb:] = uk, ukm1, fk, fk1, fk2, fk3
+    return rows, first[:, np.r_[:n_first, nb:nb + 6]]
 
 
 def volterra_residual(spec, omega0: float, solution) -> float:

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 
-from cohlab.bath import BathSpec, imaginary_axis_denominator, inversion_denominator, spectral_density
+from cohlab.bath import (
+    BathSpec,
+    correlation,
+    imaginary_axis_denominator,
+    inversion_denominator,
+    spectral_density,
+)
 from cohlab.propagator import (
     NonConvergenceError,
     PropagatorSolution,
@@ -23,7 +29,13 @@ from cohlab.propagator import (
 from cohlab import propagator
 from cohlab._fourier import FourierQuadratureError
 
-from oracles import find_poles_scan, lamb_shift_excised, step_history_direct, volterra_residual
+from oracles import (
+    block_map_recurrence,
+    find_poles_scan,
+    lamb_shift_excised,
+    step_history_direct,
+    volterra_residual,
+)
 
 S_VALUES = (0.5, 1.0, 3.0)
 REFERENCE_PAIRS = [(s, e) for s in S_VALUES for e in (0.01, 0.5)]
@@ -180,6 +192,43 @@ def test_step_history_matches_direct_sum(s, eta0):
         assert len(u) == n + 1
         np.testing.assert_array_equal(t, t_ref)
         assert np.max(np.abs(u - u_ref)) <= 1e-12, n
+
+
+@pytest.mark.parametrize("s,eta0,h", [(s, e, h) for s, e in REFERENCE_PAIRS for h in (0.0125, 0.003125)]
+                         + [(s, 1000.0, h) for s in (1.0, 3.0) for h in (0.005, 0.00125)])
+def test_step_history_matches_direct_sum_at_gate_steps(s, eta0, h):
+    # the halving gate's finer steps: the start-up's series depends on H g_0,
+    # and n = 129 is the first step with an L = 128 far square
+    spec = BathSpec(s, eta0)
+    for n in (8, 9, 65, 129, 1000, 3001):
+        _, u = propagator._step_history(spec, 0.1, h, n)
+        _, u_ref = step_history_direct(spec, 0.1, h, n)
+        assert np.max(np.abs(u - u_ref)) <= 1e-12, n
+
+
+@pytest.mark.parametrize("s,eta0", REFERENCE_PAIRS + [(1.0, 1000.0), (3.0, 1000.0)])
+def test_block_map_matches_unit_vector_recurrence(s, eta0):
+    spec = BathSpec(s, eta0)
+    for h in (0.05, 0.0125, 0.003125):
+        g = correlation(spec, np.arange(256) * h)
+        step_map, first_map = propagator._block_map(g, 0.1, h, 55)
+        step_ref, first_ref = block_map_recurrence(g, 0.1, h, 55)
+        for got, ref in ((step_map, step_ref), (first_map, first_ref)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), h
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 55, 64, 512])
+def test_series_inverse_times_series_is_one(k):
+    # Newton doubling at lengths on and off powers of two; the residual of
+    # (t q)_m is measured against (|t| |q|)_m, the size of its rounding
+    rng = np.random.default_rng(k)
+    t = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * 0.9 ** np.arange(k)
+    t[0] = 1.0
+    q = propagator._series_inverse(t)
+    assert len(q) == k
+    residual = np.convolve(t, q)[:k] - np.eye(1, k)[0]
+    assert np.all(np.abs(residual) <= 1e-14 * np.convolve(np.abs(t), np.abs(q))[:k])
 
 
 @pytest.mark.parametrize("s,eta0", REFERENCE_PAIRS)
