@@ -114,45 +114,44 @@ def build_panels(f, a: float, b: float, *, seeds=()) -> PanelSet:
     its share of ∫|f - p|, is at most _PANEL_TOL (tail: the largest of its
     last three Chebyshev coefficients); the rule is absolute, carrying no
     scale from one panel to the next.  `seeds` are forced breakpoints.
+    The bisection runs breadth-first: all pending panels of a level are
+    sampled by one call of f and transformed by one matrix product.
     Panels are not split below (b - a) 2⁻⁵⁰; the largest share h × tail
     of such a panel goes into `worst_tail` (0 when every panel met
-    _PANEL_TOL).
+    _PANEL_TOL).  Raises FourierQuadratureError once the kept and pending
+    panels together exceed _MAX_PANELS.
     """
     min_width = (b - a) * 2.0**-50
-    pts = [a, b]
-    for x in seeds:
-        if a < x < b:
-            pts.append(float(x))
-    pts = sorted(set(pts))
-
-    mids, halfs, coeffs = [], [], []
+    pts = np.unique([a, b, *(float(x) for x in seeds if a < x < b)])
+    lo, hi = pts[:-1], pts[1:]
+    kept = []
+    n_kept = 0
     worst_tail = 0.0
-    stack = [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)][::-1]
-    while stack:
-        lo, hi = stack.pop()
+    while lo.size:
         m = 0.5 * (lo + hi)
         h = 0.5 * (hi - lo)
-        c = _COEF_MAT @ np.asarray(f(m + h * _CGL_NODES))
-        tail = float(np.max(np.abs(c[-3:])))
-        if tail * h <= _PANEL_TOL or (hi - lo) <= min_width:
-            mids.append(m)
-            halfs.append(h)
-            coeffs.append(c)
-            worst_tail = max(worst_tail, 0.0 if (hi - lo) > min_width else h * tail)
-        else:
-            stack.append((m, hi))
-            stack.append((lo, m))
-            if len(stack) + len(mids) > _MAX_PANELS:
-                raise FourierQuadratureError(
-                    f"panel budget {_MAX_PANELS} exhausted on [{a}, {b}]; "
-                    f"unresolved Chebyshev tail {tail:.3e} on a panel of half-width {h:.3e}"
-                )
+        vals = np.asarray(f((m[:, None] + h[:, None] * _CGL_NODES).ravel()))
+        c = vals.reshape(len(m), _DEGREE + 1) @ _COEF_MAT.T
+        tail = np.max(np.abs(c[:, -3:]), axis=1)
+        share = h * tail
+        floor = (hi - lo) <= min_width
+        done = (share <= _PANEL_TOL) | floor
+        if floor.any():
+            worst_tail = max(worst_tail, float(share[floor].max()))
+        kept.append((m[done], h[done], c[done]))
+        n_kept += int(done.sum())
+        split = ~done
+        if n_kept + 2 * int(split.sum()) > _MAX_PANELS:
+            k = np.flatnonzero(split)[np.argmax(share[split])]
+            raise FourierQuadratureError(
+                f"panel budget {_MAX_PANELS} exhausted on [{a}, {b}]; "
+                f"unresolved Chebyshev tail {tail[k]:.3e} on a panel of half-width {h[k]:.3e}"
+            )
+        lo, hi = np.concatenate((lo[split], m[split])), np.concatenate((m[split], hi[split]))
 
-    mids = np.asarray(mids)
-    halfs = np.asarray(halfs)
+    mids, halfs, coeffs = (np.concatenate(x) for x in zip(*kept))
     order = np.argsort(mids)
-    mids, halfs = mids[order], halfs[order]
-    coeffs = np.asarray(coeffs)[order]
+    mids, halfs, coeffs = mids[order], halfs[order], coeffs[order]
     # batch-evaluate f at all GL nodes for the low-|θ| path
     gl_nodes = (mids[:, None] + halfs[:, None] * _GL_X[None, :]).ravel()
     gl_vals = np.asarray(f(gl_nodes)).reshape(len(mids), _GL_POINTS)

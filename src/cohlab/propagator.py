@@ -20,13 +20,11 @@ rotates at the Lamb-shifted frequency, whose principal value is the one
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from . import bath as _bath
 from ._fourier import FourierQuadratureError, build_panels, fourier_integral
@@ -54,6 +52,13 @@ _HALVING_TOL = 1e-5       # step-halving gate on the change of |u|
 _Y_MAX = 50.0             # top of the pole bracket on the imaginary axis
 _OMEGA_MAX = 50.0         # top of the branch-cut integral, in units of ω_c
 _TAIL_TOL = 1e-8          # bound on ∫|density| over [_OMEGA_MAX, _OMEGA_MAX + 20]
+
+# the tail's quadrature rule: 12-point Gauss-Legendre on 4 panels of half-width
+# 2.5 over [_OMEGA_MAX, _OMEGA_MAX + 20], within 1.2e-15 of adaptive quadrature
+# at the reference pairs
+_TAIL_X, _TAIL_W = np.polynomial.legendre.leggauss(12)
+_TAIL_X = (_OMEGA_MAX + 2.5 * np.arange(1, 8, 2)[:, None] + 2.5 * _TAIL_X).ravel()
+_TAIL_W = np.tile(2.5 * _TAIL_W, 4)
 
 
 @dataclass(frozen=True)
@@ -315,60 +320,114 @@ def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *,
 # Laplace inversion
 # ---------------------------------------------------------------------------
 
+def _polish_zeros(f, lo, hi, f_lo, f_hi):
+    """One zero of f in each bracket [lo, hi] with f(lo) ≤ 0 ≤ f(hi), whole-array.
+
+    f maps an array of points to the values and slopes there.  Safeguarded
+    Newton from the secant point of each bracket: every evaluation narrows
+    its bracket, and a step that would leave the bracket is replaced by
+    bisection.  Returns the points after the first pass in which every
+    step is within tol = 1e-15 + 8.9e-16 |x|.  Where rounding in f turns
+    the steps into noise above tol, each evaluation still narrows a
+    bracket, down to adjacent doubles.
+    """
+    x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+    while True:
+        val, slope = f(x)
+        lo = np.where(val < 0.0, x, lo)
+        hi = np.where(val > 0.0, x, hi)
+        new = x - val / slope
+        tol = 1e-15 + 8.9e-16 * np.abs(new)
+        new = np.where((lo < new) & (new < hi) | (np.abs(new - x) <= tol), new, 0.5 * (lo + hi))
+        done = np.all(np.abs(new - x) <= tol)
+        x = new
+        if done:
+            return x
+
+
 def find_poles(spec: BathSpec, omega0: float) -> list[tuple[complex, complex]]:
     """Poles of û(z) on the imaginary axis, with residues 1/D'(z_p).
 
     On the positive imaginary axis (z = i y ω_c, y > 0: frequencies below
     the bath band) the denominator is i B_loc(y) with B_loc real and
     strictly increasing (slope ≥ 1), so there is at most one zero: it is
-    bracketed by one sign test on [1e-9, _Y_MAX] and polished by brentq.  A
-    zero beyond _Y_MAX is not searched for and yields no pole.  On the
-    negative imaginary axis — the branch cut — Im B = -π η_s ω^s e^{-ω} < 0
+    bracketed by one sign test on [1e-9, _Y_MAX] and polished by the
+    safeguarded Newton of `_polish_zeros`, with B_loc and its slope
+    1 + η_s ∫ x^s e^{-x}/(x+y)² dx from one `bath._stieltjes` call per
+    iterate; the residue is 1/slope at the returned zero.  A zero beyond
+    _Y_MAX is not searched for and yields no pole.  On the negative
+    imaginary axis — the branch cut — Im B = -π η_s ω^s e^{-ω} < 0
     strictly, so no further pole can hide there for η_0 > 0.
     """
     if spec.eta0 == 0.0:
         return [(-1j * omega0, 1.0 + 0.0j)]
+    w0, es = omega0 / spec.omega_c, spec.eta_s
 
     def b_loc(y):
-        return _bath.imaginary_axis_denominator(spec, omega0, y)
+        i, d = _bath._stieltjes(spec.s, y)
+        return w0 + y - es * i, 1.0 + es * d
 
-    y_min = 1e-9
-    b_min = b_loc(y_min)
-    if b_min > 0.0 or b_loc(_Y_MAX) < 0.0:
+    y = np.array([1e-9, _Y_MAX])
+    b = b_loc(y)[0]
+    if b[0] > 0.0 or b[1] < 0.0:
         return []
-    yp = y_min if b_min == 0.0 else brentq(b_loc, y_min, _Y_MAX, xtol=1e-14, rtol=8.9e-16)
-    res = 1.0 / _bath.imaginary_axis_denominator_derivative(spec, yp)
-    return [(1j * yp * spec.omega_c, complex(res))]
+    yp = _polish_zeros(b_loc, y[:1], y[1:], b[:1], b[1:])
+    slope = b_loc(yp)[1][0]
+    return [(1j * float(yp[0]) * spec.omega_c, complex(1.0 / slope))]
 
 
 def _resonance_seeds(spec: BathSpec, omega0: float) -> list[float]:
     """Forced panel breakpoints: ω_0 and the zeros of Re B (narrow resonances).
 
     A breakpoint on a peak keeps it from slipping between the samples of a
-    wide panel; `build_panels` refines the rest.  Raises
+    wide panel; `build_panels` refines the rest.  The sign changes of Re B
+    on a 2 400-point scan are polished together by `_polish_zeros`, with
+    the slope Re B' = -1 - η_s PV' from PV' = (s PV - Γ(s+1))/ω - PV, so
+    one `bath.inversion_denominator` call per iterate gives both.  Raises
     FourierQuadratureError for a resonance narrower than 1e-14 (in units
     of ω_c), which no panel resolves.
     """
-    w0 = omega0 / spec.omega_c
+    w0, es, s = omega0 / spec.omega_c, spec.eta_s, spec.s
+    g1 = math.gamma(s + 1.0)
     ws = np.unique(np.concatenate([
         np.geomspace(1e-8, _OMEGA_MAX, 1200),
         np.linspace(1e-6, _OMEGA_MAX, 1200),
     ]))
     re = np.real(_bath.inversion_denominator(spec, omega0, ws * spec.omega_c))
-    seeds = [w0]
-    for i in np.flatnonzero(np.diff(re < 0)):
-        wstar = brentq(
-            lambda w: float(np.real(_bath.inversion_denominator(spec, omega0, w * spec.omega_c))),
-            ws[i], ws[i + 1], xtol=1e-15, rtol=8.9e-16)
-        width = np.pi * spec.eta_s * wstar**spec.s * np.exp(-wstar)
-        slope = abs(re[i + 1] - re[i]) / (ws[i + 1] - ws[i])
-        width = width / max(slope, 1e-3)
-        if width < 1e-14:
+    i = np.flatnonzero(np.diff(re < 0))
+    sign = np.where(re[i] < 0, 1.0, -1.0)  # Re B × sign rises through each zero
+
+    def rising(w):
+        b = np.real(_bath.inversion_denominator(spec, omega0, w * spec.omega_c))
+        pv = (w0 - w - b) / es
+        return sign * b, sign * (-1.0 - es * ((s * pv - g1) / w - pv))
+
+    wstar = ws[i]
+    if i.size:  # no bracket, no call: the principal value needs at least one point
+        wstar = _polish_zeros(rising, ws[i], ws[i + 1], sign * re[i], sign * re[i + 1])
+    slope = np.abs(re[i + 1] - re[i]) / (ws[i + 1] - ws[i])
+    width = np.pi * es * wstar**s * np.exp(-wstar) / np.maximum(slope, 1e-3)
+    for w, dw in zip(wstar, width):
+        if dw < 1e-14:
             raise FourierQuadratureError(
-                f"resonance at omega = {wstar:.6g} omega_c has width {width:.2g}, "
+                f"resonance at omega = {w:.6g} omega_c has width {dw:.2g}, "
                 "narrower than the 1e-14 the panels can resolve")
-        seeds.append(wstar)
-    return [s for s in seeds if 0.0 < s < _OMEGA_MAX]
+    return [x for x in [w0, *wstar.tolist()] if 0.0 < x < _OMEGA_MAX]
+
+
+def _cut_density(spec: BathSpec, omega0: float, w) -> np.ndarray:
+    """The branch-cut spectral density Im{1/B(ω)} at ω = w ω_c, 0 for w ≤ 0."""
+    w = np.asarray(w, dtype=float)
+    out = np.zeros(w.shape)
+    pos = w > 0.0
+    out[pos] = np.imag(1.0 / _bath.inversion_denominator(spec, omega0, w[pos] * spec.omega_c))
+    return out  # Im B ∝ -ω^s e^{-ω} vanishes at the band edge ω = 0
+
+
+def _cut_tail(spec: BathSpec, omega0: float) -> float:
+    """∫|Im{1/B}| over [_OMEGA_MAX, _OMEGA_MAX + 20], the part the panels leave out,
+    by the fixed composite Gauss-Legendre rule (_TAIL_X, _TAIL_W)."""
+    return float(_TAIL_W @ np.abs(_cut_density(spec, omega0, _TAIL_X)))
 
 
 def solve_laplace(spec: BathSpec, omega0: float, grid: TimeGrid) -> PropagatorSolution:
@@ -378,6 +437,10 @@ def solve_laplace(spec: BathSpec, omega0: float, grid: TimeGrid) -> PropagatorSo
     e^{-iωτ} by adaptive panel quadrature that is uniformly accurate in τ,
     so arbitrarily late times cost the same as early ones; the panels
     start from `_resonance_seeds` and meet `build_panels`' error budget.
+    Every step of the set-up is whole-array: the pole and the seeds are
+    polished by safeguarded Newton, each bisection level of the panels is
+    one density call, and the neglected tail is one fixed Gauss-Legendre
+    rule (`_cut_tail`).
 
     Raises
     ------
@@ -394,20 +457,13 @@ def solve_laplace(spec: BathSpec, omega0: float, grid: TimeGrid) -> PropagatorSo
         return PropagatorSolution(grid, u, "laplace", poles)
 
     poles = find_poles(spec, omega0)
-
-    def density(w):
-        w = np.asarray(w, dtype=float)
-        out = np.zeros(w.shape)
-        pos = w > 0.0
-        out[pos] = np.imag(1.0 / _bath.inversion_denominator(spec, omega0, w[pos] * spec.omega_c))
-        return out  # Im B ∝ -ω^s e^{-ω} vanishes at the band edge ω = 0
-
-    tail, _ = quad(lambda w: abs(density(np.array([w]))[0]), _OMEGA_MAX, _OMEGA_MAX + 20.0, limit=100)
+    tail = _cut_tail(spec, omega0)
     if tail > _TAIL_TOL:
         raise FourierQuadratureError(
             f"branch-cut tail beyond omega = {_OMEGA_MAX:g} omega_c is {tail:.3e} > {_TAIL_TOL}")
 
-    panels = build_panels(density, 0.0, _OMEGA_MAX, seeds=_resonance_seeds(spec, omega0))
+    panels = build_panels(lambda w: _cut_density(spec, omega0, w), 0.0, _OMEGA_MAX,
+                          seeds=_resonance_seeds(spec, omega0))
     tau = t * spec.omega_c
     u = fourier_integral(panels, tau) / np.pi
     for z_p, res in poles:
@@ -460,6 +516,8 @@ def resample(solution: PropagatorSolution, grid: TimeGrid) -> PropagatorSolution
     """
     if grid.t_max > solution.grid.t_max + 1e-12:
         raise ValueError("target grid extends beyond the solved interval")
+    from scipy.interpolate import CubicSpline  # only here: it costs every import about 0.1 s
+
     sp = CubicSpline(solution.grid.samples, solution.u)
     u = sp(grid.samples)
     u[0] = solution.u[0]

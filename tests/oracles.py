@@ -202,6 +202,40 @@ def find_poles_scan(spec, omega0: float, y_max: float = 50.0, n_scan: int = 4000
     return poles
 
 
+def resonance_seeds_brentq(spec, omega0: float, omega_max: float = 50.0) -> list:
+    """ω_0 and the zeros of Re B in (0, omega_max): the sign changes of Re B
+    on the 2 400-point log + linear scan, each polished by brentq on its own.
+    """
+    from scipy.optimize import brentq
+
+    from cohlab import bath
+
+    def re_b(w):
+        return np.real(bath.inversion_denominator(spec, omega0, w * spec.omega_c))
+
+    ws = np.unique(np.concatenate([
+        np.geomspace(1e-8, omega_max, 1200),
+        np.linspace(1e-6, omega_max, 1200),
+    ]))
+    re = re_b(ws)
+    seeds = [omega0 / spec.omega_c]
+    for i in np.flatnonzero(np.diff(re < 0)):
+        seeds.append(brentq(lambda w: float(re_b(w)), ws[i], ws[i + 1], xtol=1e-15, rtol=8.9e-16))
+    return [s for s in seeds if 0.0 < s < omega_max]
+
+
+def cut_tail_quad(spec, omega0: float, omega_max: float = 50.0) -> float:
+    """∫|Im{1/B(ω)}| dω over [omega_max, omega_max + 20] (units of ω_c) by
+    adaptive quadrature to 1e-13 relative, one point per call."""
+    from cohlab import bath
+
+    def density(w):
+        return abs(np.imag(1.0 / bath.inversion_denominator(spec, omega0, w * spec.omega_c)))
+
+    tail, _ = quad(density, omega_max, omega_max + 20.0, epsabs=0.0, epsrel=1e-13, limit=200)
+    return tail
+
+
 def correlation_quadrature(spec, t: float, omega_max: float = 200.0) -> complex:
     """g(t) = ∫_0^∞ dω/2π J(ω) e^{-iωt} by QAWF oscillatory quadrature."""
     from cohlab.bath import spectral_density

@@ -2,11 +2,14 @@
 
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import cohlab
 from cohlab import cli, codes
 from cohlab.propagator import PropagatorSolution, TimeGrid
 from cohlab.cli import (
@@ -413,3 +416,13 @@ def test_solver_diagnostics_footer(tmp_path, argv, csv):
     # the diagnostics are deterministic: a second run writes the same bytes
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert (tmp_path / csv).read_bytes() == first
+
+
+def test_import_leaves_out_heavy_scipy_subpackages():
+    # a fresh `import cohlab, cohlab.cli` needs numpy and scipy.special only;
+    # quad, brentq and CubicSpline at module level pulled in these three
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.interpolate")
+    code = f"import sys, cohlab, cohlab.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cohlab.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []

@@ -50,6 +50,22 @@ def test_times_past_one_array_pass():
     assert np.max(np.abs(got - _exp_transform(t))) <= 1e-9
 
 
+def test_panel_budget_exhausted_raises():
+    # noise is resolved on no panel: every level doubles until the budget runs out
+    rng = np.random.default_rng(0)
+    with pytest.raises(_fourier.FourierQuadratureError, match="panel budget 6000 exhausted"):
+        _fourier.build_panels(lambda w: rng.standard_normal(w.shape), 0.0, 1.0)
+
+
+def test_breakpoints_split_and_panels_come_sorted():
+    # seeds outside (a, b) and repeated ones are dropped; panels tile [a, b]
+    panels = _fourier.build_panels(lambda w: np.exp(-w), 0.0, 50.0, seeds=(-1.0, 0.3, 0.3, 7.0, 50.0, 60.0))
+    edges_lo, edges_hi = panels.mids - panels.halfs, panels.mids + panels.halfs
+    assert edges_lo[0] == 0.0 and edges_hi[-1] == 50.0
+    np.testing.assert_allclose(edges_lo[1:], edges_hi[:-1], rtol=0, atol=1e-14)
+    assert np.any(np.abs(edges_hi - 0.3) <= 1e-15) and np.any(np.abs(edges_hi - 7.0) <= 1e-14)
+
+
 FIGURE_SOLVES = [(s, eta0, tmax) for s in (0.5, 1.0, 3.0)
                  for eta0, tmax in ((0.01, 1000.0), (0.5, 1000.0), (0.01, 10000.0))]
 

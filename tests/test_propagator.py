@@ -12,7 +12,9 @@ from cohlab.bath import (
     BathSpec,
     correlation,
     imaginary_axis_denominator,
+    imaginary_axis_denominator_derivative,
     inversion_denominator,
+    pv_power_exp,
     spectral_density,
 )
 from cohlab.propagator import (
@@ -31,8 +33,10 @@ from cohlab._fourier import FourierQuadratureError
 
 from oracles import (
     block_map_recurrence,
+    cut_tail_quad,
     find_poles_scan,
     lamb_shift_excised,
+    resonance_seeds_brentq,
     step_history_direct,
     volterra_residual,
 )
@@ -299,16 +303,20 @@ def test_single_pole_at_strong_coupling(s):
 
 
 @pytest.mark.parametrize("s,eta0", REFERENCE_PAIRS + [
-    (1.0, 1000.0), (3.0, 1000.0), (1.5, 0.5), (2.0, 0.5), (0.3, 0.05), (4.0, 0.01)])
+    (1.0, 1000.0), (3.0, 1000.0), (1.5, 0.5), (2.0, 0.5), (0.3, 0.05), (4.0, 0.01),
+    (0.2, 0.5), (1.0 + 1e-9, 0.5), (2.0 - 1e-9, 0.5)])
 def test_find_poles_matches_scan(s, eta0):
     # one bracket on the monotone B_loc finds what the 4000-point scan finds,
-    # including nothing when the zero lies beyond y_max (eta0 = 1000)
+    # including nothing when the zero lies beyond y_max (eta0 = 1000); the
+    # residue is the one the closed-form slope gives at the returned zero
     spec = BathSpec(s, eta0)
     got, ref = find_poles(spec, 0.1), find_poles_scan(spec, 0.1)
     assert len(got) == len(ref)
     for (z, res), (z_ref, res_ref) in zip(got, ref):
         assert abs(z - z_ref) <= 1e-12
         assert abs(res - res_ref) <= 1e-12
+        expect = 1.0 / imaginary_axis_denominator_derivative(spec, z.imag / spec.omega_c)
+        assert abs(res - expect) <= 1e-14 * abs(expect)
 
 
 def test_pole_existence_threshold():
@@ -331,26 +339,48 @@ def test_residue_matches_finite_difference_derivative():
 
 
 @pytest.mark.parametrize("s,eta0", REFERENCE_PAIRS + [(1.5, 0.01), (2.0, 0.5)])
-def test_resonance_seeds_bracket_each_sign_change(s, eta0, monkeypatch):
-    # the array scan brackets the pairs a pairwise loop over Re B finds
+def test_resonance_seeds_bracket_each_sign_change(s, eta0):
+    # the array scan brackets the pairs a pairwise loop over Re B finds, and
+    # the whole-array Newton lands where brentq on each bracket does
     spec = BathSpec(s, eta0)
     ws = np.unique(np.concatenate([np.geomspace(1e-8, 50.0, 1200), np.linspace(1e-6, 50.0, 1200)]))
     re = np.real(inversion_denominator(spec, 0.1, ws))
     expect = [(ws[i], ws[i + 1]) for i in range(len(ws) - 1) if (re[i] < 0) != (re[i + 1] < 0)]
-    brackets = []
-    brentq = propagator.brentq
-
-    def recording(f, a, b, **kw):
-        brackets.append((a, b))
-        return brentq(f, a, b, **kw)
-
-    monkeypatch.setattr(propagator, "brentq", recording)
     seeds = propagator._resonance_seeds(spec, 0.1)
-    assert brackets == expect
+    ref = resonance_seeds_brentq(spec, 0.1)
+    assert len(seeds) == len(ref)
+    assert all(abs(w - w_ref) <= 2e-15 for w, w_ref in zip(seeds, ref))
     assert len(expect) == (1 if eta0 == 0.01 else 0)
     # ω0 and the zeros of Re B, nothing else
     assert seeds[0] == 0.1 and len(seeds) == 1 + len(expect)
     assert all(a < w < b for w, (a, b) in zip(seeds[1:], expect))
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0, 3.0, 5.5])
+def test_principal_value_slope_identity(s):
+    # PV' = (s PV - Γ(s+1))/ω - PV, the slope _resonance_seeds' Newton uses,
+    # against a fourth-order central difference of the principal value
+    w = np.array([0.02, 0.1, 0.7, 3.0, 12.0, 40.0])
+    h = 1e-3 * w
+    pv = pv_power_exp(s, w)
+    fd = (8 * (pv_power_exp(s, w + h) - pv_power_exp(s, w - h))
+          - (pv_power_exp(s, w + 2 * h) - pv_power_exp(s, w - 2 * h))) / (12 * h)
+    closed = (s * pv - math.gamma(s + 1.0)) / w - pv
+    assert np.max(np.abs(closed - fd) / np.abs(closed)) <= 1e-7
+
+
+@pytest.mark.parametrize("s,eta0", REFERENCE_PAIRS + [(5.5, 0.01), (7.5, 0.01)])
+def test_cut_tail_matches_adaptive_quadrature(s, eta0):
+    spec = BathSpec(s, eta0)
+    got, ref = propagator._cut_tail(spec, 0.1), cut_tail_quad(spec, 0.1)
+    assert 0.0 < ref < propagator._TAIL_TOL
+    assert abs(got - ref) <= 1e-12 * ref
+
+
+def test_branch_cut_tail_raises():
+    # the spectral peak at ω = s = 60 lies past _OMEGA_MAX, where no panel goes
+    with pytest.raises(FourierQuadratureError, match="branch-cut tail"):
+        solve_laplace(BathSpec(60.0, 0.01), 0.1, TimeGrid.log(100.0, 20))
 
 
 def test_resonance_narrower_than_panel_floor_raises():
