@@ -35,21 +35,13 @@ from .propagator import (
     solve_laplace,
     solve_volterra,
 )
-from .qubit import (
-    CatState,
-    CoherentElement,
-    coherence_factor,
-    evolve_cat,
-    evolve_element,
-    phase_error_prob,
-)
+from .qubit import coherence_factor, phase_error_prob
 
 __all__ = [
     "__version__",
     "BathSpec", "spectral_density", "correlation", "inversion_denominator",
     "TimeGrid", "PropagatorSolution", "solve_volterra", "solve_laplace",
     "find_poles", "lamb_shift", "markov_u",
-    "CoherentElement", "CatState", "evolve_element", "evolve_cat",
     "coherence_factor", "phase_error_prob",
     "TwoQubitState", "ChannelMetrics", "wootters_concurrence", "fef_oracle",
     "teleportation_fidelity", "metrics_closed",

@@ -18,13 +18,13 @@ The denominators need two dispersion integrals of x^s e^{-x}: the
 Stieltjes transform on the imaginary axis (`_stieltjes`) and the principal
 value on the real axis (`pv_power_exp`).  Both are whole-array closed
 forms without quadrature for every s > 0 (DLMF §13.2: Kummer's functions
-M and U).  The Stieltjes transform is one code path.  The principal value
-takes one of three (`_pv`): at integer s, Ei plus a Horner polynomial,
-with the Kummer sum where that cancels; for s < 3 away from an integer,
-scipy's `hyp1f1`; otherwise the Kummer sum.  The tests gate both against
+M and U), each one code path.  The principal value is the Kummer sum split
+into an entire part, read from a piecewise-polynomial table built once per
+s (`_pv_table`), and a closed-form term that carries the log and the
+near-integer cancellation (`_bracket_constants`).  The tests gate both against
 mpmath and against the hand-derived s ∈ {1/2, 1, 3} forms kept in
 `tests/oracles.py`.  The same principal value gives the Lamb shift of
-`propagator.lamb_shift`.
+`propagator.lamb_shift`.  Only numpy and `math` are imported.
 
 All frequencies are nondimensionalized by ω_c internally; τ_c = 1/ω_c only
 appears at the API boundary.
@@ -32,11 +32,11 @@ appears at the API boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 __all__ = [
     "BathSpec",
@@ -48,20 +48,40 @@ __all__ = [
     "pv_power_exp",
 ]
 
-# scipy's hyp1f1, which gives the principal value, is inaccurate near
-# b = 1 - n and drifts as s grows: within _NEAR_INTEGER of an integer n ≥ 0,
-# and for every s > 3, the Kummer sum of `_pv_kummer` takes over.  Where
-# hyp1f1 serves (s < 3) it is within 9.9e-13 of mpmath for w ≤ 70 (worst
-# near s = 2.85, w ≈ 43); past s = 3 it is off by 7.6e-13 at s = 4.3 and
-# 3e-11 at s = 12.5, where the Kummer sum stays within 2e-15.
-_NEAR_INTEGER = 0.1
 _W_MAX = 700.0  # e^{-w}, the first Kummer term, underflows past it
 _CF_FROM = 1.0     # y at and above which I(y) comes from its continued fraction
 _CF_DEPTH = 120    # terms; converged to 2e-16 at y = 1 for s up to 15
 _SERIES_TERMS = 25  # y^m/m! < 1e-25 past it, for y < 1
+# B_2k/(2k)!, k = 1..8, the Euler-Maclaurin corrections of `_zeta`
+_EULER_MACLAURIN = np.array([1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+                             -691 / 1307674368000, 1 / 74724249600, -3617 / 10670622842880000])
+_FACTORIALS = np.array([math.factorial(m) for m in range(_SERIES_TERMS)], dtype=float)
+_HARMONIC = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, _SERIES_TERMS))))
+# the principal value's table: 8 panels of width 1/2 on [0, 4], then edges
+# 4·1.12^k up to _W_MAX, 54 panels in all, each a degree-12 polynomial in
+# the local x ∈ [-1, 1]
+_PV_EDGES = np.concatenate((np.arange(0.0, 4.0, 0.5), 4.0 * 1.12 ** np.arange(46), [_W_MAX]))
+_PV_MID = 0.5 * (_PV_EDGES[1:] + _PV_EDGES[:-1])
+_PV_INV_HALF = 2.0 / np.diff(_PV_EDGES)
+_PV_DEGREE = 12
+# past this s the panels no longer resolve S_s where w nears s (3e-14 at
+# s = 45.5, 8e-12 at s = 120.5): the Kummer sum is summed at each point
+_PV_TABLE_S_MAX = 30.0
+
+
+def _zeta(k: np.ndarray) -> np.ndarray:
+    """ζ(k) for k ≥ 2: Euler-Maclaurin summation from N = 10 with the
+    corrections B_2..B_16, the smallest terms added first.  Equal to
+    mpmath's ζ(k), rounded, for k = 2..59."""
+    k = np.asarray(k, dtype=float)
+    rising = np.cumprod(k + np.arange(15.0)[:, None], axis=0)[::2]  # (k)_1, (k)_3, ..., (k)_15
+    tail = 10.0 ** (1.0 - k) / (k - 1.0) + 0.5 * 10.0**-k \
+        + _EULER_MACLAURIN @ (rising * 10.0 ** (-k - 1.0 - 2.0 * np.arange(8.0)[:, None]))
+    return 1.0 + (tail + np.sum(np.arange(9.0, 1.0, -1.0)[:, None] ** -k, axis=0))
+
+
 _ZETA_K = np.arange(2, 60)  # ζ(k) ε^k/k < 1e-19 past k = 59, for |ε| ≤ 1/2
-_ZETA = _sp.zeta(_ZETA_K)
-_FACTORIALS = _sp.factorial(np.arange(_SERIES_TERMS))
+_ZETA = _zeta(_ZETA_K)
 
 
 @dataclass(frozen=True)
@@ -146,16 +166,17 @@ def _cut_part(s: float, y: np.ndarray):
 
     summed as π/sin(πε) y^ε Σ_m (y^m/m!) expm1(L_m - ε ln y) with
     L_m = ln(m!/Γ(m+1-ε)) from the Taylor series of ln Γ(1-ε), so that no
-    term cancels as ε → 0, where G → e^y E1(y).
+    term cancels as ε → 0.  At ε = 0 the limit of each term gives
+    G(y) = e^y E1(y) = Σ_m (y^m/m!)(H_m - γ - ln y), H_m the harmonic numbers.
     """
     eps = s - round(s)
-    if eps == 0.0:
-        g = np.exp(y) * _sp.exp1(y)
-        return g, g - 1.0 / y
     m = np.arange(_SERIES_TERMS)
+    t = y ** m[:, None] / _FACTORIALS[:, None]
+    if eps == 0.0:
+        g = np.sum(t * (_HARMONIC[:, None] - np.euler_gamma - np.log(y)), axis=0)
+        return g, g - 1.0 / y
     big_l = -_ln_gamma_1p(-eps) - np.concatenate(([0.0], np.cumsum(np.log1p(-eps / m[1:]))))
-    e = np.expm1(big_l[:, None] - eps * np.log(y))
-    t = y ** m[:, None] / _FACTORIALS[:, None] * e
+    t *= np.expm1(big_l[:, None] - eps * np.log(y))
     c = np.pi / np.sin(np.pi * eps) * y**eps
     return c * np.sum(t, axis=0), c / y * (np.sum(m[:, None] * t, axis=0) - eps * np.exp(y))
 
@@ -183,64 +204,95 @@ def _stieltjes(s: float, y: np.ndarray):
         n = round(s)
         g, dg = _cut_part(s, yn)
         k = np.arange(n)[:, None]
-        gk = _sp.gamma(s - k)
+        gk = np.array([math.gamma(s - j) for j in range(n)])[:, None]
         i[~far] = np.sum(gk * (-yn) ** k, axis=0) + (-yn) ** n * g
         d[~far] = np.sum(k[1:] * gk[1:] * (-yn) ** (k[1:] - 1), axis=0) \
             + n * (-yn) ** (n - 1) * g - (-yn) ** n * dg
     return i, d
 
 
-def _pv_kummer(s: float, w: np.ndarray) -> np.ndarray:
-    """PV ∫_0^∞ x^s e^{-x}/(x - w) dx by Kummer's transformation of
-    M(1, 1-s, -w) = e^{-w} M(-s, 1-s, w):
+def _kummer_sum(s: float, w: np.ndarray) -> np.ndarray:
+    """S_s(w) = Σ_{m≠n} p_m/(m - s), p_m = e^{-w} w^m/m!, n = round(s), summed
+    directly for m < w + 9√w + 25: the entire part of Kummer's transformation
+    M(1, 1-s, -w) = e^{-w} M(-s, 1-s, w), in
 
-        PV = -Γ(s+1) Σ_m p_m/(m-s) - π w^s e^{-w} cot(πs),   p_m = e^{-w} w^m/m!,
+        PV = Γ(s) M(1, 1-s, -w) - π w^s e^{-w} cot(πs)
+           = -Γ(s+1) S_s(w) + e^{-w} w^n (a - b expm1(ε ln w)),
 
-    truncated at m < w + 9√w + 25.  With n = round(s) and ε = s - n, the
-    m = n term and the cot term combine without cancellation into
-
-        e^{-w} w^n [expm1(δ)/ε + 2 Σ_k ζ(2k) ε^{2k-1} - π cot(πε) expm1(ε ln w)],
-
-    δ = ln(Γ(s+1)/n!), which is ψ(n+1) - ln w at ε = 0.
+    with a and b the `_bracket_constants`.
     """
     top = w.max()
     n = round(s)
-    eps = s - n
     m = np.arange(max(int(top + 9.0 * math.sqrt(top)) + 25, n + 1), dtype=float)
     p = np.empty((m.size, w.size))
     p[0] = np.exp(-w)
     np.divide(w, m[1:, None], out=p[1:])
     np.cumprod(p, axis=0, out=p)
     den = m - s
-    den[n] = np.inf  # the m = n term joins the cot term below
-    lnw = np.log(w)
-    if eps == 0.0:
-        bracket = _sp.digamma(n + 1.0) - lnw
-    else:
-        delta = _ln_gamma_1p(eps) + math.fsum(math.log1p(eps / j) for j in range(1, n + 1))
-        cot_series = 2.0 * float(np.sum(_ZETA[::2] * eps ** (_ZETA_K[::2] - 1)))
-        bracket = math.expm1(delta) / eps + cot_series \
-            - np.pi / math.tan(np.pi * eps) * np.expm1(eps * lnw)
-    return -math.gamma(s + 1.0) * ((1.0 / den) @ p) + p[n] * math.factorial(n) * bracket
+    den[n] = np.inf  # the m = n term joins the cot term in the bracket
+    return (1.0 / den) @ p
 
 
-def _pv(s: float, w: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """`pv_power_exp` on an array w ∈ (0, _W_MAX], given f = w^s e^{-w}."""
+def _bracket_constants(s: float) -> tuple[float, float]:
+    """(a, b) in the m = n Kummer term and the cot term over e^{-w} w^n,
+    a - b expm1(ε ln w), which has no cancellation.  With ε = s - n and
+    δ = ln(Γ(s+1)/n!),
+
+        a = expm1(δ)/ε + 2 Σ_k ζ(2k) ε^{2k-1},   b = π cot(πε),
+
+    and at ε = 0 the limit a - ln w with a = H_n - γ (ψ(n+1)), b = 1.
+    """
     n = round(s)
-    if s == n:
-        ei = f * _sp.expi(w)
-        out = 0.0
-        for j in range(n):  # Horner: the coefficient of w^k is (n-1-k)!
-            out = out * w + math.factorial(j)
-        out = out - ei
-        # ei carries an error of about 1e-15 |ei|, measured against mpmath
-        lossy = np.abs(ei) > 100.0 * np.hypot(out, np.pi * f)
-        if lossy.any():
-            out[lossy] = _pv_kummer(s, w[lossy])
-        return out
-    if abs(s - n) < _NEAR_INTEGER or s > 3.0:
-        return _pv_kummer(s, w.ravel()).reshape(w.shape)
-    return math.gamma(s) * _sp.hyp1f1(1.0, 1.0 - s, -w) - np.pi / math.tan(np.pi * s) * f
+    eps = s - n
+    if eps == 0.0:
+        return math.fsum(1.0 / j for j in range(1, n + 1)) - np.euler_gamma, 1.0
+    delta = _ln_gamma_1p(eps) + math.fsum(math.log1p(eps / j) for j in range(1, n + 1))
+    cot_series = 2.0 * float(np.sum(_ZETA[::2] * eps ** (_ZETA_K[::2] - 1)))
+    return math.expm1(delta) / eps + cot_series, np.pi / math.tan(np.pi * eps)
+
+
+@functools.lru_cache(maxsize=32)
+def _pv_table(s: float) -> tuple[np.ndarray | None, float, float]:
+    """The principal value's state for one s: the `_bracket_constants` and
+    the (13, 54) monomial coefficients, in the local x ∈ [-1, 1] of each
+    panel of _PV_EDGES, of the degree-12 interpolant of `_kummer_sum` at
+    the 13 Chebyshev-Lobatto points x = cos(πk/12), the panel's ends among
+    them, so that neighbours meet to 3.4e-15 of S_s (None past
+    _PV_TABLE_S_MAX).  Built on first use for each s and kept; it holds the
+    same numbers whichever call builds it.
+    """
+    if s > _PV_TABLE_S_MAX:
+        return (None, *_bracket_constants(s))
+    x = np.cos(np.pi * np.arange(_PV_DEGREE + 1) / _PV_DEGREE)
+    nodes = _PV_MID[:, None] + x / _PV_INV_HALF[:, None]
+    # six panels a call: each sums only as many terms as its own top node needs
+    vals = np.vstack([_kummer_sum(s, w.ravel()).reshape(w.shape) for w in np.split(nodes, 9)])
+    coef = np.linalg.solve(x[:, None] ** np.arange(_PV_DEGREE + 1), vals.T)
+    coef.flags.writeable = False  # shared by every later call at this s
+    return (coef, *_bracket_constants(s))
+
+
+def _pv(s: float, w: np.ndarray) -> np.ndarray:
+    """`pv_power_exp` on an array w ∈ (0, _W_MAX]: S_s by Horner on each
+    point's panel (the direct sum past _PV_TABLE_S_MAX), plus e^{-w} w^n
+    times the bracket."""
+    coef, a, b = _pv_table(s)
+    if coef is None:
+        sum_s = _kummer_sum(s, w.ravel()).reshape(w.shape)
+    else:
+        i = np.searchsorted(_PV_EDGES[1:-1], w)  # an edge belongs to the panel on its left
+        x = (w - _PV_MID[i]) * _PV_INV_HALF[i]
+        c = coef[:, i]
+        sum_s = c[_PV_DEGREE] * x
+        for k in range(_PV_DEGREE - 1, 0, -1):
+            sum_s += c[k]
+            sum_s *= x
+        sum_s += c[0]
+    n = round(s)
+    lnw = np.log(w)
+    bracket = a - b * (np.expm1((s - n) * lnw) if s != n else lnw)
+    h = n // 2  # w^n in two halves: neither overflows before e^{-w} scales it
+    return -math.gamma(s + 1.0) * sum_s + w**h * np.exp(-w) * w ** (n - h) * bracket
 
 
 def _check_range(w: np.ndarray, name: str):
@@ -251,21 +303,26 @@ def _check_range(w: np.ndarray, name: str):
 def pv_power_exp(s: float, w):
     """PV ∫_0^∞ x^s e^{-x} / (x - w) dx for 0 < w ≤ 700 (vectorized).
 
-        s = n   : Σ_{k<n} (n-1-k)! w^k - w^n e^{-w} Ei(w)
-        other s : Γ(s) M(1, 1-s, -w) - π w^s e^{-w} cot(πs)
+    One evaluator for every s > 0 (DLMF §13.2, Kummer's transformation):
 
-    (DLMF §6.2 and §13.2), with M Kummer's function from scipy's hyp1f1.
-    The Kummer sum of `_pv_kummer` takes over within _NEAR_INTEGER of an
-    integer, for every non-integer s > 3, and at integer s where the Ei
-    form would cancel past 1e-13 (s ≥ 2 at large w).  Against mpmath over
-    w ∈ [1e-9, 70], the error relative to |PV + iπ w^s e^{-w}| is at most
-    2e-15 for the Kummer sum (s ≤ 15), 3.1e-13 for the Ei form (s = 1,
-    w ≈ 42.4, 400-point log grid) and 9.9e-13 for hyp1f1 (s < 3).  Raises
-    ValueError outside 0 < w ≤ 700, where e^{-w} would underflow.
+        PV = Γ(s) M(1, 1-s, -w) - π w^s e^{-w} cot(πs)
+           = -Γ(s+1) S_s(w) + e^{-w} w^n bracket(w),   n = round(s),
+
+    with the entire part S_s read from its table (`_pv_table`, built from
+    the direct sum `_kummer_sum` on first use at each s ≤ 30; past it the
+    sum runs at each point) and the bracket
+    a - b expm1(ε ln w), ε = s - n, finite as s nears an integer
+    (`_bracket_constants`, kept with the table).  Against mpmath over
+    w ∈ [1e-9, 700] at 22 values of s from 0.001 to 15, including s within
+    1e-9 of an integer, the error relative to |PV + iπ w^s e^{-w}| is at
+    most 4.4e-15 (854 points a value of s, every panel edge among them).
+    It reads 4.2e-15 at s = 30, and 5.0e-15 from s = 30.5 to 120.5, where
+    the sum runs at each point.
+    Raises ValueError outside 0 < w ≤ 700, where e^{-w} would underflow.
     """
     ww = np.array(w, dtype=float, ndmin=1)
     _check_range(ww, "pv_power_exp")
-    out = _pv(s, ww, ww**s * np.exp(-ww))
+    out = _pv(s, ww)
     return float(out[0]) if np.ndim(w) == 0 else out
 
 
@@ -287,7 +344,7 @@ def inversion_denominator(spec: BathSpec, omega0: float, omega):
     f = w**spec.s * np.exp(-w)
     es = spec.eta_s
     out = np.empty(w.shape, dtype=complex)
-    out.real = omega0 / spec.omega_c - w - es * _pv(spec.s, w, f)
+    out.real = omega0 / spec.omega_c - w - es * _pv(spec.s, w)
     out.imag = -np.pi * es * f
     return complex(out[0]) if np.ndim(omega) == 0 else out
 

@@ -25,7 +25,6 @@ import itertools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
@@ -229,6 +228,7 @@ def _solve_each_once(cfgs: list[RunConfig]) -> list[_Solved]:
     distinct = dict(zip(keys, cfgs))
     workers = _worker_count(len(distinct))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: about 10 ms of every import
         with ProcessPoolExecutor(max_workers=workers) as pool:
             solved = list(pool.map(_solve_u, distinct.values()))
     else:

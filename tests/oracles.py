@@ -2,10 +2,15 @@
 
 Everything here is deliberately built from defining series, continued
 fractions, or quadrature of defining integrals — never from the code paths
-under test.
+under test.  The exception is the last section: the single-qubit element
+map and the cat-state densities, which only the tests use, built on the
+closed forms of `cohlab.qubit`.
 """
 
+import cmath
+import math
 import warnings
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -92,6 +97,27 @@ def pv_power_exp_mp(s: float, w: float, dps: int = 17) -> tuple[float, float]:
         near = mp.quad(lambda x: (x**s * mp.exp(-x) - fw) / (x - w), [0, w, 2 * w])
         far = mp.quad(lambda x: x**s * mp.exp(-x) / (x - w), [2 * w] + _decades(float(2 * w))[1:])
         return float(near + far), float(mp.pi * fw)
+
+
+def pv_power_exp_closed_mp(s: float, w: float, dps: int = 80) -> tuple[float, float]:
+    """(PV, π w^s e^{-w}) from the closed forms in mpmath's own functions,
+
+        s = n   : Σ_{k<n} (n-1-k)! w^k - w^n e^{-w} Ei(w)
+        other s : Γ(s) M(1, 1-s, -w) - π w^s e^{-w} cot(πs),
+
+    at 80 digits, enough for the cancellation at w = 700, s = 15 and for s
+    within 1e-9 of an integer.  Fast enough for dense grids, where the
+    quadrature of `pv_power_exp_mp` is not; the tests check the two agree.
+    """
+    with mp.workdps(dps):
+        s_, w_ = mp.mpf(s), mp.mpf(w)
+        fw = w_**s_ * mp.exp(-w_)
+        n = int(round(s))
+        if s_ == n:
+            pv = mp.fsum(mp.factorial(n - 1 - k) * w_**k for k in range(n)) - w_**n * mp.exp(-w_) * mp.ei(w_)
+        else:
+            pv = mp.gamma(s_) * mp.hyp1f1(1, 1 - s_, -w_) - mp.pi * mp.cot(mp.pi * s_) * fw
+        return float(pv), float(mp.pi * fw)
 
 
 def inversion_denominator_hand(spec, omega0: float, omega) -> np.ndarray:
@@ -483,3 +509,91 @@ def random_channel_states(rng: np.random.Generator, count: int):
         n = int(rng.integers(1, 10))
         out.append((alpha0, r * np.exp(1j * phi), n))
     return out
+
+
+# The single-qubit element map and the cat-state densities built on it: the
+# two sides of the operator-sum equivalence that `tests/test_qubit.py` checks.
+
+@dataclass(frozen=True)
+class CoherentElement:
+    """prefactor · |ket_amp⟩⟨bra_amp| between coherent states."""
+
+    prefactor: complex
+    ket_amp: complex
+    bra_amp: complex
+
+
+def evolve_element(elem: CoherentElement, u: complex) -> CoherentElement:
+    """Exact dissipative map on a single element |α⟩⟨β|."""
+    a, b = elem.ket_amp, elem.bra_amp
+    damp = cmath.exp(-0.5 * (1.0 - abs(u) ** 2)
+                     * (abs(a) ** 2 + abs(b) ** 2 - 2.0 * a * b.conjugate()))
+    return CoherentElement(elem.prefactor * damp, a * u, b * u)
+
+
+@dataclass(frozen=True)
+class CatState:
+    """(c1|α_0⟩ + c2|-α_0⟩)/√N with N = 1 + 2 e^{-2|α_0|²} Re(c1* c2)."""
+
+    c1: complex
+    c2: complex
+    alpha0: complex
+
+    def __post_init__(self):
+        norm = abs(self.c1) ** 2 + abs(self.c2) ** 2
+        if abs(norm - 1.0) > 1e-12:
+            raise ValueError(f"|c1|^2 + |c2|^2 = {norm} != 1")
+
+    @property
+    def normalization(self) -> float:
+        n = 1.0 + math.exp(-2.0 * abs(self.alpha0) ** 2) \
+            * 2.0 * (self.c1.conjugate() * self.c2).real
+        if n <= 0.0:
+            raise ValueError("cat-state normalization is not positive")
+        return n
+
+
+def evolve_cat(state: CatState, u: complex) -> np.ndarray:
+    """Evolved density matrix as coefficients in the damped {|α_t⟩, |-α_t⟩} basis.
+
+    [[|c1|², c·c1 c2*], [c·c1* c2, |c2|²]] / N — the four-term expression
+    with c the coherence factor.
+    """
+    from cohlab.qubit import coherence_factor
+    c = coherence_factor(state.alpha0, u)
+    n = state.normalization
+    c1, c2 = state.c1, state.c2
+    return np.array([
+        [abs(c1) ** 2, c * c1 * c2.conjugate()],
+        [c * c1.conjugate() * c2, abs(c2) ** 2],
+    ], dtype=complex) / n
+
+
+def _damped_basis_matrix(alpha_t: complex) -> np.ndarray:
+    """Columns of |±α_t⟩ in even/odd coordinates."""
+    from cohlab.qubit import evenodd_coeffs
+    a, b = evenodd_coeffs(alpha_t)
+    return np.array([[a, a], [b, -b]])
+
+
+def cat_evenodd_density(state: CatState, u: complex) -> np.ndarray:
+    """Evolved cat state as a density matrix in the orthonormal even/odd basis."""
+    coeff = evolve_cat(state, u)
+    s = _damped_basis_matrix(state.alpha0 * u)
+    return s @ coeff @ s.conj().T
+
+
+def operator_sum_density(state: CatState, u: complex) -> np.ndarray:
+    """(1-p_e)|Q_t⟩⟨Q_t| + p_e Ẑ|Q_t⟩⟨Q_t|Ẑ† in the even/odd basis.
+
+    |Q_t⟩ keeps the t=0 normalization N (deliberately unnormalized) and
+    Ẑ|±α_t⟩ = ±|±α_t⟩ is applied by flipping the sign of c2 — never
+    materialized as a matrix in the nonorthogonal basis.
+    """
+    from cohlab.qubit import phase_error_prob
+    p_e = phase_error_prob(state.alpha0, u)
+    s = _damped_basis_matrix(state.alpha0 * u)
+    root_n = math.sqrt(state.normalization)
+    q = s @ np.array([state.c1, state.c2]) / root_n
+    qz = s @ np.array([state.c1, -state.c2]) / root_n
+    return (1.0 - p_e) * np.outer(q, q.conj()) + p_e * np.outer(qz, qz.conj())

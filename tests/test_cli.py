@@ -419,10 +419,20 @@ def test_solver_diagnostics_footer(tmp_path, argv, csv):
 
 
 def test_import_leaves_out_heavy_scipy_subpackages():
-    # a fresh `import cohlab, cohlab.cli` needs numpy and scipy.special only;
-    # quad, brentq and CubicSpline at module level pulled in these three
-    heavy = ("scipy.integrate", "scipy.optimize", "scipy.interpolate")
-    code = f"import sys, cohlab, cohlab.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
+    # a fresh `import cohlab, cohlab.cli` needs numpy only: no scipy module at all
+    code = "import sys, cohlab, cohlab.cli; print(*[m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cohlab.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == []
+
+
+def test_default_figure_leaves_out_scipy(tmp_path):
+    # the Laplace route of a whole figure runs on numpy alone, so no lazy
+    # scipy import moves the import cost into the first pass
+    code = ("import sys; from cohlab import cli; "
+            f"assert cli.main(['figure', '--id', '4', '--out', {str(tmp_path)!r}]) == 0; "
+            "print('done', *[m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cohlab.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split()[-1:] == ["done"]
+    assert len(list(tmp_path.glob("figure4_*.csv"))) == 12

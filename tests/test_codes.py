@@ -152,9 +152,19 @@ def test_encoded_metrics_against_oracles_random():
 
 @pytest.mark.parametrize("n", [1, 3, 9, 61, 101, 201])
 def test_corrected_c_against_exact_binomial_sum(n):
-    p = np.geomspace(1e-12, 0.499, 40)
+    # the upper-tail sum by its ratio recurrence, on both sides of p = 1/2,
+    # where the sum switches to the complement: measured ≤ 4.4e-16 in c'
+    p = np.concatenate([np.geomspace(1e-12, 0.499, 40), [0.5, 0.51, 0.8, 0.999]])
     ref = np.array([2.0 * phase_success_mp(n, x) - 1.0 for x in p])
-    np.testing.assert_allclose(corrected_c(n, p), ref, rtol=0, atol=2e-13)
+    np.testing.assert_allclose(corrected_c(n, p), ref, rtol=0, atol=2e-15)
+
+
+def test_phase_success_prob_largest_n():
+    # C(n, (n+1)/2) fits a double up to n = 1029; past it the call refuses
+    assert abs(phase_success_prob(1029, 0.3) - phase_success_mp(1029, 0.3)) <= 1e-15
+    assert abs(phase_success_prob(1029, 0.49) - phase_success_mp(1029, 0.49)) <= 1e-15
+    with pytest.raises(ValueError, match="1029"):
+        phase_success_prob(1031, 0.1)
 
 
 def test_phase_success_prob_is_elementwise():

@@ -5,17 +5,15 @@ import cmath
 import numpy as np
 import pytest
 
-from cohlab.qubit import (
+from cohlab.qubit import coherence_factor, coherent_overlap, evenodd_coeffs, phase_error_prob
+
+from oracles import (
     CatState,
     CoherentElement,
     cat_evenodd_density,
-    coherence_factor,
-    coherent_overlap,
-    evenodd_coeffs,
     evolve_cat,
     evolve_element,
     operator_sum_density,
-    phase_error_prob,
 )
 
 

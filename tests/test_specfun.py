@@ -1,6 +1,7 @@
-"""The scipy special functions behind `cohlab.bath` (E1 in `_cut_part`) and
-behind the hand-derived denominators of `tests/oracles.py` (Ei, E1, Dawson,
-erfcx), gated by high-precision independent oracles."""
+"""The scipy special functions behind the hand-derived denominators of
+`tests/oracles.py` (Ei, E1, Dawson, erfcx), and the numpy series that stand
+in for scipy.special in `cohlab.bath` (ζ(2..59), e^y E1(y) on (0, 1)), gated
+by high-precision independent oracles."""
 
 import math
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import dawsn as dawson, erfcx, exp1, expi
 
+from cohlab.bath import _ZETA, _ZETA_K, _cut_part
 from oracles import dawson_quadrature, e1_continued_fraction, e1_series, ei_series
 
 # frozen from the series/continued-fraction oracle at 60-digit precision
@@ -112,8 +114,8 @@ def test_gamma_values():
 
 
 def test_special_functions_at_bath_arguments():
-    # E1 on (0, 1) as in `_cut_part`; Ei, E1, Dawson and erfcx over the
-    # ω, y ∈ [1e-8, 50] of the hand-derived oracle forms
+    # E1 on (0, 1); Ei, E1, Dawson and erfcx over the ω, y ∈ [1e-8, 50] of
+    # the hand-derived oracle forms
     for y in np.geomspace(1e-8, 0.999, 7):
         assert abs(exp1(y) - float(e1_series(y))) <= 1e-14 * exp1(y)
     for x in np.geomspace(1e-8, 50.0, 9):
@@ -126,3 +128,23 @@ def test_special_functions_at_bath_arguments():
         with mp.workdps(30):
             ref_erfcx = float(mp.exp(mp.mpf(r) ** 2) * mp.erfc(r))
         assert abs(erfcx(r) - ref_erfcx) <= 1e-14 * ref_erfcx
+
+
+def test_bath_zeta_table_against_mpmath():
+    # Euler-Maclaurin in `bath._zeta`: measured equal to the rounded value
+    ref = np.array([float(mp.zeta(int(k))) for k in _ZETA_K])
+    assert list(_ZETA_K) == list(range(2, 60))
+    assert np.max(np.abs(_ZETA / ref - 1.0)) <= 2.3e-16
+
+
+@pytest.mark.parametrize("s", (1.0, 3.0))
+def test_bath_scaled_e1_series_against_mpmath(s):
+    # G(y) = e^y E1(y) = Σ (y^m/m!)(H_m - γ - ln y) and G' = G - 1/y at
+    # integer s; measured ≤ 7.8e-16 and 8.9e-16, as scipy's exp1 reaches
+    y = np.concatenate([np.geomspace(1e-9, 0.999, 80), [0.5, 0.9999]])
+    g, dg = _cut_part(s, y)
+    with mp.workdps(30):
+        ref = np.array([float(mp.exp(v) * mp.e1(v)) for v in y])
+        ref_d = np.array([float(mp.exp(v) * mp.e1(v) - 1 / mp.mpf(v)) for v in y])
+    assert np.max(np.abs(g / ref - 1.0)) <= 2e-15
+    assert np.max(np.abs(dg / ref_d - 1.0)) <= 2e-15
