@@ -30,17 +30,8 @@ from . import bath as _bath
 from ._fourier import FourierQuadratureError, build_panels, fourier_integral
 from .bath import BathSpec
 
-__all__ = [
-    "TimeGrid",
-    "PropagatorSolution",
-    "NonConvergenceError",
-    "solve_volterra",
-    "solve_laplace",
-    "find_poles",
-    "lamb_shift",
-    "markov_u",
-    "resample",
-]
+__all__ = ["TimeGrid", "PropagatorSolution", "NonConvergenceError", "solve_volterra", "solve_laplace",
+           "find_poles", "lamb_shift", "markov_u", "resample"]
 
 
 class NonConvergenceError(RuntimeError):
@@ -53,9 +44,8 @@ _Y_MAX = 50.0             # top of the pole bracket on the imaginary axis
 _OMEGA_MAX = 50.0         # top of the branch-cut integral, in units of ω_c
 _TAIL_TOL = 1e-8          # bound on ∫|density| over [_OMEGA_MAX, _OMEGA_MAX + 20]
 
-# the tail's quadrature rule: 12-point Gauss-Legendre on 4 panels of half-width
-# 2.5 over [_OMEGA_MAX, _OMEGA_MAX + 20], within 1.2e-15 of adaptive quadrature
-# at the reference pairs
+# the tail's rule: 12-point Gauss-Legendre on 4 panels of half-width 2.5 over
+# [_OMEGA_MAX, _OMEGA_MAX + 20], within 1.2e-15 of adaptive quadrature at the reference pairs
 _TAIL_X, _TAIL_W = np.polynomial.legendre.leggauss(12)
 _TAIL_X = (_OMEGA_MAX + 2.5 * np.arange(1, 8, 2)[:, None] + 2.5 * _TAIL_X).ravel()
 _TAIL_W = np.tile(2.5 * _TAIL_W, 4)
@@ -114,15 +104,17 @@ class PropagatorSolution:
     imaginary z-axis; the property steady_modulus is |Σ residues| of
     those poles (0 without poles) and nothing else: it is the long-time
     |u| only when the poles are the whole non-decaying part of u.
-    diagnostics holds the evidence the solution rests on; time stepping
-    records `refinements` (halvings of the grid step), `h_final` (the
-    step of the returned solution) and `halving_delta` (the last
-    max ||u_fine| - |u_coarse|| seen by the halving gate); Laplace
+    diagnostics holds the evidence the solution rests on.  Time stepping
+    records `refinements` (halvings of the grid step), `h_final` (the step
+    of the returned solution), `halving_delta` (the last max ||u_fine| -
+    |u_coarse|| seen by the halving gate), `modes` (K, the exponential
+    modes of the far history at h_final) and `fit_bound` (their largest
+    error at lags of 65 to 128 steps, relative to |g(0)|).  Laplace
     inversion records `panels` (the panel count of the branch-cut
     quadrature), `worst_tail` (the largest share half-width × Chebyshev
     tail of the error budget taken by a panel kept at the minimum width, 0
-    when every panel met the budget) and
-    `sum_rule_delta` (|u(0) - 1|, which vanishes for an exact solution).
+    when every panel met the budget) and `sum_rule_delta` (|u(0) - 1|,
+    which vanishes for an exact solution).
     """
 
     grid: TimeGrid
@@ -199,6 +191,26 @@ def _block_map(g: np.ndarray, omega0: float, h: float, n_first: int):
     return np.vstack((rows, rows[-1], rows[-2], f[:3:-1])), first_map[:, np.r_[:n_first, nb:nb + 6]]
 
 
+def _kernel_modes(spec: BathSpec, h: float):
+    """λ, c and the table e^{-λ_k j h}, j ≤ nb, of g(t) ≈ Σ_k c_k e^{-λ_k t} for t ≥ (nb+1) h:
+    Γ(s+1)(1 + iτ)^{-(s+1)} = ∫_0^∞ x^s e^{-x(1+iτ)} dx on the ray x = y e^{-iπ/4} by the
+    trapezoid rule in ln y, y from (1e-17 Γ(s+2))^{1/(s+1)} to (45 + 4s)√2, so λ_k =
+    ω_c y_k e^{iπ/4}, without the nodes below 1e-18 Γ(s+1) at t = (nb+1) h."""
+    nb, s, wc = _NEAR_BLOCK, spec.s, spec.omega_c
+    dv = min(0.1, 0.55 / (s + 1.0))  # the step 0.1 alone is 5e-12 off at s = 9.5, h = 0.00125
+    lo = math.log(1e-17 * math.gamma(s + 2.0)) / (s + 1.0)  # lo + k dv, as np.arange drifts
+    y = np.exp(lo + dv * np.arange(math.ceil((math.log((45.0 + 4.0 * s) * 2**0.5) - lo) / dv) + 1))
+    bound = dv * y ** (s + 1.0) * np.exp(-y * (1.0 + (nb + 1) * wc * h) / 2**0.5)
+    y = y[bound > 1e-18 * math.gamma(s + 1.0)]
+    lam = wc * y * np.exp(0.25j * np.pi)
+    c = spec.eta_s * wc**2 * dv * y ** (s + 1.0) * np.exp(1j * lam / wc - 0.25j * np.pi * (s + 1.0))
+    powers = np.empty((nb + 1, len(y)), dtype=complex)
+    powers[0], powers[1] = 1.0, np.exp(-h * lam)
+    for m in 1 << np.arange(6):  # doubling: rows m+1..2m are rows 1..m times row m
+        powers[m + 1:2 * m + 1] = powers[1:m + 1] * powers[m]
+    return lam, c, powers
+
+
 def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
     """March the equation of motion to t = n h.
 
@@ -207,19 +219,15 @@ def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
     the memory integral; the first eight coarse steps, a second-order
     predictor-corrector on a 64x refined grid, are one power-series division.
 
-    The history sum C_m = Σ_{j<m} g_{m-j} u_j is the blocked convolution of
-    Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6 (1985) 532),
-    which tiles the pairs (m, j) by dyadic squares.  Once u is known below
-    index r, with L the largest power of two dividing r and L at least the
-    near block, the square j ∈ [r-L, r), m ∈ [r, r+L) is added to the
-    forcing d by one cyclic FFT convolution of length 2L against the kernel
-    segment g_0..g_{2L-1}, transformed once per level, or for L up to twice
-    the near block by one Toeplitz matrix-vector product.  Lags inside the
-    aligned near block holding m are in `_block_map`, so each block of steps
-    is one matrix-vector product, as in the block-wise convolution
-    quadrature of Lubich & Schädle (SIAM J. Sci. Comput. 24 (2002) 161);
-    the first block, [9, 64), carries the start-up history in its forcing.
-    Cost is O(n log² n) for the far part and O(n · near block) for the near.
+    The history sum C_m = Σ_{j<m} g_{m-j} u_j is split at aligned blocks of
+    nb steps.  Lags inside m's block are in `_block_map` (the first block,
+    [9, 64), carries the start-up in its forcing d), and the previous
+    block's lags, the exact square g_{nb+i-k}, are folded into that map.
+    Older blocks live in K sums S_k = Σ_{j<r-nb} e^{-λ_k (r-nb-j) h} u_j
+    over the modes of `_kernel_modes`: per block d += V S with V_ik =
+    c_k e^{-λ_k (nb+i) h}, then S ← e^{-λ_k nb h} S + W u_prev, the
+    oblivious convolution quadrature of Lubich & Schädle (SIAM J. Sci.
+    Comput. 24 (2002) 161).  Cost O(n (K + nb)); the far history is K numbers.
     """
     nb = _NEAR_BLOCK
     size = (n // nb + 1) * nb  # whole blocks; u past n is computed, not returned
@@ -245,30 +253,29 @@ def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
     k = refine * np.arange(n0, n0 - 4, -1)  # f_m = w u_m - trapezoid memory, m = 8, 7, 6, 5
     f = w * uf[k] - hf * np.array([gf[j::-1] @ uf[:j + 1] - 0.5 * (gf[j] + gf[0] * uf[j]) for j in k])
 
-    # lags up to 4 nb - 1 fill the two smallest squares; lags past n only ever feed m > n
-    g = _bath.correlation(spec, np.arange(max(size, 4 * nb)) * h)
+    # lags up to 2 nb - 1 fill the square; lags past n only ever feed m > n
+    g = _bath.correlation(spec, np.arange(max(size, 2 * nb)) * h)
     step_map, first_map = _block_map(g, omega0, h, nb - n0 - 1)
-    squares = {L: g[L + np.arange(L)[:, None] - np.arange(L)] for L in (nb, 2 * nb)}  # g_{L+i-k}
-    g_hat = {}                           # L -> FFT of g_0..g_{2L-1}
+    # rows (state, u_r..u_{r+nb-1}), columns (d_r..d_{r+nb-1}, state, u_{r-nb}..u_{r-1})
+    square = g[nb + np.arange(nb)[:, None] - np.arange(nb)]  # g_{nb+i-k}
+    fused = np.roll(np.hstack((step_map, step_map[:, :nb] @ square)), 6, 0)
+    _, c, powers = _kernel_modes(spec, h)
+    v, decay, modes = powers[:nb] * (c * powers[nb]), powers[nb], np.zeros_like(c)
+    w_prev = np.ascontiguousarray(powers[nb:0:-1].T)  # C order: a strided view copies per block
     # forcing: the Gregory corrections at j = 0, 1, 2; the first block also
     # carries the start-up history Σ_{j ≤ 8} g_{m-j} u_j
-    d = np.zeros(size, dtype=complex)
-    d[n0 + 1:] = (-0.625 * g[n0 + 1:size] * u[0] + g[n0:size - 1] * u[1] / 6.0
-                  - g[n0 - 1:size - 2] * u[2] / 24.0)
+    d = np.convolve(g[:size], [-0.625 * u[0], u[1] / 6.0, -u[2] / 24.0])[:size]
     d[n0 + 1:nb] += np.convolve(g[:nb], u[:n0 + 1])[n0 + 1:nb]
 
     y = first_map @ np.concatenate((d[n0 + 1:nb], u[n0:n0 - 2:-1], f))
-    u[n0 + 1:nb], state = y[:-6], y[-6:]
+    u[n0 + 1:nb] = y[:-6]
+    z = np.concatenate((np.zeros(nb), y[-6:], u[:nb]))
     for r in range(nb, size, nb):
-        L = r & -r
-        if L in squares:
-            d[r:r + L] += squares[L][:size - r] @ u[r - L:r]
-        else:
-            if L not in g_hat:
-                g_hat[L] = np.fft.fft(g[:2 * L], 2 * L)
-            d[r:r + L] += np.fft.ifft(np.fft.fft(u[r - L:r], 2 * L) * g_hat[L])[L:L + size - r]
-        y = step_map @ np.concatenate((d[r:r + nb], state))
-        u[r:r + nb], state = y[:nb], y[nb:]
+        np.matmul(v, modes, out=z[:nb])
+        z[:nb] += d[r:r + nb]
+        modes = decay * modes + w_prev @ z[-nb:]
+        z[nb:] = y = fused @ z
+        u[r:r + nb] = y[6:]
     return np.arange(n + 1) * h, u[:n + 1]
 
 
@@ -280,8 +287,8 @@ def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *,
     and is halved until one more halving changes the modulus profile |u|
     by less than _HALVING_TOL everywhere (the self-validation gate); the
     finer solution is returned, restricted to the requested grid, with
-    the gate's `refinements`, `h_final` and `halving_delta` in its
-    diagnostics (empty when no stepping was needed).
+    the gate's and the modes' evidence in its diagnostics (see
+    `PropagatorSolution`; empty when no stepping was needed).
 
     Raises
     ------
@@ -307,7 +314,12 @@ def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *,
         if delta < _HALVING_TOL:
             u_out = u_fine[::factor].copy()
             u_out[0] = 1.0 + 0.0j
-            diagnostics = {"refinements": r, "h_final": h0 / factor, "halving_delta": delta}
+            h, nb = h0 / factor, _NEAR_BLOCK
+            _, c, powers = _kernel_modes(spec, h)
+            g = _bath.correlation(spec, np.arange(2 * nb + 1) * h)  # the fit at lags nb+1..2nb
+            fit = np.max(np.abs(powers[1:] @ (c * powers[nb]) - g[nb + 1:])) / abs(g[0])
+            diagnostics = {"refinements": r, "h_final": h, "halving_delta": delta,
+                           "modes": len(c), "fit_bound": float(fit)}
             return PropagatorSolution(grid, u_out, "volterra", diagnostics=diagnostics)
         u_h = u_fine
     raise NonConvergenceError(
@@ -389,10 +401,8 @@ def _resonance_seeds(spec: BathSpec, omega0: float) -> list[float]:
     """
     w0, es, s = omega0 / spec.omega_c, spec.eta_s, spec.s
     g1 = math.gamma(s + 1.0)
-    ws = np.unique(np.concatenate([
-        np.geomspace(1e-8, _OMEGA_MAX, 1200),
-        np.linspace(1e-6, _OMEGA_MAX, 1200),
-    ]))
+    ws = np.unique(np.concatenate([np.geomspace(1e-8, _OMEGA_MAX, 1200),
+                                   np.linspace(1e-6, _OMEGA_MAX, 1200)]))
     re = np.real(_bath.inversion_denominator(spec, omega0, ws * spec.omega_c))
     i = np.flatnonzero(np.diff(re < 0))
     sign = np.where(re[i] < 0, 1.0, -1.0)  # Re B × sign rises through each zero

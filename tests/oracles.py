@@ -419,6 +419,64 @@ def step_history_direct(spec, omega0: float, h: float, n: int):
     return t, u
 
 
+def step_history_blocked_fft(spec, omega0: float, h: float, n: int):
+    """The time stepper with the dyadic blocked history sum of Hairer, Lubich
+    & Schlichte (SIAM J. Sci. Stat. Comput. 6 (1985) 532), O(n log² n).
+
+    Same start-up and block maps as `cohlab.propagator._step_history`; only
+    the history below each near block differs.  Once u is known below an
+    aligned index r, with L the largest power of two dividing r, the square
+    j ∈ [r-L, r), m ∈ [r, r+L) is added to the forcing by one Toeplitz
+    matrix-vector product for L ≤ 128 and by one cyclic FFT convolution of
+    length 2L against g_0..g_{2L-1} above.  So it reaches n = 10⁵, where the
+    O(n²) direct sum is too slow for a test.  Returns (t, u).
+    """
+    from cohlab.bath import correlation
+    from cohlab.propagator import _block_map, _series_inverse
+
+    nb = 64
+    size = (n // nb + 1) * nb
+    u = np.empty(size, dtype=complex)
+    n0 = min(8, n)
+    refine = 64
+    hf = h / refine
+    gf = correlation(spec, np.arange(n0 * refine + 1) * hf)
+    w = -1j * omega0
+    hh = 0.5 * hf * hf
+    delta = 1.0 + hf * w * (1.0 + 0.5 * hf * w) - 0.5 * (hh * gf[0]) ** 2
+    series = np.concatenate(([1.0], hh * ((1.0 + hf * w - hh * gf[0]) * gf[:-1] + gf[1:])))
+    series[1] -= delta
+    q = _series_inverse(series)
+    uf = 0.5 * (q + np.r_[1.0, delta * q[:-1]])
+    u[:n0 + 1] = uf[::refine]
+    if n <= 8:
+        return np.arange(n + 1) * h, u[:n + 1]
+    k = refine * np.arange(n0, n0 - 4, -1)
+    f = w * uf[k] - hf * np.array([gf[j::-1] @ uf[:j + 1] - 0.5 * (gf[j] + gf[0] * uf[j]) for j in k])
+
+    g = correlation(spec, np.arange(max(size, 4 * nb)) * h)
+    step_map, first_map = _block_map(g, omega0, h, nb - n0 - 1)
+    squares = {L: g[L + np.arange(L)[:, None] - np.arange(L)] for L in (nb, 2 * nb)}
+    g_hat = {}
+    d = np.zeros(size, dtype=complex)
+    d[n0 + 1:] = (-0.625 * g[n0 + 1:size] * u[0] + g[n0:size - 1] * u[1] / 6.0
+                  - g[n0 - 1:size - 2] * u[2] / 24.0)
+    d[n0 + 1:nb] += np.convolve(g[:nb], u[:n0 + 1])[n0 + 1:nb]
+    y = first_map @ np.concatenate((d[n0 + 1:nb], u[n0:n0 - 2:-1], f))
+    u[n0 + 1:nb], state = y[:-6], y[-6:]
+    for r in range(nb, size, nb):
+        L = r & -r
+        if L in squares:
+            d[r:r + L] += squares[L][:size - r] @ u[r - L:r]
+        else:
+            if L not in g_hat:
+                g_hat[L] = np.fft.fft(g[:2 * L], 2 * L)
+            d[r:r + L] += np.fft.ifft(np.fft.fft(u[r - L:r], 2 * L) * g_hat[L])[L:L + size - r]
+        y = step_map @ np.concatenate((d[r:r + nb], state))
+        u[r:r + nb], state = y[:nb], y[nb:]
+    return np.arange(n + 1) * h, u[:n + 1]
+
+
 def block_map_recurrence(g, omega0: float, h: float, n_first: int):
     """`cohlab.propagator._block_map` built by running the 64 ABM4 PECE
     steps with Gregory end corrections on the unit vectors, one step at a

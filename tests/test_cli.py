@@ -407,7 +407,7 @@ def test_solver_diagnostics_footer(tmp_path, argv, csv):
     lines = [f for f in footer if not f.startswith("max_solver_discrepancy")]
     assert [f.split(": ")[0] for f in lines] == methods
     keys = {"laplace": ["panels", "worst_tail", "sum_rule_delta"],
-            "volterra": ["refinements", "h_final", "halving_delta"]}
+            "volterra": ["refinements", "h_final", "halving_delta", "modes", "fit_bound"]}
     for m, line in zip(methods, lines):
         items = [kv.split(" = ") for kv in line.split(": ")[1].split(", ")]
         assert [k for k, _ in items] == keys[m]

@@ -37,6 +37,7 @@ from oracles import (
     find_poles_scan,
     lamb_shift_excised,
     resonance_seeds_brentq,
+    step_history_blocked_fft,
     step_history_direct,
     volterra_residual,
 )
@@ -184,11 +185,11 @@ def test_volterra_u0_exact_and_residual():
 
 @pytest.mark.parametrize("s,eta0", REFERENCE_PAIRS)
 def test_step_history_matches_direct_sum(s, eta0):
-    # the block maps and the blocked FFT history sum against the O(n^2)
-    # direct sum: n = 9 is the first step past the start-up, 63 to 65 and
-    # 127 to 129 end on either side of the first two block edges, 1000,
-    # 3001 and 5000 cross several dyadic block levels, 3001 is no power of
-    # two times the near block
+    # the block maps and the mode history sum against the O(n^2) direct
+    # sum: n = 9 is the first step past the start-up, 63 to 65 and 127 to
+    # 129 end on either side of the first two block edges, 1000, 3001 and
+    # 5000 carry many blocks in the mode sums, 3001 is no power of two
+    # times the near block
     spec = BathSpec(s, eta0)
     for n in (1, 8, 9, 63, 64, 65, 127, 128, 129, 1000, 3001, 5000):
         t, u = propagator._step_history(spec, 0.1, 0.05, n)
@@ -202,12 +203,53 @@ def test_step_history_matches_direct_sum(s, eta0):
                          + [(s, 1000.0, h) for s in (1.0, 3.0) for h in (0.005, 0.00125)])
 def test_step_history_matches_direct_sum_at_gate_steps(s, eta0, h):
     # the halving gate's finer steps: the start-up's series depends on H g_0,
-    # and n = 129 is the first step with an L = 128 far square
+    # and n = 129 is the first step past the first block with mode sums
     spec = BathSpec(s, eta0)
     for n in (8, 9, 65, 129, 1000, 3001):
         _, u = propagator._step_history(spec, 0.1, h, n)
         _, u_ref = step_history_direct(spec, 0.1, h, n)
         assert np.max(np.abs(u - u_ref)) <= 1e-12, n
+
+
+@pytest.mark.parametrize("s,eta0,omega_c", [(s, e, w) for s, e in ((0.5, 0.5), (3.0, 0.01))
+                                              for w in (0.4, 2.5)])
+def test_step_history_matches_direct_sum_off_unit_cutoff(s, eta0, omega_c):
+    # ω_c enters the modes twice, in the rates λ_k and in the weights c_k
+    spec = BathSpec(s, eta0, omega_c)
+    for n in (65, 129, 1000, 3001):
+        _, u = propagator._step_history(spec, 0.1, 0.05, n)
+        _, u_ref = step_history_direct(spec, 0.1, 0.05, n)
+        assert np.max(np.abs(u - u_ref)) <= 1e-12, n
+
+
+@pytest.mark.parametrize("s,eta0,h,n", [(3.0, 0.01, 0.0125, 32000), (0.5, 0.5, 0.01, 100000)])
+def test_step_history_matches_blocked_fft(s, eta0, h, n):
+    # past the reach of the O(n^2) direct sum: the time_stepping workload's
+    # deepest call, and 10^5 steps to t = 1000 (1562 blocks in the mode sums)
+    spec = BathSpec(s, eta0)
+    _, u = propagator._step_history(spec, 0.1, h, n)
+    _, u_ref = step_history_blocked_fft(spec, 0.1, h, n)
+    assert np.max(np.abs(u - u_ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 1.0, 3.0, 5.5, 7.5, 9.5])
+def test_kernel_modes_fit_the_kernel_past_the_near_block(s):
+    # max |Σ c_k e^{-λ_k t} - g(t)| / |g(0)| on a dense and a log grid over
+    # [65 h, 1000]; the nodes negligible at t = 65 h are dropped, so a
+    # coarser step keeps fewer modes
+    spec = BathSpec(s, 1.0)
+    counts = []
+    for h in (0.1, 0.0125, 0.003125, 0.00125):
+        lam, c, powers = propagator._kernel_modes(spec, h)
+        assert np.all(lam.real > 0.0)
+        t = np.concatenate((np.linspace(65 * h, 1000.0, 10001), np.geomspace(65 * h, 1000.0, 2001)))
+        fit = np.concatenate([np.exp(-np.outer(ch, lam)) @ c for ch in np.array_split(t, 24)])
+        assert np.max(np.abs(fit - correlation(spec, t))) <= 1e-13 * abs(correlation(spec, 0.0)), h
+        # the table by doubling, against exp at each lag: a phase of 10-100 rad
+        # carries ~1e-14 relative in the rounded argument alone
+        np.testing.assert_allclose(powers, np.exp(-np.outer(np.arange(65) * h, lam)), rtol=1e-13, atol=0)
+        counts.append(len(c))
+    assert counts == sorted(counts) and 40 <= counts[0] and counts[-1] <= 400
 
 
 @pytest.mark.parametrize("s,eta0", REFERENCE_PAIRS + [(1.0, 1000.0), (3.0, 1000.0)])
@@ -255,6 +297,8 @@ def test_volterra_diagnostics():
     d = sol.diagnostics
     assert d["h_final"] == grid.step / 2 ** d["refinements"]
     assert 0.0 <= d["halving_delta"] < 1e-5
+    assert d["modes"] == len(propagator._kernel_modes(spec, d["h_final"])[1])
+    assert 0.0 < d["fit_bound"] <= 1e-13
     assert resample(sol, TimeGrid.log(20.0, 10)).diagnostics == d
     assert solve_volterra(BathSpec(1.0, 0.0), 0.1, grid).diagnostics == {}
 
