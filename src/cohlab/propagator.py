@@ -20,6 +20,7 @@ rotates at the Lamb-shifted frequency, whose principal value is the one
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -109,7 +110,8 @@ class PropagatorSolution:
     of the returned solution), `halving_delta` (the last max ||u_fine| -
     |u_coarse|| seen by the halving gate), `modes` (K, the exponential
     modes of the far history at h_final) and `fit_bound` (their largest
-    error at lags of 65 to 128 steps, relative to |g(0)|).  Laplace
+    error relative to |g(0)|, at lags of 65 to 128 steps and at 64
+    log-spaced lags up to the stepper's horizon).  Laplace
     inversion records `panels` (the panel count of the branch-cut
     quadrature), `worst_tail` (the largest share half-width × Chebyshev
     tail of the error budget taken by a panel kept at the minimum width, 0
@@ -191,19 +193,59 @@ def _block_map(g: np.ndarray, omega0: float, h: float, n_first: int):
     return np.vstack((rows, rows[-1], rows[-2], f[:3:-1])), first_map[:, np.r_[:n_first, nb:nb + 6]]
 
 
-def _kernel_modes(spec: BathSpec, h: float):
+def _trapezoid_nodes(s: float):
+    """The trapezoid nodes y_k = exp(lo + k dv) of `_kernel_modes` and their step dv."""
+    dv = min(0.1, 0.55 / (s + 1.0))  # the step 0.1 alone is 5e-12 off at s = 9.5, h = 0.00125
+    lo = math.log(1e-17 * math.gamma(s + 2.0)) / (s + 1.0)  # lo + k dv, as np.arange drifts
+    return np.exp(lo + dv * np.arange(math.ceil((math.log((45.0 + 4.0 * s) * 2**0.5) - lo) / dv) + 1)), dv
+
+
+@functools.lru_cache(32)
+def _slow_rule(s: float, k: int):
+    """Nodes and weights of the 12-point Gauss rule of Σ dv y_j^{s+1} δ(y - y_j) over the
+    nodes y_j < 2^{-k} of `_trapezoid_nodes`: Lanczos with full reorthogonalisation on diag(y_j),
+    then the eigenvalues of the Jacobi matrix (Golub & Welsch, Math. Comp. 23 (1969) 221)."""
+    y, dv = _trapezoid_nodes(s)
+    y = y[y < 2.0**-k]
+    w = dv * y ** (s + 1.0)
+    q = np.zeros((12, len(y)))
+    q[0] = np.sqrt(w / w.sum())
+    jacobi = np.zeros((12, 12))
+    for j in range(12):
+        r = y * q[j]
+        jacobi[j, j] = r @ q[j]
+        r -= (q[:j + 1] @ r) @ q[:j + 1]
+        if j < 11:
+            jacobi[j, j + 1] = jacobi[j + 1, j] = np.linalg.norm(r)
+            q[j + 1] = r / jacobi[j + 1, j]
+    x, v = np.linalg.eigh(jacobi)
+    return x, w.sum() * v[0] ** 2
+
+
+def _kernel_modes(spec: BathSpec, h: float, horizon: float | None = None):
     """λ, c and the table e^{-λ_k j h}, j ≤ nb, of g(t) ≈ Σ_k c_k e^{-λ_k t} for t ≥ (nb+1) h:
     Γ(s+1)(1 + iτ)^{-(s+1)} = ∫_0^∞ x^s e^{-x(1+iτ)} dx on the ray x = y e^{-iπ/4} by the
     trapezoid rule in ln y, y from (1e-17 Γ(s+2))^{1/(s+1)} to (45 + 4s)√2, so λ_k =
-    ω_c y_k e^{iπ/4}, without the nodes below 1e-18 Γ(s+1) at t = (nb+1) h."""
+    ω_c y_k e^{iπ/4}, without the nodes below 1e-18 Γ(s+1) at t = (nb+1) h.
+
+    With a horizon T, to which the fit need only hold, the nodes below y_c = 2^{-k} ≤ 4/(1 +
+    ω_c T), if more than 12, become the 12-point Gauss rule of their weights (`_slow_rule`).
+    There c_k e^{-λ_k τ} ∝ w_k exp(y_k e^{iπ/4}(i - ω_c τ)), entire in y with an exponent of
+    at most y_c (1 + ω_c T) ≤ 4 for τ ≤ T: 12 nodes match the trapezoid to 2^24/24! Σw ≈ 3e-17 Σw.
+    """
     nb, s, wc = _NEAR_BLOCK, spec.s, spec.omega_c
-    dv = min(0.1, 0.55 / (s + 1.0))  # the step 0.1 alone is 5e-12 off at s = 9.5, h = 0.00125
-    lo = math.log(1e-17 * math.gamma(s + 2.0)) / (s + 1.0)  # lo + k dv, as np.arange drifts
-    y = np.exp(lo + dv * np.arange(math.ceil((math.log((45.0 + 4.0 * s) * 2**0.5) - lo) / dv) + 1))
-    bound = dv * y ** (s + 1.0) * np.exp(-y * (1.0 + (nb + 1) * wc * h) / 2**0.5)
-    y = y[bound > 1e-18 * math.gamma(s + 1.0)]
+    y, dv = _trapezoid_nodes(s)
+    wt = dv * y ** (s + 1.0)
+    if horizon is not None:
+        k = math.ceil(math.log2((1.0 + wc * horizon) / 4.0))
+        fast = y >= 2.0**-k
+        if np.count_nonzero(~fast) > 12:
+            ys, ws = _slow_rule(s, k)
+            y, wt = np.r_[ys, y[fast]], np.r_[ws, wt[fast]]
+    keep = wt * np.exp(-y * (1.0 + (nb + 1) * wc * h) / 2**0.5) > 1e-18 * math.gamma(s + 1.0)
+    y, wt = y[keep], wt[keep]
     lam = wc * y * np.exp(0.25j * np.pi)
-    c = spec.eta_s * wc**2 * dv * y ** (s + 1.0) * np.exp(1j * lam / wc - 0.25j * np.pi * (s + 1.0))
+    c = spec.eta_s * wc**2 * wt * np.exp(1j * lam / wc - 0.25j * np.pi * (s + 1.0))
     powers = np.empty((nb + 1, len(y)), dtype=complex)
     powers[0], powers[1] = 1.0, np.exp(-h * lam)
     for m in 1 << np.arange(6):  # doubling: rows m+1..2m are rows 1..m times row m
@@ -223,9 +265,12 @@ def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
     nb steps.  Lags inside m's block are in `_block_map` (the first block,
     [9, 64), carries the start-up in its forcing d), and the previous
     block's lags, the exact square g_{nb+i-k}, are folded into that map.
-    Older blocks live in K sums S_k = Σ_{j<r-nb} e^{-λ_k (r-nb-j) h} u_j
-    over the modes of `_kernel_modes`: per block d += V S with V_ik =
-    c_k e^{-λ_k (nb+i) h}, then S ← e^{-λ_k nb h} S + W u_prev, the
+    Older blocks live in K sums S_k = Σ_{j<r-nb} e^{-λ_k (r-nb-j) h} ũ_j
+    over the modes of `_kernel_modes` at the horizon size·h, where ũ_j =
+    u_j but for the Gregory weights 3/8, 7/6, 23/24 of u_0..u_2, so g is
+    evaluated at lags below 2 nb only.  Their forcing V S, V_ik = c_k
+    e^{-λ_k (nb+i) h}, is folded into the map as well: each block is one
+    matrix on (state, u_prev, S), then S ← e^{-λ_k nb h} S + W u_prev, the
     oblivious convolution quadrature of Lubich & Schädle (SIAM J. Sci.
     Comput. 24 (2002) 161).  Cost O(n (K + nb)); the far history is K numbers.
     """
@@ -253,28 +298,34 @@ def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
     k = refine * np.arange(n0, n0 - 4, -1)  # f_m = w u_m - trapezoid memory, m = 8, 7, 6, 5
     f = w * uf[k] - hf * np.array([gf[j::-1] @ uf[:j + 1] - 0.5 * (gf[j] + gf[0] * uf[j]) for j in k])
 
-    # lags up to 2 nb - 1 fill the square; lags past n only ever feed m > n
-    g = _bath.correlation(spec, np.arange(max(size, 2 * nb)) * h)
+    # the block maps, the square and the forcing d of the first two blocks take lags below 2 nb
+    g = _bath.correlation(spec, np.arange(2 * nb) * h)
     step_map, first_map = _block_map(g, omega0, h, nb - n0 - 1)
     # rows (state, u_r..u_{r+nb-1}), columns (d_r..d_{r+nb-1}, state, u_{r-nb}..u_{r-1})
     square = g[nb + np.arange(nb)[:, None] - np.arange(nb)]  # g_{nb+i-k}
     fused = np.roll(np.hstack((step_map, step_map[:, :nb] @ square)), 6, 0)
-    _, c, powers = _kernel_modes(spec, h)
-    v, decay, modes = powers[:nb] * (c * powers[nb]), powers[nb], np.zeros_like(c)
+    _, c, powers = _kernel_modes(spec, h, size * h)
+    decay = powers[nb]
     w_prev = np.ascontiguousarray(powers[nb:0:-1].T)  # C order: a strided view copies per block
-    # forcing: the Gregory corrections at j = 0, 1, 2; the first block also
-    # carries the start-up history Σ_{j ≤ 8} g_{m-j} u_j
-    d = np.convolve(g[:size], [-0.625 * u[0], u[1] / 6.0, -u[2] / 24.0])[:size]
+    # forcing: the Gregory corrections at j = 0, 1, 2 (weights 3/8, 7/6, 23/24 in
+    # place of 1); the first block also carries the start-up history Σ_{j ≤ 8} g_{m-j} u_j
+    gregory = np.array([-0.625, 1 / 6.0, -1 / 24.0])
+    d = np.convolve(g, gregory * u[:3])[:2 * nb]
     d[n0 + 1:nb] += np.convolve(g[:nb], u[:n0 + 1])[n0 + 1:nb]
 
     y = first_map @ np.concatenate((d[n0 + 1:nb], u[n0:n0 - 2:-1], f))
     u[n0 + 1:nb] = y[:-6]
-    z = np.concatenate((np.zeros(nb), y[-6:], u[:nb]))
-    for r in range(nb, size, nb):
-        np.matmul(v, modes, out=z[:nb])
-        z[:nb] += d[r:r + nb]
-        modes = decay * modes + w_prev @ z[-nb:]
-        z[nb:] = y = fused @ z
+    # x = (state, u_{r-nb}..u_{r-1}, S), S already at the third block; from there on
+    # the corrections ride in S, and the forcing V S in the map's columns fused[:, :nb] V
+    x = np.concatenate((y[-6:], u[:nb], w_prev @ np.r_[(1.0 + gregory) * u[:3], u[3:nb]]))
+    step = np.hstack((fused[:, nb:], fused[:, :nb] @ (powers[:nb] * (c * decay))))
+    if size > nb:  # the second block: forcing d, no far history yet
+        x[:nb + 6] = y = fused @ np.concatenate((d[nb:], x[:nb + 6]))
+        u[nb:2 * nb] = y[6:]
+    for r in range(2 * nb, size, nb):
+        modes = decay * x[nb + 6:] + w_prev @ x[6:nb + 6]
+        x[:nb + 6] = y = step @ x
+        x[nb + 6:] = modes
         u[r:r + nb] = y[6:]
     return np.arange(n + 1) * h, u[:n + 1]
 
@@ -288,7 +339,8 @@ def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *,
     by less than _HALVING_TOL everywhere (the self-validation gate); the
     finer solution is returned, restricted to the requested grid, with
     the gate's and the modes' evidence in its diagnostics (see
-    `PropagatorSolution`; empty when no stepping was needed).
+    `PropagatorSolution`; empty when no stepping was needed).  K and the
+    fit bound are those of the final step's modes at its horizon.
 
     Raises
     ------
@@ -315,9 +367,13 @@ def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *,
             u_out = u_fine[::factor].copy()
             u_out[0] = 1.0 + 0.0j
             h, nb = h0 / factor, _NEAR_BLOCK
-            _, c, powers = _kernel_modes(spec, h)
-            g = _bath.correlation(spec, np.arange(2 * nb + 1) * h)  # the fit at lags nb+1..2nb
-            fit = np.max(np.abs(powers[1:] @ (c * powers[nb]) - g[nb + 1:])) / abs(g[0])
+            horizon = (n0 * factor // nb + 1) * nb * h  # `_step_history`'s whole blocks
+            lam, c, powers = _kernel_modes(spec, h, horizon)
+            # the fit at lags nb+1..2nb and at 64 log-spaced lags up to the horizon
+            t_log = np.geomspace((nb + 1) * h, horizon, 64)
+            g = _bath.correlation(spec, np.r_[np.arange(2 * nb + 1) * h, t_log])
+            err = np.r_[powers[1:] @ (c * powers[nb]), np.exp(-np.outer(t_log, lam)) @ c] - g[nb + 1:]
+            fit = np.max(np.abs(err)) / abs(g[0])
             diagnostics = {"refinements": r, "h_final": h, "halving_delta": delta,
                            "modes": len(c), "fit_bound": float(fit)}
             return PropagatorSolution(grid, u_out, "volterra", diagnostics=diagnostics)

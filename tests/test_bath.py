@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -119,6 +120,23 @@ def test_correlation_modulus_identity():
     t = np.array([0.0, 0.7, 4.0, 31.0])
     expect = spec.eta_s * math.gamma(4.0) / (1.0 + t**2) ** 2
     np.testing.assert_allclose(np.abs(correlation(spec, t)), expect, rtol=1e-13)
+
+
+def test_correlation_matches_mpmath_to_rounding():
+    # the principal branch in real arithmetic, against 40 digits on t in ±[1e-6, 1e12];
+    # numpy's complex power is 4.2e-14 off at s = 9.5, t = 42
+    t = np.r_[np.geomspace(1e-6, 1e12, 37), 42.0]
+    t = np.r_[t, -t]
+    for s in (0.3, 0.5, 1.0, 3.0, 5.5, 9.5, 15.0):
+        for omega_c in (1.0, 2.5):
+            spec = BathSpec(s, 0.5, omega_c)
+            with mpmath.workdps(40):
+                ref = np.array([complex(spec.eta_s * omega_c**2 * mpmath.gamma(s + 1)
+                                        / (1 + 1j * omega_c * mpmath.mpf(x)) ** (s + 1)) for x in t])
+            got = correlation(spec, t)
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 5e-15, (s, omega_c)
+            scalar = correlation(spec, 42.0)
+            assert type(scalar) is complex and abs(scalar - ref[37]) <= 5e-15 * abs(ref[37])
 
 
 def test_denominator_free_limit():

@@ -252,6 +252,32 @@ def test_kernel_modes_fit_the_kernel_past_the_near_block(s):
     assert counts == sorted(counts) and 40 <= counts[0] and counts[-1] <= 400
 
 
+@pytest.mark.parametrize("s", [0.3, 0.5, 1.0, 3.0, 5.5, 7.5, 9.5])
+def test_kernel_modes_fit_to_the_horizon(s):
+    # with a horizon T the nodes below y_c = 2^-k ≤ 4/(1 + ω_c T) are one 12-point
+    # Gauss rule: the fit over [65 h, T] holds, and each slow mode keeps a positive
+    # weight w = c / (η_s ω_c² e^{iλ/ω_c - iπ(s+1)/4}) on the ray
+    spec = BathSpec(s, 1.0)
+    g0 = abs(correlation(spec, 0.0))
+    for h in (0.1, 0.0125, 0.003125, 0.00125):
+        full = len(propagator._kernel_modes(spec, h)[1])
+        for horizon in (0.24, 150.0, 1000.0, 1e4):
+            lam, c, _ = propagator._kernel_modes(spec, h, horizon)
+            assert np.all(lam.real > 0.0) and len(c) <= full, (h, horizon)
+            y_c = 2.0 ** -math.ceil(math.log2((1.0 + horizon) / 4.0))
+            slow = np.abs(lam) < y_c
+            w = c[slow] / (spec.eta_s * np.exp(1j * lam[slow] - 0.25j * np.pi * (s + 1.0)))
+            trapezoid_slow = np.count_nonzero(propagator._trapezoid_nodes(s)[0] < y_c)
+            assert np.count_nonzero(slow) == min(12, trapezoid_slow), (h, horizon)
+            assert np.all(w.real > 0.0) and np.all(np.abs(w.imag) <= 1e-12 * w.real), (h, horizon)
+            if horizon > 65 * h:
+                t = np.concatenate((np.linspace(65 * h, horizon, 10001), np.geomspace(65 * h, horizon, 2001)))
+                fit = np.concatenate([np.exp(-np.outer(ch, lam)) @ c for ch in np.array_split(t, 24)])
+                assert np.max(np.abs(fit - correlation(spec, t))) <= 1e-13 * g0, (h, horizon)
+    if s == 0.5:  # 298 modes without the horizon: a fall-back to the full set fails here
+        assert len(propagator._kernel_modes(spec, 0.005, 1000.0)[1]) <= 120
+
+
 @pytest.mark.parametrize("s,eta0", REFERENCE_PAIRS + [(1.0, 1000.0), (3.0, 1000.0)])
 def test_block_map_matches_unit_vector_recurrence(s, eta0):
     spec = BathSpec(s, eta0)
@@ -297,7 +323,8 @@ def test_volterra_diagnostics():
     d = sol.diagnostics
     assert d["h_final"] == grid.step / 2 ** d["refinements"]
     assert 0.0 <= d["halving_delta"] < 1e-5
-    assert d["modes"] == len(propagator._kernel_modes(spec, d["h_final"])[1])
+    horizon = (200 * 2 ** d["refinements"] // 64 + 1) * 64 * d["h_final"]  # the stepper's whole blocks
+    assert d["modes"] == len(propagator._kernel_modes(spec, d["h_final"], horizon)[1])
     assert 0.0 < d["fit_bound"] <= 1e-13
     assert resample(sol, TimeGrid.log(20.0, 10)).diagnostics == d
     assert solve_volterra(BathSpec(1.0, 0.0), 0.1, grid).diagnostics == {}
