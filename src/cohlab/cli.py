@@ -8,7 +8,7 @@ solutions; COHLAB_THREADS sets the worker pool for the solves, capped by
 their number and the number of CPUs.  With solver 'both' every solve is
 checked against the other route once.  That check and each solver's
 diagnostics are footer lines that travel with the solution into every CSV
-drawn from it.
+drawn from it.  The parser is built once per process, on first use.
 
 Every CSV starts with a '#'-prefixed header recording the fully resolved
 configuration, uses 17-significant-digit floats, '\\n' newlines and UTF-8,
@@ -21,6 +21,7 @@ CROSS_SOLVER_TOL; 2 for a configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -412,6 +413,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="uniform instead of log-spaced output times")
 
 
+@functools.cache  # depends on no input, and parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="cohlab",
                                  description="coherent-state qubit decoherence toolkit")

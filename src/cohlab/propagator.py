@@ -269,10 +269,11 @@ def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
     over the modes of `_kernel_modes` at the horizon size·h, where ũ_j =
     u_j but for the Gregory weights 3/8, 7/6, 23/24 of u_0..u_2, so g is
     evaluated at lags below 2 nb only.  Their forcing V S, V_ik = c_k
-    e^{-λ_k (nb+i) h}, is folded into the map as well: each block is one
-    matrix on (state, u_prev, S), then S ← e^{-λ_k nb h} S + W u_prev, the
-    oblivious convolution quadrature of Lubich & Schädle (SIAM J. Sci.
-    Comput. 24 (2002) 161).  Cost O(n (K + nb)); the far history is K numbers.
+    e^{-λ_k (nb+i) h}, is folded into the map as well, and so is the mode
+    update S ← e^{-λ_k nb h} S + W u_prev, the oblivious convolution
+    quadrature of Lubich & Schädle (SIAM J. Sci. Comput. 24 (2002) 161):
+    each block is one product of (state, u_prev, S) with a (70 + K)² matrix.
+    Cost O(n (K + nb)²/nb); the far history is K numbers.
     """
     nb = _NEAR_BLOCK
     size = (n // nb + 1) * nb  # whole blocks; u past n is computed, not returned
@@ -306,7 +307,7 @@ def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
     fused = np.roll(np.hstack((step_map, step_map[:, :nb] @ square)), 6, 0)
     _, c, powers = _kernel_modes(spec, h, size * h)
     decay = powers[nb]
-    w_prev = np.ascontiguousarray(powers[nb:0:-1].T)  # C order: a strided view copies per block
+    w_prev = powers[nb:0:-1].T
     # forcing: the Gregory corrections at j = 0, 1, 2 (weights 3/8, 7/6, 23/24 in
     # place of 1); the first block also carries the start-up history Σ_{j ≤ 8} g_{m-j} u_j
     gregory = np.array([-0.625, 1 / 6.0, -1 / 24.0])
@@ -322,11 +323,16 @@ def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
     if size > nb:  # the second block: forcing d, no far history yet
         x[:nb + 6] = y = fused @ np.concatenate((d[nb:], x[:nb + 6]))
         u[nb:2 * nb] = y[6:]
+    # from the third block on, one product a block: x ← x a, a = [step.T | (0; W.T; diag(decay))]
+    a = np.zeros((len(x), len(x)), dtype=complex)
+    a[:, :nb + 6] = step.T
+    a[6:nb + 6, nb + 6:] = w_prev.T
+    np.fill_diagonal(a[nb + 6:, nb + 6:], decay)
+    x_next = np.empty_like(x)
     for r in range(2 * nb, size, nb):
-        modes = decay * x[nb + 6:] + w_prev @ x[6:nb + 6]
-        x[:nb + 6] = y = step @ x
-        x[nb + 6:] = modes
-        u[r:r + nb] = y[6:]
+        np.dot(x, a, out=x_next)
+        x, x_next = x_next, x
+        u[r:r + nb] = x[6:nb + 6]
     return np.arange(n + 1) * h, u[:n + 1]
 
 
@@ -444,6 +450,14 @@ def find_poles(spec: BathSpec, omega0: float) -> list[tuple[complex, complex]]:
     return [(1j * float(yp[0]) * spec.omega_c, complex(1.0 / slope))]
 
 
+@functools.cache
+def _seed_scan() -> np.ndarray:
+    """`_resonance_seeds`' read-only scan, in units of ω_c; on first use, as np.unique loads numpy.ma."""
+    ws = np.unique(np.r_[np.geomspace(1e-8, _OMEGA_MAX, 1200), np.linspace(1e-6, _OMEGA_MAX, 1200)])
+    ws.flags.writeable = False
+    return ws
+
+
 def _resonance_seeds(spec: BathSpec, omega0: float) -> list[float]:
     """Forced panel breakpoints: ω_0 and the zeros of Re B (narrow resonances).
 
@@ -457,8 +471,7 @@ def _resonance_seeds(spec: BathSpec, omega0: float) -> list[float]:
     """
     w0, es, s = omega0 / spec.omega_c, spec.eta_s, spec.s
     g1 = math.gamma(s + 1.0)
-    ws = np.unique(np.concatenate([np.geomspace(1e-8, _OMEGA_MAX, 1200),
-                                   np.linspace(1e-6, _OMEGA_MAX, 1200)]))
+    ws = _seed_scan()
     re = np.real(_bath.inversion_denominator(spec, omega0, ws * spec.omega_c))
     i = np.flatnonzero(np.diff(re < 0))
     sign = np.where(re[i] < 0, 1.0, -1.0)  # Re B × sign rises through each zero

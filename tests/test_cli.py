@@ -1,5 +1,6 @@
 """Command-line front end: config handling, CSV contracts, figure bundles."""
 
+import importlib
 import math
 import os
 import subprocess
@@ -337,6 +338,41 @@ def test_exit_codes(tmp_path, capsys):
                  str(tmp_path), "--s", "-3"]) == 2      # config error
     assert main(["sweep", "--axis", "eta0", "--values", "",
                  "--out", str(tmp_path)]) == 2
+
+
+# all four commands, --config, --linear-out, and flags left unset
+_ARGVS = [["propagator", "--s", "0.5", "--solver", "both", "--linear-out"],
+          ["channel", "--eta0", "0.5", "--code", "phase", "--n", "3", "--out-points", "20"],
+          ["figure", "--id", "2a", "--config", "run.cfg", "--tmax", "50"],
+          ["sweep", "--axis", "n", "--values", "1,3", "--out", "x"],
+          ["channel"]]
+
+
+def test_parser_reuse_leaks_no_state(tmp_path, capsys):
+    # the parser is built once per process; every parse must still read as
+    # one by a parser of its own
+    assert cli.build_parser() is cli.build_parser()
+    want = [vars(cli.build_parser.__wrapped__().parse_args(a)) for a in _ARGVS]
+
+    def check():
+        for i in [*range(len(_ARGVS)), *reversed(range(len(_ARGVS)))]:
+            assert vars(cli.build_parser().parse_args(_ARGVS[i])) == want[i]
+
+    check()
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["figure", "--id", "99"])
+    check()
+    assert main(["channel", "--s", "-3", "--out", str(tmp_path)]) == 2  # ConfigError
+    check()
+
+
+@pytest.mark.parametrize("layer", ["cli", "propagator", "_fourier", "bath", "codes", "channel"])
+def test_traced_functions_are_not_wrapped(layer):
+    # cohbench's tracer skips an attribute with __wrapped__, so a functools
+    # decorator on one of these would read 0 in that layer's metrics
+    mod = importlib.import_module(f"cohlab.{layer}")
+    names = [*mod.__all__, *(["write_csv"] if layer == "cli" else [])]
+    assert [n for n in names if hasattr(getattr(mod, n), "__wrapped__")] == []
 
 
 @pytest.mark.parametrize("axis, values", [("eta0", "1,x"), ("n", "2.7"), ("n", "1,inf"),

@@ -427,6 +427,14 @@ def test_resonance_seeds_bracket_each_sign_change(s, eta0):
     assert all(a < w < b for w, (a, b) in zip(seeds[1:], expect))
 
 
+def test_seed_scan_is_built_once_and_read_only():
+    # every solve shares the scan grid, so no caller may write to it
+    ws = np.unique(np.concatenate([np.geomspace(1e-8, 50.0, 1200), np.linspace(1e-6, 50.0, 1200)]))
+    assert propagator._seed_scan() is propagator._seed_scan()
+    assert not propagator._seed_scan().flags.writeable
+    np.testing.assert_array_equal(propagator._seed_scan(), ws)
+
+
 @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0, 3.0, 5.5])
 def test_principal_value_slope_identity(s):
     # PV' = (s PV - Γ(s+1))/ω - PV, the slope _resonance_seeds' Newton uses,
