@@ -122,7 +122,8 @@ def build_panels(f, a: float, b: float, *, seeds=()) -> PanelSet:
     panels together exceed _MAX_PANELS.
     """
     min_width = (b - a) * 2.0**-50
-    pts = np.unique([a, b, *(float(x) for x in seeds if a < x < b)])
+    pts = np.sort([a, b, *(float(x) for x in seeds if a < x < b)])
+    pts = pts[np.r_[True, pts[1:] != pts[:-1]]]  # np.unique's points, without loading numpy.ma
     lo, hi = pts[:-1], pts[1:]
     kept = []
     n_kept = 0

@@ -124,13 +124,13 @@ def parse_config_file(path: str) -> dict:
 
 def _coerce(key: str, val: str):
     kind = _FIELD_TYPES[key]
-    if kind in ("bool", bool):
+    if kind == "bool":
         if val.lower() not in _BOOL:
             raise ValueError(f"expected a boolean, got {val!r}")
         return _BOOL[val.lower()]
-    if kind in ("int", int):
+    if kind == "int":
         return int(val)
-    if kind in ("float", float):
+    if kind == "float":
         return float(val)
     return val
 

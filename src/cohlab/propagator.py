@@ -51,6 +51,12 @@ _TAIL_X, _TAIL_W = np.polynomial.legendre.leggauss(12)
 _TAIL_X = (_OMEGA_MAX + 2.5 * np.arange(1, 8, 2)[:, None] + 2.5 * _TAIL_X).ravel()
 _TAIL_W = np.tile(2.5 * _TAIL_W, 4)
 
+# `_resonance_seeds`' read-only scan, in units of ω_c: both grids' distinct points, sorted
+# and masked for repeats, as np.unique would load numpy.ma
+_SEED_SCAN = np.sort(np.r_[np.geomspace(1e-8, _OMEGA_MAX, 1200), np.linspace(1e-6, _OMEGA_MAX, 1200)])
+_SEED_SCAN = _SEED_SCAN[np.r_[True, _SEED_SCAN[1:] != _SEED_SCAN[:-1]]]
+_SEED_SCAN.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -159,15 +165,15 @@ def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
     return sliding_window_view(np.concatenate((np.zeros(len(c) - 1, c.dtype), c)), len(c))[:, ::-1]
 
 
-def _block_map(g: np.ndarray, omega0: float, h: float, n_first: int):
-    """The `_NEAR_BLOCK` coarse steps from an aligned index r as one linear map.
+def _block_map(g: np.ndarray, omega0: float, h: float) -> np.ndarray:
+    """The `_NEAR_BLOCK` coarse steps from a block start r as one linear map.
 
-    Columns are the forcing d_r..d_{r+nb-1} (history below the block plus
-    the Gregory corrections at j = 0, 1, 2) and the state (u_{r-1}, u_{r-2},
-    f_{r-1}, ..., f_{r-4}); rows are u_r..u_{r+nb-1} and the state at r + nb.
-    With f = A u - base, base_i being h d_i plus the in-block Gregory sum,
-    the PECE steps are one unit lower-triangular Toeplitz system in u,
-    solved by `_series_inverse`.  The second map is the first n_first steps.
+    Columns are the forcing d_r..d_{r+nb-1} (the history below the block,
+    Σ_{j<r} g_{m-j} ũ_j with ũ the Gregory-weighted u of `_step_history`)
+    and the state (u_{r-1}, u_{r-2}, f_{r-1}, ..., f_{r-4}); rows are
+    u_r..u_{r+nb-1} and the state at r + nb.  With f = A u - base, base_i
+    being h d_i plus the in-block Gregory sum, the PECE steps are one unit
+    lower-triangular Toeplitz system in u, solved by `_series_inverse`.
     """
     nb = _NEAR_BLOCK
     a = h / 24.0
@@ -186,11 +192,10 @@ def _block_map(g: np.ndarray, omega0: float, h: float, n_first: int):
     e_s[:5, 1] = v * h * g[2] / 24.0
     e_s[:4, 2:] = sliding_window_view(np.r_[w, 0.0, 0.0, 0.0], 4)
     rows = np.hstack((-h * _lower_toeplitz(np.convolve(q, v)[:nb]), _lower_toeplitz(q)[:, :6] @ e_s))
-    j = np.r_[n_first - 4:n_first, nb - 4:nb]  # f_j at the ends of both maps
+    j = np.arange(nb - 1, nb - 5, -1)  # f_j at the block's end
     f = big_a * rows[j] - _lower_toeplitz(b)[j] @ rows
-    f[np.arange(8), j] -= h
-    first_map = np.vstack((rows[:n_first], rows[n_first - 1], rows[n_first - 2], f[3::-1]))
-    return np.vstack((rows, rows[-1], rows[-2], f[:3:-1])), first_map[:, np.r_[:n_first, nb:nb + 6]]
+    f[np.arange(4), j] -= h
+    return np.vstack((rows, rows[-1], rows[-2], f))
 
 
 def _trapezoid_nodes(s: float):
@@ -253,6 +258,13 @@ def _kernel_modes(spec: BathSpec, h: float, horizon: float | None = None):
     return lam, c, powers
 
 
+def _whole_blocks(n: int) -> int:
+    """Steps `_step_history` computes for n: the start-up's min(8, n) + 1, then whole
+    blocks of `_NEAR_BLOCK` from step 9; u past n is computed, not returned."""
+    nb = _NEAR_BLOCK
+    return min(8, n) + 1 + nb * -(-max(n - 8, 0) // nb)
+
+
 def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
     """March the equation of motion to t = n h.
 
@@ -261,22 +273,23 @@ def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
     the memory integral; the first eight coarse steps, a second-order
     predictor-corrector on a 64x refined grid, are one power-series division.
 
-    The history sum C_m = Σ_{j<m} g_{m-j} u_j is split at aligned blocks of
-    nb steps.  Lags inside m's block are in `_block_map` (the first block,
-    [9, 64), carries the start-up in its forcing d), and the previous
-    block's lags, the exact square g_{nb+i-k}, are folded into that map.
-    Older blocks live in K sums S_k = Σ_{j<r-nb} e^{-λ_k (r-nb-j) h} ũ_j
-    over the modes of `_kernel_modes` at the horizon size·h, where ũ_j =
-    u_j but for the Gregory weights 3/8, 7/6, 23/24 of u_0..u_2, so g is
-    evaluated at lags below 2 nb only.  Their forcing V S, V_ik = c_k
-    e^{-λ_k (nb+i) h}, is folded into the map as well, and so is the mode
-    update S ← e^{-λ_k nb h} S + W u_prev, the oblivious convolution
-    quadrature of Lubich & Schädle (SIAM J. Sci. Comput. 24 (2002) 161):
-    each block is one product of (state, u_prev, S) with a (70 + K)² matrix.
+    From step 9 on, the steps go in blocks of nb = 64, each the map of
+    `_block_map`.  The history sum C_m = Σ_{j<m} g_{m-j} ũ_j, where ũ_j =
+    u_j but for the Gregory weights 3/8, 7/6, 23/24 of u_0..u_2, is split
+    at the block starts r.  The previous block's lags, the exact square
+    g_{nb+i-k}, are folded into the map.  Older blocks live in K sums S_k =
+    Σ_{j<r-nb} e^{-λ_k (r-nb-j) h} ũ_j over the modes of `_kernel_modes` at
+    the horizon `_whole_blocks`(n)·h, so g is evaluated at lags below 2 nb
+    only.  Their forcing V S, V_ik = c_k e^{-λ_k (nb+i) h}, is folded into
+    the map as well, and so is the mode update S ← e^{-λ_k nb h} S + W
+    u_prev, the oblivious convolution quadrature of Lubich & Schädle (SIAM
+    J. Sci. Comput. 24 (2002) 161): each block is one product of (state,
+    u_prev, S) with a (70 + K)² matrix.  The start-up is the first block's
+    history: at r = 9, u_prev is 55 zeros and ũ_0..ũ_8, and S = 0.
     Cost O(n (K + nb)²/nb); the far history is K numbers.
     """
     nb = _NEAR_BLOCK
-    size = (n // nb + 1) * nb  # whole blocks; u past n is computed, not returned
+    size = _whole_blocks(n)
     u = np.empty(size, dtype=complex)
     n0 = min(8, n)
 
@@ -295,41 +308,29 @@ def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
     uf = 0.5 * (q + np.r_[1.0, delta * q[:-1]])
     u[:n0 + 1] = uf[::refine]
     if n <= 8:
-        return np.arange(n + 1) * h, u[:n + 1]
+        return np.arange(n + 1) * h, u
     k = refine * np.arange(n0, n0 - 4, -1)  # f_m = w u_m - trapezoid memory, m = 8, 7, 6, 5
     f = w * uf[k] - hf * np.array([gf[j::-1] @ uf[:j + 1] - 0.5 * (gf[j] + gf[0] * uf[j]) for j in k])
 
-    # the block maps, the square and the forcing d of the first two blocks take lags below 2 nb
+    # the block map and the square g_{nb+i-k} take lags below 2 nb
     g = _bath.correlation(spec, np.arange(2 * nb) * h)
-    step_map, first_map = _block_map(g, omega0, h, nb - n0 - 1)
-    # rows (state, u_r..u_{r+nb-1}), columns (d_r..d_{r+nb-1}, state, u_{r-nb}..u_{r-1})
-    square = g[nb + np.arange(nb)[:, None] - np.arange(nb)]  # g_{nb+i-k}
-    fused = np.roll(np.hstack((step_map, step_map[:, :nb] @ square)), 6, 0)
+    step_map = _block_map(g, omega0, h)
+    square = g[nb + np.arange(nb)[:, None] - np.arange(nb)]
     _, c, powers = _kernel_modes(spec, h, size * h)
     decay = powers[nb]
-    w_prev = powers[nb:0:-1].T
-    # forcing: the Gregory corrections at j = 0, 1, 2 (weights 3/8, 7/6, 23/24 in
-    # place of 1); the first block also carries the start-up history Σ_{j ≤ 8} g_{m-j} u_j
-    gregory = np.array([-0.625, 1 / 6.0, -1 / 24.0])
-    d = np.convolve(g, gregory * u[:3])[:2 * nb]
-    d[n0 + 1:nb] += np.convolve(g[:nb], u[:n0 + 1])[n0 + 1:nb]
-
-    y = first_map @ np.concatenate((d[n0 + 1:nb], u[n0:n0 - 2:-1], f))
-    u[n0 + 1:nb] = y[:-6]
-    # x = (state, u_{r-nb}..u_{r-1}, S), S already at the third block; from there on
-    # the corrections ride in S, and the forcing V S in the map's columns fused[:, :nb] V
-    x = np.concatenate((y[-6:], u[:nb], w_prev @ np.r_[(1.0 + gregory) * u[:3], u[3:nb]]))
-    step = np.hstack((fused[:, nb:], fused[:, :nb] @ (powers[:nb] * (c * decay))))
-    if size > nb:  # the second block: forcing d, no far history yet
-        x[:nb + 6] = y = fused @ np.concatenate((d[nb:], x[:nb + 6]))
-        u[nb:2 * nb] = y[6:]
-    # from the third block on, one product a block: x ← x a, a = [step.T | (0; W.T; diag(decay))]
-    a = np.zeros((len(x), len(x)), dtype=complex)
-    a[:, :nb + 6] = step.T
-    a[6:nb + 6, nb + 6:] = w_prev.T
+    # step: rows (state, u_r..u_{r+nb-1}), columns (state, u_{r-nb}..u_{r-1}, S), the
+    # forcing d being square u_prev + V S; then x ← x a, a = [step.T | (0; W.T; diag(decay))]
+    step = np.hstack((step_map[:, nb:], step_map[:, :nb] @ np.hstack((square, powers[:nb] * (c * decay)))))
+    a = np.zeros((nb + 6 + len(c),) * 2, dtype=complex)
+    a[:, :nb + 6] = np.roll(step, 6, 0).T
+    a[6:nb + 6, nb + 6:] = powers[nb:0:-1]
     np.fill_diagonal(a[nb + 6:, nb + 6:], decay)
+    # the first block, at r = 9: u_prev = (0 × 55, ũ_0..ũ_8) and S = 0
+    x = np.zeros(len(a), dtype=complex)
+    x[:6] = u[8], u[7], *f
+    x[nb - 3:nb + 6] = u[:9] * np.r_[0.375, 7 / 6, 23 / 24, np.ones(6)]
     x_next = np.empty_like(x)
-    for r in range(2 * nb, size, nb):
+    for r in range(9, size, nb):
         np.dot(x, a, out=x_next)
         x, x_next = x_next, x
         u[r:r + nb] = x[6:nb + 6]
@@ -373,7 +374,7 @@ def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *,
             u_out = u_fine[::factor].copy()
             u_out[0] = 1.0 + 0.0j
             h, nb = h0 / factor, _NEAR_BLOCK
-            horizon = (n0 * factor // nb + 1) * nb * h  # `_step_history`'s whole blocks
+            horizon = _whole_blocks(n0 * factor) * h
             lam, c, powers = _kernel_modes(spec, h, horizon)
             # the fit at lags nb+1..2nb and at 64 log-spaced lags up to the horizon
             t_log = np.geomspace((nb + 1) * h, horizon, 64)
@@ -450,14 +451,6 @@ def find_poles(spec: BathSpec, omega0: float) -> list[tuple[complex, complex]]:
     return [(1j * float(yp[0]) * spec.omega_c, complex(1.0 / slope))]
 
 
-@functools.cache
-def _seed_scan() -> np.ndarray:
-    """`_resonance_seeds`' read-only scan, in units of ω_c; on first use, as np.unique loads numpy.ma."""
-    ws = np.unique(np.r_[np.geomspace(1e-8, _OMEGA_MAX, 1200), np.linspace(1e-6, _OMEGA_MAX, 1200)])
-    ws.flags.writeable = False
-    return ws
-
-
 def _resonance_seeds(spec: BathSpec, omega0: float) -> list[float]:
     """Forced panel breakpoints: ω_0 and the zeros of Re B (narrow resonances).
 
@@ -471,7 +464,7 @@ def _resonance_seeds(spec: BathSpec, omega0: float) -> list[float]:
     """
     w0, es, s = omega0 / spec.omega_c, spec.eta_s, spec.s
     g1 = math.gamma(s + 1.0)
-    ws = _seed_scan()
+    ws = _SEED_SCAN
     re = np.real(_bath.inversion_denominator(spec, omega0, ws * spec.omega_c))
     i = np.flatnonzero(np.diff(re < 0))
     sign = np.where(re[i] < 0, 1.0, -1.0)  # Re B × sign rises through each zero

@@ -423,10 +423,12 @@ def step_history_blocked_fft(spec, omega0: float, h: float, n: int):
     """The time stepper with the dyadic blocked history sum of Hairer, Lubich
     & Schlichte (SIAM J. Sci. Stat. Comput. 6 (1985) 532), O(n log² n).
 
-    Same start-up and block maps as `cohlab.propagator._step_history`; only
-    the history below each near block differs.  Once u is known below an
-    aligned index r, with L the largest power of two dividing r, the square
-    j ∈ [r-L, r), m ∈ [r, r+L) is added to the forcing by one Toeplitz
+    Same start-up and step map as `cohlab.propagator._step_history`, but
+    the blocks are aligned at multiples of 64: the first, steps 9 to 63,
+    takes its map from `block_map_recurrence`, and the history below each
+    block differs.  Once u is known below an aligned index r, with L the
+    largest power of two dividing r, the square j ∈ [r-L, r), m ∈ [r, r+L)
+    is added to the forcing by one Toeplitz
     matrix-vector product for L ≤ 128 and by one cyclic FFT convolution of
     length 2L against g_0..g_{2L-1} above.  So it reaches n = 10⁵, where the
     O(n²) direct sum is too slow for a test.  Returns (t, u).
@@ -455,7 +457,8 @@ def step_history_blocked_fft(spec, omega0: float, h: float, n: int):
     f = w * uf[k] - hf * np.array([gf[j::-1] @ uf[:j + 1] - 0.5 * (gf[j] + gf[0] * uf[j]) for j in k])
 
     g = correlation(spec, np.arange(max(size, 4 * nb)) * h)
-    step_map, first_map = _block_map(g, omega0, h, nb - n0 - 1)
+    step_map = _block_map(g, omega0, h)
+    first_map = block_map_recurrence(g, omega0, h, nb - n0 - 1)[1]
     squares = {L: g[L + np.arange(L)[:, None] - np.arange(L)] for L in (nb, 2 * nb)}
     g_hat = {}
     d = np.zeros(size, dtype=complex)
@@ -485,7 +488,8 @@ def block_map_recurrence(g, omega0: float, h: float, n_first: int):
     Columns are the forcing d_r..d_{r+63} and the state (u_{r-1}, u_{r-2},
     f_{r-1}, ..., f_{r-4}); rows are u_r..u_{r+63} and the same state at
     r + 64.  The second map is the first n_first steps alone, with columns
-    d_r..d_{r+n_first-1} and the state.
+    d_r..d_{r+n_first-1} and the state: the short first block of
+    `step_history_blocked_fft`.
     """
     nb = 64
     basis = np.eye(nb + 6, dtype=complex)

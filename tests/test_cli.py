@@ -472,3 +472,14 @@ def test_default_figure_leaves_out_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split()[-1:] == ["done"]
     assert len(list(tmp_path.glob("figure4_*.csv"))) == 12
+
+
+def test_first_solve_leaves_out_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call; no solve may pay that in a fresh process
+    code = ("import sys; from cohlab import cli; "
+            "code = cli.main(['channel', '--s', '2', '--eta0', '0.5', '--tmax', '50', '--out-points', '20', "
+            f"'--out', {str(tmp_path)!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cohlab.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split()[-2:] == ["0", "False"]  # after the CSV path main prints

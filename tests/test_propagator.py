@@ -185,13 +185,14 @@ def test_volterra_u0_exact_and_residual():
 
 @pytest.mark.parametrize("s,eta0", REFERENCE_PAIRS)
 def test_step_history_matches_direct_sum(s, eta0):
-    # the block maps and the mode history sum against the O(n^2) direct
-    # sum: n = 9 is the first step past the start-up, 63 to 65 and 127 to
-    # 129 end on either side of the first two block edges, 1000, 3001 and
-    # 5000 carry many blocks in the mode sums, 3001 is no power of two
+    # the block map and the mode history sum against the O(n^2) direct
+    # sum: n = 9 is the first step past the start-up, blocks start at 9, 73
+    # and 137, so 72 to 74 and 136 to 138 end on either side of the first
+    # two block edges, 63 to 65 and 127 to 129 inside a block, 1000, 3001
+    # and 5000 carry many blocks in the mode sums, 3001 is no power of two
     # times the near block
     spec = BathSpec(s, eta0)
-    for n in (1, 8, 9, 63, 64, 65, 127, 128, 129, 1000, 3001, 5000):
+    for n in (1, 8, 9, 63, 64, 65, 72, 73, 74, 127, 128, 129, 136, 137, 138, 1000, 3001, 5000):
         t, u = propagator._step_history(spec, 0.1, 0.05, n)
         t_ref, u_ref = step_history_direct(spec, 0.1, 0.05, n)
         assert len(u) == n + 1
@@ -203,9 +204,10 @@ def test_step_history_matches_direct_sum(s, eta0):
                          + [(s, 1000.0, h) for s in (1.0, 3.0) for h in (0.005, 0.00125)])
 def test_step_history_matches_direct_sum_at_gate_steps(s, eta0, h):
     # the halving gate's finer steps: the start-up's series depends on H g_0,
-    # and n = 129 is the first step past the first block with mode sums
+    # n = 73 is the first step of the second block and 137 the first step
+    # of the first block whose mode sums hold more than the start-up
     spec = BathSpec(s, eta0)
-    for n in (8, 9, 65, 129, 1000, 3001):
+    for n in (8, 9, 65, 73, 129, 137, 1000, 3001):
         _, u = propagator._step_history(spec, 0.1, h, n)
         _, u_ref = step_history_direct(spec, 0.1, h, n)
         assert np.max(np.abs(u - u_ref)) <= 1e-12, n
@@ -283,11 +285,10 @@ def test_block_map_matches_unit_vector_recurrence(s, eta0):
     spec = BathSpec(s, eta0)
     for h in (0.05, 0.0125, 0.003125):
         g = correlation(spec, np.arange(256) * h)
-        step_map, first_map = propagator._block_map(g, 0.1, h, 55)
-        step_ref, first_ref = block_map_recurrence(g, 0.1, h, 55)
-        for got, ref in ((step_map, step_ref), (first_map, first_ref)):
-            assert got.shape == ref.shape
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), h
+        step_map = propagator._block_map(g, 0.1, h)
+        step_ref = block_map_recurrence(g, 0.1, h, 55)[0]
+        assert step_map.shape == step_ref.shape
+        assert np.max(np.abs(step_map - step_ref)) <= 1e-13 * np.max(np.abs(step_ref)), h
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 55, 64, 512])
@@ -323,7 +324,7 @@ def test_volterra_diagnostics():
     d = sol.diagnostics
     assert d["h_final"] == grid.step / 2 ** d["refinements"]
     assert 0.0 <= d["halving_delta"] < 1e-5
-    horizon = (200 * 2 ** d["refinements"] // 64 + 1) * 64 * d["h_final"]  # the stepper's whole blocks
+    horizon = propagator._whole_blocks(200 * 2 ** d["refinements"]) * d["h_final"]
     assert d["modes"] == len(propagator._kernel_modes(spec, d["h_final"], horizon)[1])
     assert 0.0 < d["fit_bound"] <= 1e-13
     assert resample(sol, TimeGrid.log(20.0, 10)).diagnostics == d
@@ -428,11 +429,10 @@ def test_resonance_seeds_bracket_each_sign_change(s, eta0):
 
 
 def test_seed_scan_is_built_once_and_read_only():
-    # every solve shares the scan grid, so no caller may write to it
+    # every solve shares the scan grid, a module constant, so no caller may write to it
     ws = np.unique(np.concatenate([np.geomspace(1e-8, 50.0, 1200), np.linspace(1e-6, 50.0, 1200)]))
-    assert propagator._seed_scan() is propagator._seed_scan()
-    assert not propagator._seed_scan().flags.writeable
-    np.testing.assert_array_equal(propagator._seed_scan(), ws)
+    assert not propagator._SEED_SCAN.flags.writeable
+    np.testing.assert_array_equal(propagator._SEED_SCAN, ws)
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0, 3.0, 5.5])
