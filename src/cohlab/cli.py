@@ -4,11 +4,10 @@ Configuration comes from a flat key=value file plus command-line overrides
 (CLI > file > defaults); every float must be finite.  Each command runs one
 pipeline: configs -> each distinct propagator solved once -> CSV writers
 that only format.  A figure or sweep derives all of its curves from those
-solutions; COHLAB_THREADS sets the worker pool for the solves, capped by
-their number and the number of CPUs.  With solver 'both' every solve is
-checked against the other route once.  That check and each solver's
-diagnostics are footer lines that travel with the solution into every CSV
-drawn from it.  The parser is built once per process, on first use.
+solutions, solved one after another in the calling process.  With solver
+'both' every solve is checked against the other route once.  That check and
+each solver's diagnostics are footer lines that travel with the solution into
+every CSV drawn from it.  The parser is built once per process, on first use.
 
 Every CSV starts with a '#'-prefixed header recording the fully resolved
 configuration, uses 17-significant-digit floats, '\\n' newlines and UTF-8,
@@ -222,29 +221,11 @@ def _solve_each_once(cfgs: list[RunConfig]) -> list[_Solved]:
     """_solve_u for every config, solving each distinct propagator once.
 
     Configs that differ only outside _PROPAGATOR_FIELDS (α0, code, n, out)
-    share one solution.  With COHLAB_THREADS > 1 the distinct solves run in
-    a process pool.  Nothing is kept between calls.
+    share one solution.  Nothing is kept between calls.
     """
     keys = [tuple(getattr(c, f) for f in _PROPAGATOR_FIELDS) for c in cfgs]
-    distinct = dict(zip(keys, cfgs))
-    workers = _worker_count(len(distinct))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only here: about 10 ms of every import
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(_solve_u, distinct.values()))
-    else:
-        solved = [_solve_u(c) for c in distinct.values()]
-    by_key = dict(zip(distinct, solved))
+    by_key = {k: _solve_u(c) for k, c in dict(zip(keys, cfgs)).items()}
     return [by_key[k] for k in keys]
-
-
-def _worker_count(n_tasks: int) -> int:
-    """Pool size: COHLAB_THREADS, capped by the task count and the CPU count."""
-    try:
-        wanted = int(os.environ.get("COHLAB_THREADS", "1"))
-    except ValueError:
-        wanted = 1
-    return max(1, min(wanted, n_tasks, os.cpu_count() or 1))
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,33 @@ def stieltjes_mp(s: float, y: float, power: int = 1, dps: int = 17) -> float:
                              [0] + _decades(float(y))))
 
 
+def stieltjes_closed_mp(s: float, y, dps: int = 40):
+    """(I, -I') = (∫_0^∞ x^s e^{-x}/(x+y) dx, ∫_0^∞ x^s e^{-x}/(x+y)² dx) as
+    mpf at dps digits, from the closed form I = Γ(s+1) y^s e^y Γ(-s, y) in
+    mpmath's incomplete gamma and the recurrence -I' = (Γ(s+1) - (s+y) I)/y,
+    whose cancellation the working digits absorb.  y may be an mpf."""
+    with mp.workdps(dps):
+        s, y = mp.mpf(s), mp.mpf(y)
+        i = mp.gamma(s + 1) * y**s * mp.exp(y) * mp.gammainc(-s, y)
+        return +i, (mp.gamma(s + 1) - (s + y) * i) / y
+
+
+def bound_state_mp(s: float, eta0: float, omega0: float, dps: int = 40):
+    """(y_p, 1/B_loc'(y_p)) for the zero of B_loc(y) = ω0 + y - η_s I(y) at
+    ω_c = 1, by mpmath's bracketing root finder on `stieltjes_closed_mp`, as
+    floats.  The zero exists iff ω0 < η_s Γ(s), and it lies below
+    y = √(η_s Γ(s+1)), past which I(y) < Γ(s+1)/y makes B_loc > 0."""
+    with mp.workdps(dps):
+        eta_s = mp.mpf(eta0) * (mp.e / mp.mpf(s)) ** mp.mpf(s)
+
+        def b_loc(y):
+            return omega0 + y - eta_s * stieltjes_closed_mp(s, y, dps)[0]
+
+        y_p = mp.findroot(b_loc, (mp.mpf(10) ** -30, mp.sqrt(eta_s * mp.gamma(s + 1)) + 1),
+                          solver="anderson")
+        return float(y_p), float(1 / (1 + eta_s * stieltjes_closed_mp(s, y_p, dps)[1]))
+
+
 def pv_power_exp_mp(s: float, w: float, dps: int = 17) -> tuple[float, float]:
     """(PV ∫_0^∞ x^s e^{-x}/(x-w) dx, π w^s e^{-w}) by mpmath quadrature.
 

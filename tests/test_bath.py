@@ -31,6 +31,7 @@ from oracles import (
     inversion_denominator_hand,
     pv_power_exp_closed_mp,
     pv_power_exp_mp,
+    stieltjes_closed_mp,
     stieltjes_mp,
 )
 
@@ -353,6 +354,21 @@ def test_imaginary_axis_denominator_far_from_the_cut(s):
     ref = 0.1 + y - spec.eta_s * np.array([stieltjes_mp(s, v) for v in y])
     assert np.all(np.isfinite(b_loc))
     assert np.max(np.abs(b_loc / ref - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("s", (20.5, 30.5, 60.5))
+def test_imaginary_axis_denominator_large_s_near_the_origin(s):
+    # the Kummer sum at w = -y below y = 1, past the s the dispersion grid
+    # reaches; the reference takes the same η_s, whose rounding grows with s.
+    # At η0 = 0.1 there is no bound state, so B_loc ≥ 0.04 and its relative
+    # error is I's; measured ≤ 6.7e-16 for B_loc and -I'
+    spec = BathSpec(s, 0.1)
+    y = np.concatenate([np.geomspace(1e-9, 0.9999, 30), [0.5, 0.999]])
+    refs = [stieltjes_closed_mp(s, v) for v in y]
+    ref = np.array([float(0.1 + mpmath.mpf(v) - mpmath.mpf(spec.eta_s) * i) for v, (i, _) in zip(y, refs)])
+    ref_d = np.array([float(d) for _, d in refs])
+    assert np.max(np.abs(imaginary_axis_denominator(spec, 0.1, y) / ref - 1.0)) <= 2e-15
+    assert np.max(np.abs(_stieltjes(s, y)[1] / ref_d - 1.0)) <= 2e-15
 
 
 def test_pv_power_exp_rejects_underflowing_w():

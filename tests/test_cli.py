@@ -18,7 +18,6 @@ from cohlab.cli import (
     RunConfig,
     _channel_table,
     _Solved,
-    _worker_count,
     main,
     parse_config_file,
     resolve_config,
@@ -191,22 +190,6 @@ def test_figure_2a_bundle(tmp_path):
     assert np.all(np.diff(m) <= 1e-7)     # weak coupling: monotone decay
 
 
-def test_figure_worker_pool(tmp_path, monkeypatch):
-    monkeypatch.setenv("COHLAB_THREADS", "2")
-    assert main(["figure", "--id", "1b", "--out", str(tmp_path)]) == 0
-    assert sorted(p for p in os.listdir(tmp_path) if p.endswith(".csv")) == [
-        "figure1b_J_s0.5.csv", "figure1b_J_s1.csv", "figure1b_J_s3.csv"]
-
-
-def test_worker_count_capped(monkeypatch):
-    # the pool size is computed, never started, for the huge request
-    monkeypatch.setenv("COHLAB_THREADS", str(10**9))
-    assert _worker_count(12) == min(12, os.cpu_count())
-    assert _worker_count(1) == 1
-    monkeypatch.setenv("COHLAB_THREADS", "0")
-    assert _worker_count(12) == 1
-
-
 def test_phase_code_c_prime_once_per_curve(tmp_path, monkeypatch):
     sizes = []
     original = codes.phase_success_prob
@@ -250,17 +233,6 @@ def test_each_distinct_propagator_solved_once(tmp_path, monkeypatch, argv, solve
     # and again: nothing is remembered between calls
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert len(calls) == 2 * solves
-
-
-def test_figure_pool_matches_serial(tmp_path, monkeypatch):
-    def run(out):
-        assert main(["figure", "--id", "2b", "--out", str(out)]) == 0
-        return {f: [ln for ln in (out / f).read_text().splitlines() if not ln.startswith("# out =")]
-                for f in sorted(os.listdir(out))}
-
-    serial = run(tmp_path / "serial")
-    monkeypatch.setenv("COHLAB_THREADS", "2")
-    assert run(tmp_path / "pool") == serial
 
 
 def test_channel_rows_clamp_u_above_one():

@@ -33,6 +33,7 @@ from cohlab._fourier import FourierQuadratureError
 
 from oracles import (
     block_map_recurrence,
+    bound_state_mp,
     cut_tail_quad,
     find_poles_scan,
     lamb_shift_excised,
@@ -389,6 +390,17 @@ def test_find_poles_matches_scan(s, eta0):
         assert abs(res - res_ref) <= 1e-12
         expect = 1.0 / imaginary_axis_denominator_derivative(spec, z.imag / spec.omega_c)
         assert abs(res - expect) <= 1e-14 * abs(expect)
+
+
+@pytest.mark.parametrize("s,eta0", [(s, eta0) for s in (0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 7.5)
+                                     for eta0 in (0.1, 0.5, 2.0) if (s, eta0) != (7.5, 0.1)])
+def test_find_poles_against_mpmath_root(s, eta0):
+    # the bound state and its residue against a 40-digit root of B_loc built
+    # on mpmath's incomplete gamma, not on bath; measured ≤ 8.9e-16 and 6.7e-16
+    y_ref, res_ref = bound_state_mp(s, eta0, 0.1)
+    (z, res), = find_poles(BathSpec(s, eta0), 0.1)
+    assert abs(z.imag - y_ref) <= 2e-15 and z.real == 0.0
+    assert abs(res - res_ref) <= 2e-15
 
 
 def test_pole_existence_threshold():

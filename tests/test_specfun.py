@@ -1,7 +1,8 @@
 """The scipy special functions behind the hand-derived denominators of
 `tests/oracles.py` (Ei, E1, Dawson, erfcx), and the numpy series that stand
-in for scipy.special in `cohlab.bath` (ζ(2..59), e^y E1(y) on (0, 1)), gated
-by high-precision independent oracles."""
+in for scipy.special in `cohlab.bath` (ζ(2..59), and s! y^s e^y Γ(-s, y) on
+(0, 1), the incomplete gamma behind I(y) at integer s), gated by
+high-precision independent oracles."""
 
 import math
 
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 from scipy.special import dawsn as dawson, erfcx, exp1, expi
 
-from cohlab.bath import _ZETA, _ZETA_K, _cut_part
-from oracles import dawson_quadrature, e1_continued_fraction, e1_series, ei_series
+from cohlab.bath import _ZETA, _ZETA_K, _stieltjes
+from oracles import dawson_quadrature, e1_continued_fraction, e1_series, ei_series, stieltjes_closed_mp
 
 # frozen from the series/continued-fraction oracle at 60-digit precision
 E1_OF_1 = 0.21938393439552027368
@@ -139,12 +140,10 @@ def test_bath_zeta_table_against_mpmath():
 
 @pytest.mark.parametrize("s", (1.0, 3.0))
 def test_bath_scaled_e1_series_against_mpmath(s):
-    # G(y) = e^y E1(y) = Σ (y^m/m!)(H_m - γ - ln y) and G' = G - 1/y at
-    # integer s; measured ≤ 7.8e-16 and 8.9e-16, as scipy's exp1 reaches
+    # below y = 1, I(y) = s! y^s e^y Γ(-s, y) is the Kummer sum at w = -y, and
+    # -I' = (s! - (s+y) I)/y; measured ≤ 1.0e-15 and ≤ 8.3e-15 (at y = 0.999)
     y = np.concatenate([np.geomspace(1e-9, 0.999, 80), [0.5, 0.9999]])
-    g, dg = _cut_part(s, y)
-    with mp.workdps(30):
-        ref = np.array([float(mp.exp(v) * mp.e1(v)) for v in y])
-        ref_d = np.array([float(mp.exp(v) * mp.e1(v) - 1 / mp.mpf(v)) for v in y])
-    assert np.max(np.abs(g / ref - 1.0)) <= 2e-15
-    assert np.max(np.abs(dg / ref_d - 1.0)) <= 2e-15
+    i, d = _stieltjes(s, y)
+    ref, ref_d = np.array([[float(v) for v in stieltjes_closed_mp(s, v)] for v in y]).T
+    assert np.max(np.abs(i / ref - 1.0)) <= 4e-15
+    assert np.max(np.abs(d / ref_d - 1.0)) <= 2e-14
