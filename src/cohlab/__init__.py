@@ -11,14 +11,7 @@ phase-flip error correction versus bit-flip repetition encoding.
 __version__ = "0.1.0"
 
 from .bath import BathSpec, correlation, inversion_denominator, spectral_density
-from .channel import (
-    ChannelMetrics,
-    TwoQubitState,
-    fef_oracle,
-    metrics_closed,
-    teleportation_fidelity,
-    wootters_concurrence,
-)
+from .channel import ChannelMetrics, metrics_closed, teleportation_fidelity
 from .codes import (
     bitflip_metrics,
     bitflip_p_e,
@@ -43,8 +36,7 @@ __all__ = [
     "TimeGrid", "PropagatorSolution", "solve_volterra", "solve_laplace",
     "find_poles", "lamb_shift", "markov_u",
     "coherence_factor", "phase_error_prob",
-    "TwoQubitState", "ChannelMetrics", "wootters_concurrence", "fef_oracle",
-    "teleportation_fidelity", "metrics_closed",
+    "ChannelMetrics", "teleportation_fidelity", "metrics_closed",
     "phase_success_prob", "corrected_c",
     "corrected_channel_metrics", "bitflip_p_e", "bitflip_metrics",
 ]

@@ -115,14 +115,19 @@ class BathSpec:
         return self.eta0 * (np.e / self.s) ** self.s
 
 
+def _power_exp(s: float, x: np.ndarray) -> np.ndarray:
+    """x^s e^{-x} as x^{s/2} e^{-x} x^{s/2}: neither factor overflows before e^{-x}
+    scales it (x^s alone does at s = 120.5, x = 600), and x = 0 gives 0 for s > 0."""
+    half = x ** (0.5 * s)
+    return half * np.exp(-x) * half
+
+
 def spectral_density(spec: BathSpec, omega):
     """J(ω) = 2π η_s ω (ω/ω_c)^{s-1} e^{-ω/ω_c} for ω ≥ 0 (vectorized)."""
     w = np.asarray(omega, dtype=float)
     if np.any(w < 0):
         raise ValueError("spectral_density requires omega >= 0")
-    x = w / spec.omega_c
-    # x**s handles the ω=0 limit (J→0 for s>0) without a 0**(s-1) warning
-    out = 2.0 * np.pi * spec.eta_s * spec.omega_c * x**spec.s * np.exp(-x)
+    out = 2.0 * np.pi * spec.eta_s * spec.omega_c * _power_exp(spec.s, w / spec.omega_c)
     return float(out) if np.ndim(omega) == 0 else out
 
 
@@ -353,11 +358,10 @@ def inversion_denominator(spec: BathSpec, omega0: float, omega):
     """
     w = np.array(omega, dtype=float, ndmin=1) / spec.omega_c
     _check_range(w, "inversion_denominator")
-    f = w**spec.s * np.exp(-w)
     es = spec.eta_s
     out = np.empty(w.shape, dtype=complex)
     out.real = omega0 / spec.omega_c - w - es * _pv(spec.s, w)
-    out.imag = -np.pi * es * f
+    out.imag = -np.pi * es * _power_exp(spec.s, w)
     return complex(out[0]) if np.ndim(omega) == 0 else out
 
 

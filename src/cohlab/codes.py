@@ -96,8 +96,9 @@ def bitflip_metrics(n: int, alpha0: complex, u) -> ChannelMetrics:
     the X-state kernel with c → cⁿ and α → √n α.
 
     C = (8 a_n² b_n²/M_n) max{0, c^{2n} + 2c^n - 1}; f_max distinguishes
-    even and odd n (even-n form carries the square root and is gated on
-    the magic-basis oracle of `channel.element_map_density` in the tests).
+    even and odd n (even-n form carries the square root and is gated in the
+    tests on the magic-basis oracle of the element-map density in
+    `tests/oracles.py`).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -105,7 +105,7 @@ class TimeGrid:
 
 @dataclass
 class PropagatorSolution:
-    """u sampled on a grid, with method provenance and pole records.
+    """u sampled on a grid, with pole records and the solver's evidence.
 
     poles holds (location, residue) pairs with the location on the
     imaginary z-axis; the property steady_modulus is |Σ residues| of
@@ -127,7 +127,6 @@ class PropagatorSolution:
 
     grid: TimeGrid
     u: np.ndarray
-    method: str
     poles: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
@@ -287,11 +286,13 @@ def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
     u_prev, S) with a (70 + K)² matrix.  The start-up is the first block's
     history: at r = 9, u_prev is 55 zeros and ũ_0..ũ_8, and S = 0.
     Cost O(n (K + nb)²/nb); the far history is K numbers.
+    Returns u_0..u_n and the modes (λ, c, powers), built for every n.
     """
     nb = _NEAR_BLOCK
     size = _whole_blocks(n)
     u = np.empty(size, dtype=complex)
     n0 = min(8, n)
+    modes = _kernel_modes(spec, h, size * h)
 
     # the fine steps (Heun, trapezoid memory, H = h/64) as power series in z are
     # (1 - e - δ z) u = 1 - e/2, δ = 1 + H w + (H w)²/2 - (H² g_0)²/8 and e_l =
@@ -308,7 +309,7 @@ def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
     uf = 0.5 * (q + np.r_[1.0, delta * q[:-1]])
     u[:n0 + 1] = uf[::refine]
     if n <= 8:
-        return np.arange(n + 1) * h, u
+        return u, modes
     k = refine * np.arange(n0, n0 - 4, -1)  # f_m = w u_m - trapezoid memory, m = 8, 7, 6, 5
     f = w * uf[k] - hf * np.array([gf[j::-1] @ uf[:j + 1] - 0.5 * (gf[j] + gf[0] * uf[j]) for j in k])
 
@@ -316,7 +317,7 @@ def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
     g = _bath.correlation(spec, np.arange(2 * nb) * h)
     step_map = _block_map(g, omega0, h)
     square = g[nb + np.arange(nb)[:, None] - np.arange(nb)]
-    _, c, powers = _kernel_modes(spec, h, size * h)
+    _, c, powers = modes
     decay = powers[nb]
     # step: rows (state, u_r..u_{r+nb-1}), columns (state, u_{r-nb}..u_{r-1}, S), the
     # forcing d being square u_prev + V S; then x ← x a, a = [step.T | (0; W.T; diag(decay))]
@@ -334,7 +335,7 @@ def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
         np.dot(x, a, out=x_next)
         x, x_next = x_next, x
         u[r:r + nb] = x[6:nb + 6]
-    return np.arange(n + 1) * h, u[:n + 1]
+    return u[:n + 1], modes
 
 
 def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *,
@@ -357,33 +358,31 @@ def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *,
     if max_refinements < 1:
         raise ValueError("max_refinements must be at least 1")
     if len(grid.samples) == 1:
-        return PropagatorSolution(grid, np.array([1.0 + 0.0j]), "volterra")
+        return PropagatorSolution(grid, np.array([1.0 + 0.0j]))
     h0 = grid.step
     if spec.eta0 == 0.0:
         u = np.exp(-1j * omega0 * grid.samples)
         u[0] = 1.0
-        return PropagatorSolution(grid, u, "volterra")
+        return PropagatorSolution(grid, u)
 
     n0 = len(grid.samples) - 1
-    _, u_h = _step_history(spec, omega0, h0, n0)
+    u_h, _ = _step_history(spec, omega0, h0, n0)
     for r in range(1, max_refinements + 1):
         factor = 2**r
-        _, u_fine = _step_history(spec, omega0, h0 / factor, n0 * factor)
+        u_fine, (lam, c, powers) = _step_history(spec, omega0, h0 / factor, n0 * factor)
         delta = float(np.max(np.abs(np.abs(u_fine[::2]) - np.abs(u_h))))
         if delta < _HALVING_TOL:
             u_out = u_fine[::factor].copy()
             u_out[0] = 1.0 + 0.0j
             h, nb = h0 / factor, _NEAR_BLOCK
-            horizon = _whole_blocks(n0 * factor) * h
-            lam, c, powers = _kernel_modes(spec, h, horizon)
-            # the fit at lags nb+1..2nb and at 64 log-spaced lags up to the horizon
-            t_log = np.geomspace((nb + 1) * h, horizon, 64)
+            # the fit at lags nb+1..2nb and at 64 log-spaced lags up to the stepper's horizon
+            t_log = np.geomspace((nb + 1) * h, _whole_blocks(n0 * factor) * h, 64)
             g = _bath.correlation(spec, np.r_[np.arange(2 * nb + 1) * h, t_log])
             err = np.r_[powers[1:] @ (c * powers[nb]), np.exp(-np.outer(t_log, lam)) @ c] - g[nb + 1:]
             fit = np.max(np.abs(err)) / abs(g[0])
             diagnostics = {"refinements": r, "h_final": h, "halving_delta": delta,
                            "modes": len(c), "fit_bound": float(fit)}
-            return PropagatorSolution(grid, u_out, "volterra", diagnostics=diagnostics)
+            return PropagatorSolution(grid, u_out, diagnostics=diagnostics)
         u_h = u_fine
     raise NonConvergenceError(
         f"step halving did not stabilize |u| to {_HALVING_TOL} within "
@@ -478,7 +477,7 @@ def _resonance_seeds(spec: BathSpec, omega0: float) -> list[float]:
     if i.size:  # no bracket, no call: the principal value needs at least one point
         wstar = _polish_zeros(rising, ws[i], ws[i + 1], sign * re[i], sign * re[i + 1])
     slope = np.abs(re[i + 1] - re[i]) / (ws[i + 1] - ws[i])
-    width = np.pi * es * wstar**s * np.exp(-wstar) / np.maximum(slope, 1e-3)
+    width = np.pi * es * _bath._power_exp(s, wstar) / np.maximum(slope, 1e-3)
     for w, dw in zip(wstar, width):
         if dw < 1e-14:
             raise FourierQuadratureError(
@@ -526,7 +525,7 @@ def solve_laplace(spec: BathSpec, omega0: float, grid: TimeGrid) -> PropagatorSo
         u = np.exp(-1j * omega0 * t)
         u[0] = 1.0
         poles = [(-1j * omega0, 1.0 + 0.0j)]
-        return PropagatorSolution(grid, u, "laplace", poles)
+        return PropagatorSolution(grid, u, poles)
 
     poles = find_poles(spec, omega0)
     tail = _cut_tail(spec, omega0)
@@ -542,7 +541,7 @@ def solve_laplace(spec: BathSpec, omega0: float, grid: TimeGrid) -> PropagatorSo
         u = u + res * np.exp(z_p * t)
     diagnostics = {"panels": len(panels), "worst_tail": panels.worst_tail,
                    "sum_rule_delta": float(abs(u[0] - 1.0))}
-    return PropagatorSolution(grid, u, "laplace", poles, diagnostics=diagnostics)
+    return PropagatorSolution(grid, u, poles, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -593,5 +592,4 @@ def resample(solution: PropagatorSolution, grid: TimeGrid) -> PropagatorSolution
     sp = CubicSpline(solution.grid.samples, solution.u)
     u = sp(grid.samples)
     u[0] = solution.u[0]
-    return PropagatorSolution(grid, u, solution.method, list(solution.poles),
-                              diagnostics=dict(solution.diagnostics))
+    return PropagatorSolution(grid, u, list(solution.poles), diagnostics=dict(solution.diagnostics))

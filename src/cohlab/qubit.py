@@ -7,31 +7,19 @@ Everything follows from one prescription: an element |α⟩⟨β| evolves to
 with u the propagator.  For opposite-phase encodings this is equivalent to
 an operator sum: damping of the amplitude plus a random phase flip with
 probability p_e = (1 - e^{-2(|α_0|²-|α_t|²)})/2 < 1/2, where α_t = α_0 u.
-The element map itself and the cat-state densities that check this
-equivalence live in `tests/oracles.py`; the package keeps the closed forms.
+The element map itself, the coherent-state overlap, the even/odd
+coefficients and the cat-state densities that check this equivalence live
+in `tests/oracles.py`; the package keeps the closed forms the channel uses.
 """
 
 from __future__ import annotations
 
-import cmath
-
 import numpy as np
 
 __all__ = [
-    "coherent_overlap",
     "coherence_factor",
     "phase_error_prob",
-    "evenodd_coeffs",
 ]
-
-
-def coherent_overlap(alpha: complex, beta: complex) -> complex:
-    """⟨α|β⟩ = exp(-(|α|² + |β|² - 2α*β)/2).
-
-    The single transcendental identity everything else reduces to.
-    """
-    a, b = complex(alpha), complex(beta)
-    return cmath.exp(-0.5 * (abs(a) ** 2 + abs(b) ** 2 - 2.0 * a.conjugate() * b))
 
 
 def coherence_factor(alpha0: complex, u):
@@ -51,14 +39,3 @@ def phase_error_prob(alpha0: complex, u):
         raise ValueError(f"|u| = {top} exceeds 1")
     return 0.5 * (1.0 - coherence_factor(alpha0, u))
 
-
-def evenodd_coeffs(alpha_t):
-    """(a, b) with |±α_t⟩ = a|e⟩ ± b|o⟩ in the orthonormal even/odd basis.
-
-    a = sqrt((1 + e^{-2|α_t|²})/2), b = sqrt((1 - e^{-2|α_t|²})/2),
-    elementwise over an array α_t; the α_t → 0 limit (b → 0, odd state
-    losing its normalization) is taken by direct evaluation with no
-    special-casing.
-    """
-    q = np.exp(-2.0 * np.abs(alpha_t) ** 2)
-    return np.sqrt(0.5 * (1.0 + q)), np.sqrt(0.5 * (1.0 - q))

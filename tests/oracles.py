@@ -2,9 +2,11 @@
 
 Everything here is deliberately built from defining series, continued
 fractions, or quadrature of defining integrals — never from the code paths
-under test.  The exception is the last section: the single-qubit element
-map and the cat-state densities, which only the tests use, built on the
-closed forms of `cohlab.qubit`.
+under test.  The exception is the last two sections, which only the tests
+use: the single-qubit element map and the cat-state densities, and the
+two-qubit channel state with its matrix oracles (Wootters concurrence,
+magic-basis and direct-search f_max), built on `cohlab.qubit`'s coherence
+factor.
 """
 
 import cmath
@@ -16,6 +18,8 @@ import mpmath as mp
 import numpy as np
 from scipy import special as _sp
 from scipy.integrate import IntegrationWarning, quad, simpson
+
+from cohlab.qubit import coherence_factor, phase_error_prob
 
 
 def e1_series(z, dps: int = 60):
@@ -204,27 +208,6 @@ def phase_success_mp(n: int, p: float, dps: int = 50) -> float:
                              for k in range((n - 1) // 2 + 1)))
 
 
-def flip_damped_cluster_density(alpha0: complex, u: complex, c: float) -> np.ndarray:
-    """Cluster-state density matrix whose branch coherences are damped by c.
-
-    The 16 elements of the initial state |+α,+α⟩ + i|+α,-α⟩ + i|-α,+α⟩ +
-    |-α,-α⟩ are evolved one by one: amplitudes α → α u, each ket/bra sign
-    mismatch multiplies by c.  With c the coherence factor this is the bare
-    channel; with c' it is the phase-flip-corrected one.
-    """
-    q = np.exp(-2.0 * abs(alpha0 * u) ** 2)
-    a, b = np.sqrt(0.5 * (1.0 + q)), np.sqrt(0.5 * (1.0 - q))
-    vec = {1: np.array([a, b]), -1: np.array([a, -b])}
-    amps = {(1, 1): 1.0, (1, -1): 1j, (-1, 1): 1j, (-1, -1): 1.0}
-    rho = np.zeros((4, 4), dtype=complex)
-    for (s1, s2), ka in amps.items():
-        for (r1, r2), ba in amps.items():
-            damp = c ** ((s1 != r1) + (s2 != r2))
-            rho += ka * np.conj(ba) * damp * np.outer(np.kron(vec[s1], vec[s2]),
-                                                      np.kron(vec[r1], vec[r2]))
-    return rho / (4.0 * (1.0 + np.exp(-4.0 * abs(alpha0) ** 2)))
-
-
 def find_poles_scan(spec, omega0: float, y_max: float = 50.0, n_scan: int = 4000):
     """Pole search by sign changes of B_loc on a 4000-point log + linear scan
     of (0, y_max], each polished by brentq: assumes nothing of B_loc's shape.
@@ -390,12 +373,11 @@ def step_history_direct(spec, omega0: float, h: float, n: int):
     step at a time, so the two agree to rounding; this checks the start-up
     there (one power-series division), the blocked history sum and the
     fixed block map that takes each near block's steps at once.
-    Returns (t, u) on t = 0, h, ..., n h.
+    Returns u on t = 0, h, ..., n h.
     """
     from cohlab.bath import correlation
 
-    t = np.arange(n + 1) * h
-    g = correlation(spec, t)
+    g = correlation(spec, np.arange(n + 1) * h)
     g_rev = g[::-1]
     u = np.empty(n + 1, dtype=complex)
     f = np.empty(n + 1, dtype=complex)  # f_k = -i w0 u_k - I_k
@@ -424,7 +406,7 @@ def step_history_direct(spec, omega0: float, h: float, n: int):
             wts[0] = wts[-1] = 0.5
             f[m] = -1j * omega0 * u[m] - hf * np.dot(wts * gf[k + 1::-1], uf[:k + 2])
     if n <= 8:
-        return t, u[:n + 1]
+        return u[:n + 1]
 
     g0 = g[0]
 
@@ -443,7 +425,7 @@ def step_history_direct(spec, omega0: float, h: float, n: int):
         fp = -1j * omega0 * up - mem_p
         u[k + 1] = u[k] + h / 24.0 * (9 * fp + 19 * f[k] - 5 * f[k - 1] + f[k - 2])
         f[k + 1] = -1j * omega0 * u[k + 1] - (mem_p + c38 * (u[k + 1] - up))
-    return t, u
+    return u
 
 
 def step_history_blocked_fft(spec, omega0: float, h: float, n: int):
@@ -458,7 +440,7 @@ def step_history_blocked_fft(spec, omega0: float, h: float, n: int):
     is added to the forcing by one Toeplitz
     matrix-vector product for L ≤ 128 and by one cyclic FFT convolution of
     length 2L against g_0..g_{2L-1} above.  So it reaches n = 10⁵, where the
-    O(n²) direct sum is too slow for a test.  Returns (t, u).
+    O(n²) direct sum is too slow for a test.  Returns u_0..u_n.
     """
     from cohlab.bath import correlation
     from cohlab.propagator import _block_map, _series_inverse
@@ -479,7 +461,7 @@ def step_history_blocked_fft(spec, omega0: float, h: float, n: int):
     uf = 0.5 * (q + np.r_[1.0, delta * q[:-1]])
     u[:n0 + 1] = uf[::refine]
     if n <= 8:
-        return np.arange(n + 1) * h, u[:n + 1]
+        return u[:n + 1]
     k = refine * np.arange(n0, n0 - 4, -1)
     f = w * uf[k] - hf * np.array([gf[j::-1] @ uf[:j + 1] - 0.5 * (gf[j] + gf[0] * uf[j]) for j in k])
 
@@ -504,7 +486,7 @@ def step_history_blocked_fft(spec, omega0: float, h: float, n: int):
             d[r:r + L] += np.fft.ifft(np.fft.fft(u[r - L:r], 2 * L) * g_hat[L])[L:L + size - r]
         y = step_map @ np.concatenate((d[r:r + nb], state))
         u[r:r + nb], state = y[:nb], y[nb:]
-    return np.arange(n + 1) * h, u[:n + 1]
+    return u[:n + 1]
 
 
 def block_map_recurrence(g, omega0: float, h: float, n_first: int):
@@ -603,6 +585,27 @@ def random_channel_states(rng: np.random.Generator, count: int):
 # The single-qubit element map and the cat-state densities built on it: the
 # two sides of the operator-sum equivalence that `tests/test_qubit.py` checks.
 
+def coherent_overlap(alpha: complex, beta: complex) -> complex:
+    """⟨α|β⟩ = exp(-(|α|² + |β|² - 2α*β)/2).
+
+    The single transcendental identity everything else reduces to.
+    """
+    a, b = complex(alpha), complex(beta)
+    return cmath.exp(-0.5 * (abs(a) ** 2 + abs(b) ** 2 - 2.0 * a.conjugate() * b))
+
+
+def evenodd_coeffs(alpha_t):
+    """(a, b) with |±α_t⟩ = a|e⟩ ± b|o⟩ in the orthonormal even/odd basis.
+
+    a = sqrt((1 + e^{-2|α_t|²})/2), b = sqrt((1 - e^{-2|α_t|²})/2),
+    elementwise over an array α_t; the α_t → 0 limit (b → 0, odd state
+    losing its normalization) is taken by direct evaluation with no
+    special-casing.
+    """
+    q = np.exp(-2.0 * np.abs(alpha_t) ** 2)
+    return np.sqrt(0.5 * (1.0 + q)), np.sqrt(0.5 * (1.0 - q))
+
+
 @dataclass(frozen=True)
 class CoherentElement:
     """prefactor · |ket_amp⟩⟨bra_amp| between coherent states."""
@@ -648,7 +651,6 @@ def evolve_cat(state: CatState, u: complex) -> np.ndarray:
     [[|c1|², c·c1 c2*], [c·c1* c2, |c2|²]] / N — the four-term expression
     with c the coherence factor.
     """
-    from cohlab.qubit import coherence_factor
     c = coherence_factor(state.alpha0, u)
     n = state.normalization
     c1, c2 = state.c1, state.c2
@@ -660,7 +662,6 @@ def evolve_cat(state: CatState, u: complex) -> np.ndarray:
 
 def _damped_basis_matrix(alpha_t: complex) -> np.ndarray:
     """Columns of |±α_t⟩ in even/odd coordinates."""
-    from cohlab.qubit import evenodd_coeffs
     a, b = evenodd_coeffs(alpha_t)
     return np.array([[a, a], [b, -b]])
 
@@ -679,10 +680,174 @@ def operator_sum_density(state: CatState, u: complex) -> np.ndarray:
     Ẑ|±α_t⟩ = ±|±α_t⟩ is applied by flipping the sign of c2 — never
     materialized as a matrix in the nonorthogonal basis.
     """
-    from cohlab.qubit import phase_error_prob
     p_e = phase_error_prob(state.alpha0, u)
     s = _damped_basis_matrix(state.alpha0 * u)
     root_n = math.sqrt(state.normalization)
     q = s @ np.array([state.c1, state.c2]) / root_n
     qz = s @ np.array([state.c1, -state.c2]) / root_n
     return (1.0 - p_e) * np.outer(q, q.conj()) + p_e * np.outer(qz, qz.conj())
+
+
+# The two-qubit channel state and the matrix-level oracles that gate the
+# closed-form kernel `cohlab.channel.x_state_metrics`.
+
+_TRACE_TOL = 1e-10
+_HERM_TOL = 1e-12
+_PSD_TOL = 1e-10
+
+
+@dataclass
+class TwoQubitState:
+    """4×4 density matrix in the basis {|ee⟩, |eo⟩, |oe⟩, |oo⟩}."""
+
+    rho: np.ndarray
+
+    def validate(self) -> None:
+        """AssertionError unless rho is 4×4, of trace 1 (to _TRACE_TOL),
+        Hermitian (to _HERM_TOL) and positive semidefinite (to -_PSD_TOL)."""
+        r = self.rho
+        if r.shape != (4, 4):
+            raise AssertionError("density matrix must be 4x4")
+        if abs(np.trace(r) - 1.0) > _TRACE_TOL:
+            raise AssertionError(f"trace deviates from 1 by {abs(np.trace(r)-1.0):.3e}")
+        if np.max(np.abs(r - r.conj().T)) > _HERM_TOL:
+            raise AssertionError("density matrix is not Hermitian")
+        ev = np.linalg.eigvalsh(0.5 * (r + r.conj().T))
+        if ev.min() < -_PSD_TOL:
+            raise AssertionError(f"negative eigenvalue {ev.min():.3e}")
+
+
+def element_map_density(alpha0: complex, u: complex, n: int = 1, c: float | None = None) -> TwoQubitState:
+    """Evolved density matrix of the (n-fold encoded) cluster state: all 16
+    elements go through the tensor-product element map and the result is
+    expressed in the even/odd basis.
+
+    The encoded initial state carries amplitudes (1, -z^n, -z^n, -z^{2n})
+    with z = -i, each ket/bra sign mismatch of an n-mode block damps by
+    c^n, and |±α_t⟩^{⊗n} = a_n|e_n⟩ ± b_n|o_n⟩.  c defaults to the
+    coherence factor, the bare channel; the phase-flip code's c' gives the
+    corrected one.  Odd n gives an X-form normalized by M_n = 4(1 +
+    e^{-4n|α_0|²}); even n gives a dense matrix that is trace-1 with M_n = 4.
+    """
+    if c is None:
+        c = coherence_factor(alpha0, u)
+    z = -1j
+    amps = {(1, 1): 1.0 + 0j, (1, -1): -(z**n), (-1, 1): -(z**n), (-1, -1): -(z ** (2 * n))}
+    vec = dict(zip((1, -1), _damped_basis_matrix(math.sqrt(n) * alpha0 * u).T))
+    m_n = 4.0 * (1.0 + (math.exp(-4.0 * n * abs(alpha0) ** 2) if n % 2 else 0.0))
+    rho = np.zeros((4, 4), dtype=complex)
+    for (s1, s2), ket_amp in amps.items():
+        for (r1, r2), bra_amp in amps.items():
+            damp = c ** (n * ((s1 != r1) + (s2 != r2)))
+            rho += ket_amp * np.conj(bra_amp) * damp * np.outer(np.kron(vec[s1], vec[s2]),
+                                                                np.kron(vec[r1], vec[r2]))
+    return TwoQubitState(rho / m_n)
+
+
+_YY = np.array([
+    [0, 0, 0, -1],
+    [0, 0, 1, 0],
+    [0, 1, 0, 0],
+    [-1, 0, 0, 0],
+], dtype=complex)  # (Y ⊗ Y) in the even/odd product basis
+
+
+def wootters_concurrence(state: TwoQubitState) -> float:
+    """max{0, √λ1 - √λ2 - √λ3 - √λ4} from the spin-flip spectrum
+    (Wootters, PRL 80 (1998) 2245).
+
+    λ_i are the (descending) eigenvalues of ρ (Y⊗Y) ρ* (Y⊗Y).  With
+    ρ = W W† the √λ_i equal the singular values of the complex symmetric
+    Wᵀ (Y⊗Y) W, which an SVD delivers without the √(tiny eigenvalue)
+    precision loss of the plain non-Hermitian eigensolve near pure states.
+    Roundoff negatives of ρ above -1e-12 are clamped; worse is an error.
+    """
+    rho = 0.5 * (state.rho + state.rho.conj().T)
+    lam, vec = np.linalg.eigh(rho)
+    if lam.min() < -1e-12:
+        raise ArithmeticError(f"density matrix has eigenvalue {lam.min():.3e} < -1e-12")
+    w = vec * np.sqrt(np.clip(lam, 0.0, None))
+    sigma = np.linalg.svd(w.T @ _YY @ w, compute_uv=False)
+    return max(0.0, sigma[0] - sigma[1] - sigma[2] - sigma[3])
+
+
+_SQ2 = 1.0 / math.sqrt(2.0)
+# magic basis {Φ+, iΦ-, iΨ+, Ψ-} as columns, in the even/odd product basis
+_MAGIC = np.array([
+    [_SQ2, 1j * _SQ2, 0, 0],
+    [0, 0, 1j * _SQ2, _SQ2],
+    [0, 0, 1j * _SQ2, -_SQ2],
+    [_SQ2, -1j * _SQ2, 0, 0],
+], dtype=complex)
+
+
+def fef_oracle(state: TwoQubitState) -> float:
+    """Fully entangled fraction as the largest eigenvalue of Re(ρ) in the
+    magic basis (Bell states with phases i on Φ- and Ψ+; Horodecki et al.,
+    PRA 60 (1999) 1888)."""
+    m = _MAGIC.conj().T @ state.rho @ _MAGIC
+    real = 0.5 * (m + m.conj().T).real
+    return float(np.linalg.eigvalsh(real)[-1])
+
+
+def _haar_unitaries(rng: np.random.Generator, size: int) -> np.ndarray:
+    g = rng.normal(size=(size, 2, 2)) + 1j * rng.normal(size=(size, 2, 2))
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def _best_overlap(rho: np.ndarray, u1: np.ndarray, u2: np.ndarray):
+    # (U1 ⊗ U2)|Φ+⟩ as the 2x2 amplitude matrix U1 U2^T / √2
+    psi = np.einsum("bij,bkj->bik", u1, u2) * _SQ2
+    flat = psi.reshape(len(psi), 4)
+    vals = np.einsum("bi,ij,bj->b", flat.conj(), rho, flat).real
+    k = int(np.argmax(vals))
+    return float(vals[k]), k
+
+
+_PAULI = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def _rotate(base: np.ndarray, x: np.ndarray) -> np.ndarray:
+    theta = float(np.linalg.norm(x))
+    if theta == 0.0:
+        return base
+    n = x / theta
+    h = n[0] * _PAULI[0] + n[1] * _PAULI[1] + n[2] * _PAULI[2]
+    return base @ (np.cos(theta) * np.eye(2) + 1j * np.sin(theta) * h)
+
+
+_SEARCH_SAMPLES = 10000  # Haar draws per unitary before the local polish
+
+
+def fef_direct_search(state: TwoQubitState, seed: int = 0) -> float:
+    """Brute-force f_max: maximize ⟨ψ|ρ|ψ⟩ over maximally entangled states
+    |ψ⟩ = (U1 ⊗ U2)|Φ+⟩ — Haar sampling followed by derivative-free local
+    ascent on the (U1, U2) group chart.
+
+    Phase-convention independent and never touches the magic basis, so it
+    certifies fef_oracle rather than re-deriving it.  As a function of the
+    state, the overlap has a unique local maximum over this manifold, so the
+    polish converges globally from the sampled incumbent.
+    """
+    from scipy.optimize import minimize
+
+    rng = np.random.default_rng(seed)
+    rho = state.rho
+    u1 = _haar_unitaries(rng, _SEARCH_SAMPLES)
+    u2 = _haar_unitaries(rng, _SEARCH_SAMPLES)
+    best, k = _best_overlap(rho, u1, u2)
+    b1, b2 = u1[k], u2[k]
+
+    def negative(x):
+        psi = (_rotate(b1, x[:3]) @ _rotate(b2, x[3:]).T).ravel() * _SQ2
+        return -float(np.real(psi.conj() @ rho @ psi))
+
+    res = minimize(negative, np.zeros(6), method="Nelder-Mead",
+                   options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 4000})
+    return max(best, -float(res.fun))

@@ -24,13 +24,7 @@ import pytest
 from scipy.optimize import brentq
 
 from cohlab.bath import BathSpec, inversion_denominator, spectral_density
-from cohlab.channel import (
-    element_map_density,
-    fef_direct_search,
-    fef_oracle,
-    metrics_closed,
-    wootters_concurrence,
-)
+from cohlab.channel import metrics_closed
 from cohlab.codes import (
     bitflip_metrics,
     bitflip_p_e,
@@ -39,7 +33,14 @@ from cohlab.codes import (
 from cohlab.propagator import TimeGrid, find_poles, solve_laplace, solve_volterra
 from cohlab.qubit import coherence_factor
 
-from oracles import correlation_quadrature, random_channel_states
+from oracles import (
+    correlation_quadrature,
+    element_map_density,
+    fef_direct_search,
+    fef_oracle,
+    random_channel_states,
+    wootters_concurrence,
+)
 
 ALPHA0 = 1.2
 OMEGA0 = 0.1

@@ -371,6 +371,19 @@ def test_imaginary_axis_denominator_large_s_near_the_origin(s):
     assert np.max(np.abs(_stieltjes(s, y)[1] / ref_d - 1.0)) <= 2e-15
 
 
+@pytest.mark.parametrize("s", (20.5, 60.5, 120.5))
+def test_power_exp_large_s_vs_mpmath(s):
+    # Im B = -π η_s w^s e^{-w} and J = 2π η_s ω_c w^s e^{-w}: finite up to w = 700
+    # where w^s alone overflows (s = 120.5 from w ≈ 360); the reference takes the
+    # same float η_s, at 40 digits
+    spec = BathSpec(s, 0.5)
+    w = np.concatenate([np.linspace(0.5, 700.0, 200), [s, 600.0]])
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.pi * spec.eta_s * mpmath.mpf(v) ** s * mpmath.exp(-v)) for v in w])
+    assert np.max(np.abs(-inversion_denominator(spec, 0.1, w).imag / ref - 1.0)) <= 1e-14
+    assert np.max(np.abs(spectral_density(spec, w) / (2.0 * ref) - 1.0)) <= 1e-14
+
+
 def test_pv_power_exp_rejects_underflowing_w():
     # e^{-w} underflows in the Kummer sum: an error, not a silent 0
     for s in (1.001, 2.5, 4.0):

@@ -5,19 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from cohlab.channel import (
-    ChannelMetrics,
-    TwoQubitState,
-    element_map_density,
-    fef_direct_search,
-    fef_oracle,
-    metrics_closed,
-    teleportation_fidelity,
-    wootters_concurrence,
-)
+from cohlab.channel import ChannelMetrics, metrics_closed, teleportation_fidelity
 from cohlab.qubit import coherence_factor
 
-from oracles import random_channel_states
+from oracles import (
+    CoherentElement,
+    TwoQubitState,
+    coherent_overlap,
+    element_map_density,
+    evenodd_coeffs,
+    evolve_element,
+    fef_direct_search,
+    fef_oracle,
+    random_channel_states,
+    wootters_concurrence,
+)
 
 
 def test_cluster_state_pure_at_u1():
@@ -37,6 +39,26 @@ def test_cluster_state_trace_identity_random():
         state = element_map_density(a0, u)
         assert abs(np.trace(state.rho) - 1.0) < 1e-12
         state.validate()
+
+
+def test_cluster_state_matches_element_map_one_element_at_a_time():
+    # the 16 elements |s1 α0, s2 α0⟩⟨r1 α0, r2 α0| of |+,+⟩ + i|+,-⟩ + i|-,+⟩ + |-,-⟩,
+    # each mode through `evolve_element` on its own and |±α_t⟩ = a|e⟩ ± b|o⟩,
+    # over the initial norm Σ ⟨r1 α0|s1 α0⟩⟨r2 α0|s2 α0⟩ of the coherent overlaps
+    amps = {(1, 1): 1.0, (1, -1): 1j, (-1, 1): 1j, (-1, -1): 1.0}
+    rng = np.random.default_rng(24)
+    for _ in range(50):
+        a0, u = rng.uniform(0.2, 2.0), rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform())
+        a, b = evenodd_coeffs(a0 * u)
+        vec = {1: np.array([a, b]), -1: np.array([a, -b])}
+        rho, norm = np.zeros((4, 4), dtype=complex), 0.0
+        for (s1, s2), ket in amps.items():
+            for (r1, r2), bra in amps.items():
+                first = evolve_element(CoherentElement(ket * np.conj(bra), s1 * a0, r1 * a0), u)
+                both = evolve_element(CoherentElement(first.prefactor, s2 * a0, r2 * a0), u)
+                rho += both.prefactor * np.outer(np.kron(vec[s1], vec[s2]), np.kron(vec[r1], vec[r2]))
+                norm += ket * np.conj(bra) * coherent_overlap(r1 * a0, s1 * a0) * coherent_overlap(r2 * a0, s2 * a0)
+        np.testing.assert_allclose(element_map_density(a0, u).rho, rho / norm, rtol=0, atol=1e-14)
 
 
 def test_cluster_state_x_structure():

@@ -240,8 +240,8 @@ def test_channel_rows_clamp_u_above_one():
     u = np.array([1.0 + 1e-10, (1.0 + 2e-9) * np.exp(0.3j), 0.8j, 0.5])
     clamped = np.array([1.0, np.exp(0.3j), 0.8j, 0.5])
     for cfg in (RunConfig(), RunConfig(code="phase", n=101), RunConfig(code="bit", n=6)):
-        _, rows = _channel_table(cfg, _Solved(grid, {"laplace": PropagatorSolution(grid, u, "laplace")}, [], True))
-        _, want = _channel_table(cfg, _Solved(grid, {"laplace": PropagatorSolution(grid, clamped, "laplace")},
+        _, rows = _channel_table(cfg, _Solved(grid, {"laplace": PropagatorSolution(grid, u)}, [], True))
+        _, want = _channel_table(cfg, _Solved(grid, {"laplace": PropagatorSolution(grid, clamped)},
                                               [], True))
         np.testing.assert_allclose(rows, want, rtol=0, atol=1e-15)
         assert rows[0][4] == 0.0          # p_e at |u| = 1

@@ -7,15 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from cohlab.channel import (
-    ChannelMetrics,
-    TwoQubitState,
-    element_map_density,
-    fef_oracle,
-    metrics_closed,
-    wootters_concurrence,
-    x_state_metrics,
-)
+from cohlab.channel import ChannelMetrics, metrics_closed, x_state_metrics
 from cohlab.codes import (
     bitflip_metrics,
     bitflip_p_e,
@@ -25,7 +17,13 @@ from cohlab.codes import (
 )
 from cohlab.qubit import phase_error_prob
 
-from oracles import flip_damped_cluster_density, phase_success_mp, random_channel_states
+from oracles import (
+    element_map_density,
+    fef_oracle,
+    phase_success_mp,
+    random_channel_states,
+    wootters_concurrence,
+)
 
 
 def brute_force_success(n: int, p: float) -> float:
@@ -203,7 +201,7 @@ def test_x_state_kernel_against_matrix_oracles(n):
     m = corrected_channel_metrics(a0, u, n)
     for k, uk in enumerate(u):
         # normalized at t = 0, as the code's M is: trace 1 only where c' = c
-        state = TwoQubitState(flip_damped_cluster_density(a0, uk, cp[k]))
+        state = element_map_density(a0, uk, c=cp[k])
         assert abs(m.concurrence[k] - wootters_concurrence(state)) < 1e-10
         assert abs(m.f_max[k] - fef_oracle(state)) < 1e-10
 

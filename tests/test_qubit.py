@@ -5,12 +5,14 @@ import cmath
 import numpy as np
 import pytest
 
-from cohlab.qubit import coherence_factor, coherent_overlap, evenodd_coeffs, phase_error_prob
+from cohlab.qubit import coherence_factor, phase_error_prob
 
 from oracles import (
     CatState,
     CoherentElement,
     cat_evenodd_density,
+    coherent_overlap,
+    evenodd_coeffs,
     evolve_cat,
     evolve_element,
     operator_sum_density,
