@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +90,9 @@ class BathSpec:
     """Spectral-density parameters (s, η_0, ω_c).
 
     s : power of the low-frequency behaviour (sub-Ohmic s<1, Ohmic s=1,
-        super-Ohmic s>1); any s > 0 is supported.
+        super-Ohmic s>1); any s > 0 up to 170.62, past which Γ(s+1)
+        overflows, is supported.  With η_0 > 0, η_s must be a normal float:
+        a ValueError names either limit.
     eta0 : dimensionless coupling strength (peak height is 2π η_0 ω_c).
     omega_c : cutoff frequency; unity in all reference configurations.
     """
@@ -108,6 +111,13 @@ class BathSpec:
             raise ValueError(f"coupling eta0 must be >= 0, got {self.eta0}")
         if not self.omega_c > 0:
             raise ValueError(f"cutoff omega_c must be > 0, got {self.omega_c}")
+        try:
+            math.gamma(self.s + 1.0)
+        except OverflowError:
+            raise ValueError(f"power s must be at most 170.62, where Gamma(s+1) overflows, got {self.s}") from None
+        if self.eta0 > 0 and self.eta_s < sys.float_info.min:
+            raise ValueError(f"eta_s = eta0 (e/s)^s = {self.eta_s:.3g} at s = {self.s}, eta0 = {self.eta0} is "
+                             f"below the smallest normal float, {sys.float_info.min:.3g}")
 
     @property
     def eta_s(self) -> float:

@@ -85,6 +85,10 @@ class RunConfig:
             raise ConfigError("n must be >= 1")
         if self.code == "phase" and self.n % 2 == 0:
             raise ConfigError("phase-flip code requires odd n")
+        try:
+            self.bath
+        except ValueError as exc:  # the bath's own limits on s and eta_s
+            raise ConfigError(str(exc)) from None
 
     @property
     def bath(self) -> BathSpec:

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import bath as _bath
 from ._fourier import FourierQuadratureError, build_panels, fourier_integral
@@ -147,6 +146,16 @@ class PropagatorSolution:
 # ---------------------------------------------------------------------------
 
 _NEAR_BLOCK = 64  # steps per fixed block map; a power of two above the 8 start-up steps
+# the block map's fixed index tables: entry (i, j) of a lower-triangular Toeplitz matrix is entry
+# i - j + nb - 1 of its first column after nb - 1 zeros; the Gregory weights of the in-block
+# sum; the steps nb-1..nb-4 whose f the map carries to the next block; and the Hankel slots
+# e_s[i, 2 + j] = w_{i+j}, i + j < 4, of the state's f_{r-1-j}
+_LAGS = _NEAR_BLOCK - 1 + np.arange(_NEAR_BLOCK)[:, None] - np.arange(_NEAR_BLOCK)
+_GREGORY = np.concatenate(([0.0, 7 / 6, 23 / 24], np.ones(_NEAR_BLOCK - 3)))
+_END = np.arange(_NEAR_BLOCK - 1, _NEAR_BLOCK - 5, -1)
+_END_LAGS = _LAGS[_END]
+_START_WEIGHTS = np.array([0.375, 7 / 6, 23 / 24, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])  # of ũ_0..ũ_8
+_HANKEL_I, _HANKEL_J = np.nonzero(np.add.outer(np.arange(4), np.arange(4)) < 4)
 
 
 def _series_inverse(t: np.ndarray) -> np.ndarray:
@@ -159,9 +168,10 @@ def _series_inverse(t: np.ndarray) -> np.ndarray:
     return q
 
 
-def _lower_toeplitz(c: np.ndarray) -> np.ndarray:
-    """The lower-triangular Toeplitz matrix with first column c, as a read-only view."""
-    return sliding_window_view(np.concatenate((np.zeros(len(c) - 1, c.dtype), c)), len(c))[:, ::-1]
+def _lower_toeplitz(c: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """The entries `lags`, taken from `_LAGS`, of the nb x nb lower-triangular Toeplitz matrix
+    with first column c."""
+    return np.concatenate((np.zeros(_NEAR_BLOCK - 1, c.dtype), c))[lags]
 
 
 def _block_map(g: np.ndarray, omega0: float, h: float) -> np.ndarray:
@@ -172,7 +182,11 @@ def _block_map(g: np.ndarray, omega0: float, h: float) -> np.ndarray:
     and the state (u_{r-1}, u_{r-2}, f_{r-1}, ..., f_{r-4}); rows are
     u_r..u_{r+nb-1} and the state at r + nb.  With f = A u - base, base_i
     being h d_i plus the in-block Gregory sum, the PECE steps are one unit
-    lower-triangular Toeplitz system in u, solved by `_series_inverse`.
+    lower-triangular Toeplitz system in u, solved by `_series_inverse`, so
+    the forcing block of rows 0..nb-1 is lower-triangular Toeplitz, with
+    first column ℓ = -h (q * v).  Every Toeplitz and Hankel block is taken
+    from its first column by the fixed index tables `_LAGS`, `_END_LAGS`
+    and `_HANKEL_I`, `_HANKEL_J`.
     """
     nb = _NEAR_BLOCK
     a = h / 24.0
@@ -180,36 +194,61 @@ def _block_map(g: np.ndarray, omega0: float, h: float) -> np.ndarray:
     # predictor substituted: u_i = (1 + 9 a A) u_{i-1} + Σ_p w_p f_{i-p} - 9 a base_i
     w = np.array([495 * a * big_a + 19, -531 * a * big_a - 5, 333 * a * big_a + 1, -81 * a * big_a]) * a
     v = np.concatenate(([9 * a], w))  # weights of base_i..base_{i-4}
-    b = h * g[:nb] * np.r_[0.0, 7 / 6, 23 / 24, np.ones(nb - 3)]  # base_i = h d_i + Σ_l b_l u_{i-l}
+    b = h * g[:nb] * _GREGORY  # base_i = h d_i + Σ_l b_l u_{i-l}
     # the system's first column, as a series: 1 - z - A (9 a z + Σ_p w_p z^p) + v b
-    t = np.convolve(v, b)[:nb] - np.r_[-1, 1 + big_a * (9 * a + w[0]), big_a * w[1:], np.zeros(nb - 5)]
+    t = np.convolve(v, b)[:nb]
+    t[0] += 1.0
+    t[1] -= 1.0 + big_a * (9 * a + w[0])
+    t[2:5] -= big_a * w[1:]
     q = _series_inverse(t)
     # state columns (rows 0-5): u_{r-1}, u_{r-2} also in base_0, base_1; f_{r-k} weighs w_{i+k}
     e_s = np.zeros((6, 6), dtype=complex)
     e_s[:, 0] = -h * np.convolve(v, [g[1] / 6.0, -g[2] / 24.0])
     e_s[0, 0] += 1.0 + 9 * a * big_a
     e_s[:5, 1] = v * h * g[2] / 24.0
-    e_s[:4, 2:] = sliding_window_view(np.r_[w, 0.0, 0.0, 0.0], 4)
-    rows = np.hstack((-h * _lower_toeplitz(np.convolve(q, v)[:nb]), _lower_toeplitz(q)[:, :6] @ e_s))
-    j = np.arange(nb - 1, nb - 5, -1)  # f_j at the block's end
-    f = big_a * rows[j] - _lower_toeplitz(b)[j] @ rows
-    f[np.arange(4), j] -= h
-    return np.vstack((rows, rows[-1], rows[-2], f))
+    e_s[_HANKEL_I, _HANKEL_J + 2] = w[_HANKEL_I + _HANKEL_J]
+    out = np.empty((nb + 6, nb + 6), dtype=complex)
+    rows = out[:nb]
+    rows[:, :nb] = -h * _lower_toeplitz(np.convolve(q, v)[:nb], _LAGS)
+    rows[:, nb:] = _lower_toeplitz(q, _LAGS[:, :6]) @ e_s
+    out[nb], out[nb + 1] = rows[-1], rows[-2]
+    f = out[nb + 2:]  # f_j at the block's end
+    f[:] = big_a * rows[_END] - _lower_toeplitz(b, _END_LAGS) @ rows
+    f[np.arange(4), _END] -= h
+    return out
 
 
-def _trapezoid_nodes(s: float):
-    """The trapezoid nodes y_k = exp(lo + k dv) of `_kernel_modes` and their step dv."""
-    dv = min(0.1, 0.55 / (s + 1.0))  # the step 0.1 alone is 5e-12 off at s = 9.5, h = 0.00125
-    lo = math.log(1e-17 * math.gamma(s + 2.0)) / (s + 1.0)  # lo + k dv, as np.arange drifts
-    return np.exp(lo + dv * np.arange(math.ceil((math.log((45.0 + 4.0 * s) * 2**0.5) - lo) / dv) + 1)), dv
+def _ray(spec: BathSpec, h: float, horizon: float | None = None):
+    """The ray angle θ and trapezoid step dv of `_kernel_modes` for lags in [τ_lo, τ_hi].
+
+    On the ray x = y e^{-iθ} the integrand of g(τ) decays as e^{-y √(1+ω_c²τ²) cos(α - θ)},
+    α = arctan ω_c τ: it stays analytic in ln y over a strip of half-width d = π/2 - (α_hi -
+    α_lo)/2 when θ = (α_lo + α_hi)/2, and the trapezoid error e^{-2πd/dv} holds at dv ∝ d
+    (Weideman & Trefethen, Math. Comp. 76 (2007) 1341).  τ_lo = (nb+1) h, and τ_hi is the
+    horizon but at least (2nb+1) h; without a horizon the lags are [0, ∞), θ = d = π/4.
+    """
+    nb, wc = _NEAR_BLOCK, spec.omega_c
+    if horizon is None:
+        a_lo, a_hi = 0.0, 0.5 * math.pi
+    else:
+        a_lo, a_hi = math.atan(wc * (nb + 1) * h), math.atan(wc * max(horizon, (2 * nb + 1) * h))
+    d = 0.5 * math.pi - 0.5 * (a_hi - a_lo)
+    # the step 0.1 alone is 5e-12 off at s = 9.5, h = 0.00125 on the π/4 ray
+    return 0.5 * (a_lo + a_hi), min(0.1, 0.55 / (spec.s + 1.0)) * (d / (0.25 * math.pi))
+
+
+def _trapezoid_nodes(s: float, dv: float) -> np.ndarray:
+    """The trapezoid nodes y_k = exp(lo + k dv) of `_kernel_modes`, lo + k dv as np.arange drifts."""
+    lo = math.log(1e-17 * math.gamma(s + 2.0)) / (s + 1.0)
+    return np.exp(lo + dv * np.arange(math.ceil((math.log((45.0 + 4.0 * s) * 2**0.5) - lo) / dv) + 1))
 
 
 @functools.lru_cache(32)
-def _slow_rule(s: float, k: int):
+def _slow_rule(s: float, k: int, dv: float):
     """Nodes and weights of the 12-point Gauss rule of Σ dv y_j^{s+1} δ(y - y_j) over the
-    nodes y_j < 2^{-k} of `_trapezoid_nodes`: Lanczos with full reorthogonalisation on diag(y_j),
-    then the eigenvalues of the Jacobi matrix (Golub & Welsch, Math. Comp. 23 (1969) 221)."""
-    y, dv = _trapezoid_nodes(s)
+    nodes y_j < 2^{-k} of `_trapezoid_nodes`(s, dv): Lanczos with full reorthogonalisation on
+    diag(y_j), then the eigenvalues of the Jacobi matrix (Golub & Welsch, Math. Comp. 23 (1969) 221)."""
+    y = _trapezoid_nodes(s, dv)
     y = y[y < 2.0**-k]
     w = dv * y ** (s + 1.0)
     q = np.zeros((12, len(y)))
@@ -228,28 +267,34 @@ def _slow_rule(s: float, k: int):
 
 def _kernel_modes(spec: BathSpec, h: float, horizon: float | None = None):
     """λ, c and the table e^{-λ_k j h}, j ≤ nb, of g(t) ≈ Σ_k c_k e^{-λ_k t} for t ≥ (nb+1) h:
-    Γ(s+1)(1 + iτ)^{-(s+1)} = ∫_0^∞ x^s e^{-x(1+iτ)} dx on the ray x = y e^{-iπ/4} by the
-    trapezoid rule in ln y, y from (1e-17 Γ(s+2))^{1/(s+1)} to (45 + 4s)√2, so λ_k =
-    ω_c y_k e^{iπ/4}, without the nodes below 1e-18 Γ(s+1) at t = (nb+1) h.
+    Γ(s+1)(1 + iτ)^{-(s+1)} = ∫_0^∞ x^s e^{-x(1+iτ)} dx on the ray x = y e^{-iθ} of `_ray` by
+    the trapezoid rule in ln y with step dv, y from (1e-17 Γ(s+2))^{1/(s+1)} to (45 + 4s)√2, so
+    λ_k = ω_c y_k e^{i(π/2-θ)} and c_k = η_s ω_c² w_k e^{-y_k e^{-iθ} - iθ(s+1)}, w_k = dv
+    y_k^{s+1}.  The nodes with |c_k e^{-λ_k τ}| ∝ w_k e^{-y_k(cos θ + ω_c τ sin θ)} below
+    1e-18 Γ(s+1) at τ = (nb+1) h are dropped.  Without a horizon, θ = π/4 and dv = min(0.1,
+    0.55/(s+1)), a fit for every lag past (nb+1) h.
 
-    With a horizon T, to which the fit need only hold, the nodes below y_c = 2^{-k} ≤ 4/(1 +
-    ω_c T), if more than 12, become the 12-point Gauss rule of their weights (`_slow_rule`).
-    There c_k e^{-λ_k τ} ∝ w_k exp(y_k e^{iπ/4}(i - ω_c τ)), entire in y with an exponent of
-    at most y_c (1 + ω_c T) ≤ 4 for τ ≤ T: 12 nodes match the trapezoid to 2^24/24! Σw ≈ 3e-17 Σw.
+    With a horizon T, to which the fit need only hold, θ and dv are balanced over [(nb+1) h, T]
+    and the nodes below y_c = 2^{-k} ≤ 4/(1 + ω_c T), if more than 12, become the 12-point
+    Gauss rule of their weights (`_slow_rule`, cached per (s, k, dv)).  There c_k e^{-λ_k τ} ∝
+    w_k exp(-y_k e^{-iθ}(1 + iω_c τ)), entire in y with an exponent of at most y_c (1 + ω_c T)
+    ≤ 4 for τ ≤ T: 12 nodes match the trapezoid to 2^24/24! Σw ≈ 3e-17 Σw.
     """
     nb, s, wc = _NEAR_BLOCK, spec.s, spec.omega_c
-    y, dv = _trapezoid_nodes(s)
+    theta, dv = _ray(spec, h, horizon)
+    y = _trapezoid_nodes(s, dv)
     wt = dv * y ** (s + 1.0)
     if horizon is not None:
         k = math.ceil(math.log2((1.0 + wc * horizon) / 4.0))
         fast = y >= 2.0**-k
         if np.count_nonzero(~fast) > 12:
-            ys, ws = _slow_rule(s, k)
+            ys, ws = _slow_rule(s, k, dv)
             y, wt = np.r_[ys, y[fast]], np.r_[ws, wt[fast]]
-    keep = wt * np.exp(-y * (1.0 + (nb + 1) * wc * h) / 2**0.5) > 1e-18 * math.gamma(s + 1.0)
+    rate = math.cos(theta) + (nb + 1) * wc * h * math.sin(theta)
+    keep = wt * np.exp(-y * rate) > 1e-18 * math.gamma(s + 1.0)
     y, wt = y[keep], wt[keep]
-    lam = wc * y * np.exp(0.25j * np.pi)
-    c = spec.eta_s * wc**2 * wt * np.exp(1j * lam / wc - 0.25j * np.pi * (s + 1.0))
+    lam = wc * y * np.exp(1j * (0.5 * math.pi - theta))
+    c = spec.eta_s * wc**2 * wt * np.exp(1j * lam / wc - 1j * theta * (s + 1.0))
     powers = np.empty((nb + 1, len(y)), dtype=complex)
     powers[0], powers[1] = 1.0, np.exp(-h * lam)
     for m in 1 << np.arange(6):  # doubling: rows m+1..2m are rows 1..m times row m
@@ -282,10 +327,13 @@ def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
     only.  Their forcing V S, V_ik = c_k e^{-λ_k (nb+i) h}, is folded into
     the map as well, and so is the mode update S ← e^{-λ_k nb h} S + W
     u_prev, the oblivious convolution quadrature of Lubich & Schädle (SIAM
-    J. Sci. Comput. 24 (2002) 161): each block is one product of (state,
-    u_prev, S) with a (70 + K)² matrix.  The start-up is the first block's
-    history: at r = 9, u_prev is 55 zeros and ũ_0..ũ_8, and S = 0.
-    Cost O(n (K + nb)²/nb); the far history is K numbers.
+    J. Sci. Comput. 24 (2002) 161): each block is one product of (u_prev,
+    state, S) with a (70 + K)² matrix.  V is geometric in i and the map's
+    forcing rows are lower-triangular Toeplitz, so the map times V is one
+    cumulative sum over i, O(nb K), and the set-up's one dense product is
+    the map times the square, O(nb³) whatever K.  The start-up is the
+    first block's history: at r = 9, u_prev is 55 zeros and ũ_0..ũ_8, and
+    S = 0.  Cost O(n (K + nb)²/nb); the far history is K numbers.
     Returns u_0..u_n and the modes (λ, c, powers), built for every n.
     """
     nb = _NEAR_BLOCK
@@ -316,25 +364,31 @@ def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
     # the block map and the square g_{nb+i-k} take lags below 2 nb
     g = _bath.correlation(spec, np.arange(2 * nb) * h)
     step_map = _block_map(g, omega0, h)
-    square = g[nb + np.arange(nb)[:, None] - np.arange(nb)]
     _, c, powers = modes
-    decay = powers[nb]
-    # step: rows (state, u_r..u_{r+nb-1}), columns (state, u_{r-nb}..u_{r-1}, S), the
-    # forcing d being square u_prev + V S; then x ← x a, a = [step.T | (0; W.T; diag(decay))]
-    step = np.hstack((step_map[:, nb:], step_map[:, :nb] @ np.hstack((square, powers[:nb] * (c * decay)))))
-    a = np.zeros((nb + 6 + len(c),) * 2, dtype=complex)
-    a[:, :nb + 6] = np.roll(step, 6, 0).T
-    a[6:nb + 6, nb + 6:] = powers[nb:0:-1]
-    np.fill_diagonal(a[nb + 6:, nb + 6:], decay)
+    rho, big_w = powers[:nb], powers[nb:0:-1]  # ρ^i and W_m = ρ^{nb-m}, ρ = e^{-λh}
+    # x = (u_{r-nb}..u_{r-1}, state, S) and x ← x a: a's first nb + 6 columns are the map's rows,
+    # its last K the update S ← ρ^nb S + W u_prev.  The map's forcing d is square u_prev + V S with
+    # V_ik = c_k ρ_k^{nb+i}, geometric in i, so through the map's lower-triangular Toeplitz forcing
+    # rows, first column ℓ, (L V)_ik = c_k ρ_k^i Σ_{m≤i} ℓ_m W_mk: O(nb K), not a product
+    size_a = nb + 6 + len(c)
+    a = np.zeros((size_a, size_a), dtype=complex)
+    at = a.T  # at[i] is the map's row i over the inputs
+    at[:nb + 6, :nb] = step_map[:, :nb] @ g[1:][_LAGS]
+    at[:nb + 6, nb:nb + 6] = step_map[:, nb:]
+    rc = rho * c
+    at[:nb, nb + 6:] = np.cumsum(step_map[:nb, :1] * big_w, axis=0) * rc
+    at[nb:nb + 6, nb + 6:] = (step_map[nb:, :nb] @ rc) * powers[nb]
+    a[:nb, nb + 6:] = big_w
+    a.reshape(-1)[(nb + 6) * (size_a + 1)::size_a + 1] = powers[nb]  # the diagonal of the S block
     # the first block, at r = 9: u_prev = (0 × 55, ũ_0..ũ_8) and S = 0
-    x = np.zeros(len(a), dtype=complex)
-    x[:6] = u[8], u[7], *f
-    x[nb - 3:nb + 6] = u[:9] * np.r_[0.375, 7 / 6, 23 / 24, np.ones(6)]
+    x = np.zeros(size_a, dtype=complex)
+    x[nb - 9:nb] = u[:9] * _START_WEIGHTS
+    x[nb:nb + 6] = u[8], u[7], *f
     x_next = np.empty_like(x)
     for r in range(9, size, nb):
         np.dot(x, a, out=x_next)
         x, x_next = x_next, x
-        u[r:r + nb] = x[6:nb + 6]
+        u[r:r + nb] = x[:nb]
     return u[:n + 1], modes
 
 

@@ -428,6 +428,31 @@ def step_history_direct(spec, omega0: float, h: float, n: int):
     return u
 
 
+def kernel_modes_pi4(spec, h: float):
+    """The stepper's exponential modes of g on the fixed ray x = y e^{-iπ/4}, without a horizon:
+    the trapezoid rule in ln y at the step min(0.1, 0.55/(s+1)), nodes from (1e-17
+    Γ(s+2))^{1/(s+1)} to (45 + 4s)√2, without those below 1e-18 Γ(s+1) at t = 65 h.
+
+    The form `cohlab.propagator._kernel_modes` gives for every h without a horizon, kept
+    operation for operation so that the two agree bit for bit.  Returns λ, c and the table
+    e^{-λ_k j h}, j ≤ 64.
+    """
+    nb, s, wc = 64, spec.s, spec.omega_c
+    dv = min(0.1, 0.55 / (s + 1.0))
+    lo = math.log(1e-17 * math.gamma(s + 2.0)) / (s + 1.0)
+    y = np.exp(lo + dv * np.arange(math.ceil((math.log((45.0 + 4.0 * s) * 2**0.5) - lo) / dv) + 1))
+    wt = dv * y ** (s + 1.0)
+    keep = wt * np.exp(-y * (1.0 + (nb + 1) * wc * h) / 2**0.5) > 1e-18 * math.gamma(s + 1.0)
+    y, wt = y[keep], wt[keep]
+    lam = wc * y * np.exp(0.25j * np.pi)
+    c = spec.eta_s * wc**2 * wt * np.exp(1j * lam / wc - 0.25j * np.pi * (s + 1.0))
+    powers = np.empty((nb + 1, len(y)), dtype=complex)
+    powers[0], powers[1] = 1.0, np.exp(-h * lam)
+    for m in 1 << np.arange(6):
+        powers[m + 1:2 * m + 1] = powers[1:m + 1] * powers[m]
+    return lam, c, powers
+
+
 def step_history_blocked_fft(spec, omega0: float, h: float, n: int):
     """The time stepper with the dyadic blocked history sum of Hairer, Lubich
     & Schlichte (SIAM J. Sci. Stat. Comput. 6 (1985) 532), O(n log² n).

@@ -61,6 +61,20 @@ def test_eta_s_scaling():
     assert abs(spec.eta_s - 0.5 * (np.e / 3.0) ** 3) < 1e-15
 
 
+def test_spec_names_the_limits_on_s_and_eta_s():
+    # Γ(s+1) overflows past s = 170.62; there η_s = η0 (e/s)^s had already read 0.0
+    # at s = 200.5, and at s = 170, η0 = 0.001 it is the subnormal 4.5e-309
+    with pytest.raises(ValueError, match="at most 170.62"):
+        BathSpec(200.5, 0.5)
+    with pytest.raises(ValueError, match="smallest normal float"):
+        BathSpec(170.0, 0.001)
+    assert BathSpec(170.0, 0.0).eta_s == 0.0  # free: no coupling to lose
+    # every s that passes keeps today's bits
+    for s, eta0 in ((150.5, 0.5), (170.5, 0.5), (3.0, 0.5)):
+        assert BathSpec(s, eta0).eta_s == eta0 * (np.e / s) ** s
+    assert spectral_density(BathSpec(150.5, 0.5), 150.5) == pytest.approx(np.pi, rel=1e-12)
+
+
 @pytest.mark.parametrize("s", S_VALUES)
 def test_peak_height_and_position(s):
     # common peak 2π η0 ωc at ω = s ωc is the scaling convention's point

@@ -312,6 +312,18 @@ def test_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
 
 
+def test_bath_limits_exit_2_and_s_150_runs(tmp_path, capsys):
+    # past s = 170.62 Γ(s+1) overflows, and at s = 170.5 the default η0 = 0.01 gives a
+    # subnormal η_s: both are configuration errors, where the solvers failed with exit 1
+    assert main(["channel", "--s", "200.5", "--out", str(tmp_path)]) == 2
+    assert "at most 170.62" in capsys.readouterr().err
+    assert main(["channel", "--s", "170.5", "--out", str(tmp_path)]) == 2
+    assert "smallest normal float" in capsys.readouterr().err
+    assert main(["sweep", "--axis", "s", "--values", "1,200.5", "--out", str(tmp_path)]) == 2
+    assert main(["channel", "--s", "150.5", "--eta0", "0.5", "--tmax", "50", "--out-points", "20",
+                 "--out", str(tmp_path)]) == 0
+
+
 # all four commands, --config, --linear-out, and flags left unset
 _ARGVS = [["propagator", "--s", "0.5", "--solver", "both", "--linear-out"],
           ["channel", "--eta0", "0.5", "--code", "phase", "--n", "3", "--out-points", "20"],

@@ -36,6 +36,7 @@ from oracles import (
     bound_state_mp,
     cut_tail_quad,
     find_poles_scan,
+    kernel_modes_pi4,
     lamb_shift_excised,
     resonance_seeds_brentq,
     step_history_blocked_fft,
@@ -258,7 +259,7 @@ def test_kernel_modes_fit_the_kernel_past_the_near_block(s):
 def test_kernel_modes_fit_to_the_horizon(s):
     # with a horizon T the nodes below y_c = 2^-k ≤ 4/(1 + ω_c T) are one 12-point
     # Gauss rule: the fit over [65 h, T] holds, and each slow mode keeps a positive
-    # weight w = c / (η_s ω_c² e^{iλ/ω_c - iπ(s+1)/4}) on the ray
+    # weight w = c / (η_s ω_c² e^{iλ/ω_c - iθ(s+1)}) on the ray of angle θ
     spec = BathSpec(s, 1.0)
     g0 = abs(correlation(spec, 0.0))
     for h in (0.1, 0.0125, 0.003125, 0.00125):
@@ -268,8 +269,9 @@ def test_kernel_modes_fit_to_the_horizon(s):
             assert np.all(lam.real > 0.0) and len(c) <= full, (h, horizon)
             y_c = 2.0 ** -math.ceil(math.log2((1.0 + horizon) / 4.0))
             slow = np.abs(lam) < y_c
-            w = c[slow] / (spec.eta_s * np.exp(1j * lam[slow] - 0.25j * np.pi * (s + 1.0)))
-            trapezoid_slow = np.count_nonzero(propagator._trapezoid_nodes(s)[0] < y_c)
+            theta, dv = propagator._ray(spec, h, horizon)
+            w = c[slow] / (spec.eta_s * np.exp(1j * lam[slow] - 1j * theta * (s + 1.0)))
+            trapezoid_slow = np.count_nonzero(propagator._trapezoid_nodes(s, dv) < y_c)
             assert np.count_nonzero(slow) == min(12, trapezoid_slow), (h, horizon)
             assert np.all(w.real > 0.0) and np.all(np.abs(w.imag) <= 1e-12 * w.real), (h, horizon)
             if horizon > 65 * h:
@@ -278,6 +280,70 @@ def test_kernel_modes_fit_to_the_horizon(s):
                 assert np.max(np.abs(fit - correlation(spec, t))) <= 1e-13 * g0, (h, horizon)
     if s == 0.5:  # 298 modes without the horizon: a fall-back to the full set fails here
         assert len(propagator._kernel_modes(spec, 0.005, 1000.0)[1]) <= 120
+
+
+def test_kernel_modes_without_horizon_keep_the_pi_over_4_ray():
+    # without a horizon the ray stays at π/4 and the step at min(0.1, 0.55/(s+1)), bit for bit
+    for s, h, omega_c in itertools.product((0.3, 0.5, 1.0, 3.0, 9.5, 30.0), (0.1, 0.0125, 0.00125), (0.5, 1.0)):
+        spec = BathSpec(s, 0.5, omega_c)
+        for got, want in zip(propagator._kernel_modes(spec, h), kernel_modes_pi4(spec, h)):
+            assert got.shape == want.shape and np.array_equal(got, want), (s, h, omega_c)
+    assert propagator._ray(BathSpec(1.0, 0.5), 0.1) == (0.25 * np.pi, 0.1)
+
+
+TIME_STEPPING = [(s, 0.5, 150.0, 3000) for s in S_VALUES] + [(s, 0.01, 400.0, 4000) for s in S_VALUES]
+
+
+@pytest.mark.parametrize("s,eta0,t_max,steps", TIME_STEPPING)
+def test_kernel_modes_fit_every_halving_level(s, eta0, t_max, steps, monkeypatch):
+    # the ray balanced over each level's lags [65 h, T] keeps the fit within 2e-14 of |g(0)|
+    # there with at most 80 modes (87-97 on the π/4 ray at the final levels)
+    spec = BathSpec(s, eta0)
+    levels = []
+    step_history = propagator._step_history
+    monkeypatch.setattr(propagator, "_step_history", lambda spec, w0, h, n: (
+        levels.append((h, n)), step_history(spec, w0, h, n))[1])
+    sol = solve_volterra(spec, 0.1, TimeGrid.uniform(t_max, steps))
+    assert len(levels) == sol.diagnostics["refinements"] + 1
+    g0 = abs(correlation(spec, 0.0))
+    for h, n in levels:
+        horizon = propagator._whole_blocks(n) * h
+        lam, c, _ = propagator._kernel_modes(spec, h, horizon)
+        assert len(c) <= 80, (h, len(c))
+        t = np.concatenate((np.linspace(65 * h, horizon, 4001), np.geomspace(65 * h, horizon, 1001)))
+        fit = np.concatenate([np.exp(-np.outer(ch, lam)) @ c for ch in np.array_split(t, 8)])
+        assert np.max(np.abs(fit - correlation(spec, t))) <= 2e-14 * g0, h
+    assert sol.diagnostics["fit_bound"] <= 1e-14
+
+
+def test_slow_rule_is_cached_per_step():
+    # one Gauss rule per (s, k, dv): a level with another step builds its own
+    rule = propagator._slow_rule(1.0, 6, 0.1)
+    assert propagator._slow_rule(1.0, 6, 0.1) is rule
+    other = propagator._slow_rule(1.0, 6, 0.08)
+    assert other is not rule and not np.array_equal(other[0], rule[0])
+    # both integrate the same measure's moments to rounding: Σ w = Σ dv y^{s+1}
+    for dv, (x, w) in ((0.1, rule), (0.08, other)):
+        y = propagator._trapezoid_nodes(1.0, dv)
+        y = y[y < 2.0**-6]
+        assert np.all((0.0 < x) & (x < 2.0**-6)) and np.all(w > 0.0)
+        assert abs(w.sum() - np.sum(dv * y**2.0)) <= 1e-14 * w.sum()
+
+
+@pytest.mark.parametrize("s", [0.5, 3.0, 9.5])
+def test_kernel_modes_below_two_blocks_of_lags(s):
+    # a horizon below (2nb + 1) h is read as (2nb + 1) h for the ray: Re λ > 0, and the
+    # fit holds over [65 h, T]
+    spec = BathSpec(s, 1.0)
+    g0 = abs(correlation(spec, 0.0))
+    for h in (0.1, 0.0125):
+        for horizon in (73 * h, 100 * h, 128 * h):
+            theta, dv = propagator._ray(spec, h, horizon)
+            assert (theta, dv) == propagator._ray(spec, h, 129 * h)
+            lam, c, _ = propagator._kernel_modes(spec, h, horizon)
+            assert np.all(lam.real > 0.0)
+            t = np.linspace(65 * h, horizon, 2001)
+            assert np.max(np.abs(np.exp(-np.outer(t, lam)) @ c - correlation(spec, t))) <= 1e-13 * g0, h
 
 
 @pytest.mark.parametrize("s,eta0", REFERENCE_PAIRS + [(1.0, 1000.0), (3.0, 1000.0)])
