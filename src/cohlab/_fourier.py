@@ -1,12 +1,13 @@
-"""Half-range Fourier integrals ∫ f(ω) e^{-iωt} dω for many t at once.
+"""Half-range Fourier integrals ∫ f(ω) e^{-iωt} dω of a real f for many t at once.
 
-The integrand f is smooth apart from isolated sharp features (narrow
-resonances at weak coupling, a fractional-power edge at ω = 0 for
+The integrand f is real and smooth apart from isolated sharp features
+(narrow resonances at weak coupling, a fractional-power edge at ω = 0 for
 sub-Ohmic baths).  The domain is split into adaptive panels on which f is
 represented by a degree-12 Chebyshev interpolant.  Panel i (midpoint m_i,
 half-width h_i) contributes h_i e^{-i m_i t} ∫_{-1}^{1} f e^{-iθξ} dξ with
-θ = h_i t.  All panels and times are evaluated as whole P × T arrays, and
-each (panel, time) pair takes one of three regimes:
+θ = h_i t.  All panels and times are evaluated as whole P × T arrays in
+real arithmetic, the real and imaginary parts apart, and each (panel,
+time) pair takes one of three regimes:
 
 - |θ| ≤ 2: the 24-point Gauss-Legendre sum Σ_k w_k f_k e^{-iθx_k}, taken
   as its Taylor series Σ_{n ≤ 24} θⁿ M_n with the moments
@@ -14,14 +15,18 @@ each (panel, time) pair takes one of three regimes:
   even and one over the odd powers, and no exponentials.  The truncation
   error is at most 2²⁵/25! ≈ 2e-18 times Σ_k w_k |f_k|, below 1e-16, so
   this equals the Gauss-Legendre sum up to rounding.
-- 2 < |θ| ≤ 14: the Gauss-Legendre sum itself, 24 complex exponentials
+- 2 < |θ| ≤ 14: the Gauss-Legendre sum itself, its nodes folded onto the
+  12 with x_k > 0 (x_{-k} = -x_k, equal weights): Σ_k w_k (f_k + f_{-k})
+  cos θx_k - i Σ_k w_k (f_k - f_{-k}) sin θx_k, 24 real sines and cosines
   per pair.
 - |θ| > 14: a Filon-type rule with exact monomial moments of e^{-iθξ}
-  against the Chebyshev interpolant (stable for |θ| > degree).
+  against the Chebyshev interpolant, the even moments real and the odd
+  ones imaginary: two real recurrences (stable for |θ| > degree).
 
-The quadrature error is uniform in t and bounded by ∫|f - p| for the
-piecewise interpolant p, that is by the error budget Σ_i h_i tail_i of the
-panels' Chebyshev tails; each panel keeps its own share below 1e-10.
+The phase e^{-i m_i t} is applied as its cosine and sine.  The quadrature
+error is uniform in t and bounded by ∫|f - p| for the piecewise
+interpolant p, that is by the error budget Σ_i h_i tail_i of the panels'
+Chebyshev tails; each panel keeps its own share below 1e-10.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ def _cheb_to_monomial(p: int) -> np.ndarray:
 _COEF_MAT = _dct_matrix(_DEGREE)
 _MONO_MAT = _cheb_to_monomial(_DEGREE)
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_POINTS)
+_GL_HALF = _GL_POINTS // 2  # _GL_X[_GL_HALF + k] = -_GL_X[_GL_HALF - 1 - k], with equal weights
 
 
 def _taylor_matrices(n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -93,13 +99,15 @@ class FourierQuadratureError(RuntimeError):
 
 
 class PanelSet:
-    """Adaptive panel decomposition of [a, b] with per-panel data."""
+    """Adaptive panel decomposition of [a, b] with per-panel data of a real f:
+    its Chebyshev coefficients, and its values at the 24 Gauss-Legendre
+    nodes, which `fourier_integral` folds in mirror pairs."""
 
     def __init__(self, mids, halfs, coeffs, gl_vals, worst_tail):
         self.mids = mids            # (n_panels,)
         self.halfs = halfs          # (n_panels,)
         self.coeffs = coeffs        # (n_panels, degree+1) Chebyshev coefficients
-        self.gl_vals = gl_vals      # (n_panels, GL points) f at GL nodes
+        self.gl_vals = gl_vals      # (n_panels, GL points) real f at GL nodes, ascending
         self.worst_tail = worst_tail
 
     def __len__(self):
@@ -109,11 +117,12 @@ class PanelSet:
 def build_panels(f, a: float, b: float, *, seeds=()) -> PanelSet:
     """Split [a, b] into panels on which f is Chebyshev-resolved.
 
-    f must accept an ndarray of points and return an ndarray of (possibly
-    complex) values.  A panel of half-width h is accepted once h × tail,
-    its share of ∫|f - p|, is at most _PANEL_TOL (tail: the largest of its
-    last three Chebyshev coefficients); the rule is absolute, carrying no
-    scale from one panel to the next.  `seeds` are forced breakpoints.
+    f must accept an ndarray of points and return an ndarray of real
+    values; complex ones raise TypeError, since `fourier_integral` would
+    drop their imaginary part.  A panel of half-width h is accepted once
+    h × tail, its share of ∫|f - p|, is at most _PANEL_TOL (tail: the
+    largest of its last three Chebyshev coefficients); the rule is
+    absolute, carrying no scale from one panel to the next.  `seeds` are forced breakpoints.
     The bisection runs breadth-first: all pending panels of a level are
     sampled by one call of f and transformed by one matrix product.
     Panels are not split below (b - a) 2⁻⁵⁰; the largest share h × tail
@@ -121,6 +130,12 @@ def build_panels(f, a: float, b: float, *, seeds=()) -> PanelSet:
     _PANEL_TOL).  Raises FourierQuadratureError once the kept and pending
     panels together exceed _MAX_PANELS.
     """
+    def sample(x):
+        vals = np.asarray(f(x))
+        if np.iscomplexobj(vals):
+            raise TypeError(f"f must return real values, got {vals.dtype}")
+        return vals
+
     min_width = (b - a) * 2.0**-50
     pts = np.sort([a, b, *(float(x) for x in seeds if a < x < b)])
     pts = pts[np.r_[True, pts[1:] != pts[:-1]]]  # np.unique's points, without loading numpy.ma
@@ -131,7 +146,7 @@ def build_panels(f, a: float, b: float, *, seeds=()) -> PanelSet:
     while lo.size:
         m = 0.5 * (lo + hi)
         h = 0.5 * (hi - lo)
-        vals = np.asarray(f((m[:, None] + h[:, None] * _CGL_NODES).ravel()))
+        vals = sample((m[:, None] + h[:, None] * _CGL_NODES).ravel())
         c = vals.reshape(len(m), _DEGREE + 1) @ _COEF_MAT.T
         tail = np.max(np.abs(c[:, -3:]), axis=1)
         share = h * tail
@@ -155,22 +170,8 @@ def build_panels(f, a: float, b: float, *, seeds=()) -> PanelSet:
     mids, halfs, coeffs = mids[order], halfs[order], coeffs[order]
     # batch-evaluate f at all GL nodes for the low-|θ| path
     gl_nodes = (mids[:, None] + halfs[:, None] * _GL_X[None, :]).ravel()
-    gl_vals = np.asarray(f(gl_nodes)).reshape(len(mids), _GL_POINTS)
+    gl_vals = sample(gl_nodes).reshape(len(mids), _GL_POINTS)
     return PanelSet(mids, halfs, coeffs, gl_vals, worst_tail)
-
-
-def _monomial_moments(theta: np.ndarray, p: int) -> np.ndarray:
-    """m_j(θ) = ∫_{-1}^{1} ξ^j e^{-iθξ} dξ for j = 0..p; stable for |θ| > p."""
-    out = np.empty((p + 1, len(theta)), dtype=complex)
-    eip = np.exp(1j * theta)
-    eim = np.conj(eip)
-    out[0] = 2.0 * np.sin(theta) / theta
-    inv = 1.0 / (-1j * theta)
-    for j in range(1, p + 1):
-        # B_j = e^{-iθ} - (-1)^j e^{+iθ}
-        bj = eim - ((-1.0) ** j) * eip
-        out[j] = (bj - j * out[j - 1]) * inv
-    return out
 
 
 def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -183,8 +184,8 @@ def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _taylor_sum(gl_vals: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """The Gauss-Legendre sums Σ_k w_k f_ik e^{-iθ_ij x_k} from their Taylor series.
+def _taylor_sum(gl_vals: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re and Im of the Gauss-Legendre sums Σ_k w_k f_ik e^{-iθ_ij x_k} from their Taylor series.
 
     θ is clipped to ±_TAYLOR_SWITCH, where the series is exact to rounding;
     pairs beyond it are overwritten by the caller, and the clip keeps their
@@ -193,30 +194,56 @@ def _taylor_sum(gl_vals: np.ndarray, theta: np.ndarray) -> np.ndarray:
     th = np.clip(theta, -_TAYLOR_SWITCH, _TAYLOR_SWITCH)
     u = th * th
     sine = _horner(gl_vals @ _SIN_MAT, u)
-    sine *= th
-    return _horner(gl_vals @ _COS_MAT, u) - 1j * sine
+    sine *= -th
+    return _horner(gl_vals @ _COS_MAT, u), sine
+
+
+def _filon_sums(mono: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re and Im of Σ_j mono_pj m_j(θ_p), m_j(θ) = ∫_{-1}^{1} ξ^j e^{-iθξ} dξ, for real mono.
+
+    m_j is r_j = ∫ ξ^j cos θξ dξ for even j and -i s_j, s_j = ∫ ξ^j sin θξ dξ,
+    for odd j: two real recurrences r_j = (2 sin θ - j s_{j-1})/θ and s_j =
+    (j r_{j-1} - 2 cos θ)/θ from r_0 = 2 sin θ/θ, stable for |θ| > degree.
+    """
+    two_sin, two_cos, inv = 2.0 * np.sin(theta), 2.0 * np.cos(theta), 1.0 / theta
+    m = two_sin * inv
+    re, im = mono[:, 0] * m, np.zeros_like(m)
+    for j in range(1, mono.shape[1]):
+        if j % 2:
+            m = (j * m - two_cos) * inv
+            im -= mono[:, j] * m
+        else:
+            m = (two_sin - j * m) * inv
+            re += mono[:, j] * m
+    return re, im
 
 
 def fourier_integral(panels: PanelSet, times) -> np.ndarray:
     """∫_a^b f(ω) e^{-iωt} dω for each t in `times` (complex result)."""
     t = np.atleast_1d(np.asarray(times, dtype=float))
-    weighted = panels.gl_vals * _GL_W
+    # the nodes folded onto x_k > 0: w_k (f_k e^{-iθx_k} + f_{-k} e^{iθx_k}) is
+    # w_k (f_k + f_{-k}) cos θx_k + i w_k (f_{-k} - f_k) sin θx_k
+    pos, neg, w = panels.gl_vals[:, _GL_HALF:], panels.gl_vals[:, _GL_HALF - 1::-1], _GL_W[_GL_HALF:]
+    fold_plus, fold_minus = w * (pos + neg), w * (neg - pos)
     mono = panels.coeffs @ _MONO_MAT.T
     out = np.empty(len(t), dtype=complex)
     step = max(1, _BLOCK // len(panels))
     for j in range(0, len(t), step):
         tb = t[j:j + step]
         theta = np.outer(panels.halfs, tb)
-        acc = _taylor_sum(panels.gl_vals, theta)
+        re, im = _taylor_sum(panels.gl_vals, theta)
         size = np.abs(theta)
         i, k = np.nonzero((size > _TAYLOR_SWITCH) & (size <= _THETA_SWITCH))
         if len(i):
-            ker = np.exp(-1j * theta[i, k, None] * _GL_X)
-            acc[i, k] = np.einsum("pk,pk->p", ker, weighted[i])
+            arg = theta[i, k, None] * _GL_X[_GL_HALF:]
+            re[i, k] = np.einsum("pk,pk->p", np.cos(arg), fold_plus[i])
+            im[i, k] = np.einsum("pk,pk->p", np.sin(arg), fold_minus[i])
         i, k = np.nonzero(size > _THETA_SWITCH)
         if len(i):
-            mom = _monomial_moments(theta[i, k], _DEGREE)
-            acc[i, k] = np.einsum("pj,jp->p", mono[i], mom)
-        acc *= np.exp(-1j * np.outer(panels.mids, tb))
-        out[j:j + step] = panels.halfs @ acc
+            re[i, k], im[i, k] = _filon_sums(mono[i], theta[i, k])
+        phase = np.outer(panels.mids, tb)
+        cos, sin = np.cos(phase), np.sin(phase)
+        # (re + i im) e^{-iφ} = (re cos φ + im sin φ) + i (im cos φ - re sin φ)
+        out.real[j:j + step] = panels.halfs @ (re * cos + im * sin)
+        out.imag[j:j + step] = panels.halfs @ (im * cos - re * sin)
     return out if np.ndim(times) else out[0]

@@ -34,7 +34,7 @@ from . import __version__
 from .bath import BathSpec, spectral_density
 from .channel import metrics_closed, x_state_metrics
 from .codes import bitflip_metrics, bitflip_p_e, corrected_c
-from .propagator import TimeGrid, resample, solve_laplace, solve_volterra
+from .propagator import TimeGrid, check_stepper_range, resample, solve_laplace, solve_volterra
 from .qubit import phase_error_prob
 
 __all__ = ["RunConfig", "ConfigError", "main"]
@@ -87,7 +87,9 @@ class RunConfig:
             raise ConfigError("phase-flip code requires odd n")
         try:
             self.bath
-        except ValueError as exc:  # the bath's own limits on s and eta_s
+            if self.solver != "laplace":
+                check_stepper_range(self.s)
+        except ValueError as exc:  # the bath's own limits on s and eta_s, and the stepper's on s
             raise ConfigError(str(exc)) from None
 
     @property

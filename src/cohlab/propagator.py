@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,7 @@ from ._fourier import FourierQuadratureError, build_panels, fourier_integral
 from .bath import BathSpec
 
 __all__ = ["TimeGrid", "PropagatorSolution", "NonConvergenceError", "solve_volterra", "solve_laplace",
-           "find_poles", "lamb_shift", "markov_u", "resample"]
+           "check_stepper_range", "find_poles", "lamb_shift", "markov_u", "resample"]
 
 
 class NonConvergenceError(RuntimeError):
@@ -218,6 +219,9 @@ def _block_map(g: np.ndarray, omega0: float, h: float) -> np.ndarray:
     return out
 
 
+_DV_SCALE = 0.55  # `_ray`'s step is at most 2 × _DV_SCALE/(s+1), on the widest strip d = π/2
+
+
 def _ray(spec: BathSpec, h: float, horizon: float | None = None):
     """The ray angle θ and trapezoid step dv of `_kernel_modes` for lags in [τ_lo, τ_hi].
 
@@ -234,13 +238,39 @@ def _ray(spec: BathSpec, h: float, horizon: float | None = None):
         a_lo, a_hi = math.atan(wc * (nb + 1) * h), math.atan(wc * max(horizon, (2 * nb + 1) * h))
     d = 0.5 * math.pi - 0.5 * (a_hi - a_lo)
     # the step 0.1 alone is 5e-12 off at s = 9.5, h = 0.00125 on the π/4 ray
-    return 0.5 * (a_lo + a_hi), min(0.1, 0.55 / (spec.s + 1.0)) * (d / (0.25 * math.pi))
+    return 0.5 * (a_lo + a_hi), min(0.1, _DV_SCALE / (spec.s + 1.0)) * (d / (0.25 * math.pi))
+
+
+def _node_top(s: float) -> float:
+    """(45 + 4s)√2, the y up to which `_trapezoid_nodes` reaches."""
+    return (45.0 + 4.0 * s) * 2**0.5
 
 
 def _trapezoid_nodes(s: float, dv: float) -> np.ndarray:
     """The trapezoid nodes y_k = exp(lo + k dv) of `_kernel_modes`, lo + k dv as np.arange drifts."""
     lo = math.log(1e-17 * math.gamma(s + 2.0)) / (s + 1.0)
-    return np.exp(lo + dv * np.arange(math.ceil((math.log((45.0 + 4.0 * s) * 2**0.5) - lo) / dv) + 1))
+    return np.exp(lo + dv * np.arange(math.ceil((math.log(_node_top(s)) - lo) / dv) + 1))
+
+
+def check_stepper_range(s: float) -> None:
+    """Raise ValueError, naming the limit, if a weight y^{s+1} of `_kernel_modes` may pass the
+    largest float at power s: the last node of `_trapezoid_nodes` lies less than one step dv
+    past `_node_top`(s), and (s+1) dv ≤ 2 _DV_SCALE on every ray of `_ray`.
+
+    The limit, the largest s that passes, is found by bisection and named rounded down
+    (107.81); up to it the stepper's nodes, weights and Γ(s+2) are finite.
+    """
+    def overflows(x):  # grows with x
+        return (x + 1.0) * math.log(_node_top(x)) + 2.0 * _DV_SCALE > math.log(sys.float_info.max)
+
+    if not overflows(s):
+        return
+    lo, hi = 0.0, s
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if overflows(mid) else (mid, hi)
+    raise ValueError(f"power s must be at most {math.floor(100.0 * lo) / 100.0} for the time stepper, "
+                     f"where its kernel-mode weights y^(s+1) overflow at y up to (45 + 4s)*sqrt(2), got {s}")
 
 
 @functools.lru_cache(32)
@@ -406,11 +436,14 @@ def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *,
 
     Raises
     ------
+    ValueError
+        If s is past the stepper's limit (`check_stepper_range`), before any step.
     NonConvergenceError
         If the refinement budget is exhausted before the gate passes.
     """
     if max_refinements < 1:
         raise ValueError("max_refinements must be at least 1")
+    check_stepper_range(spec.s)
     if len(grid.samples) == 1:
         return PropagatorSolution(grid, np.array([1.0 + 0.0j]))
     h0 = grid.step

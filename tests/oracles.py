@@ -572,10 +572,25 @@ def volterra_residual(spec, omega0: float, solution) -> float:
     return worst
 
 
+def monomial_moments(theta: np.ndarray, p: int) -> np.ndarray:
+    """m_j(θ) = ∫_{-1}^{1} ξ^j e^{-iθξ} dξ for j = 0..p by the complex
+    recurrence m_j = (e^{-iθ} - (-1)^j e^{iθ} - j m_{j-1})/(-iθ) from
+    m_0 = 2 sin θ/θ; stable for |θ| > p."""
+    out = np.empty((p + 1, len(theta)), dtype=complex)
+    eip = np.exp(1j * theta)
+    eim = np.conj(eip)
+    out[0] = 2.0 * np.sin(theta) / theta
+    inv = 1.0 / (-1j * theta)
+    for j in range(1, p + 1):
+        out[j] = (eim - ((-1.0) ** j) * eip - j * out[j - 1]) * inv
+    return out
+
+
 def fourier_integral_panelwise(panels, times) -> np.ndarray:
-    """`cohlab._fourier.fourier_integral` as a loop over panels: on each
-    panel, the 24-point Gauss-Legendre sum with one complex exponential per
-    node and time where |h t| ≤ 14, and the Filon rule beyond."""
+    """`cohlab._fourier.fourier_integral` as a loop over panels in complex
+    arithmetic: on each panel, the 24-point Gauss-Legendre sum with one
+    complex exponential per node and time where |h t| ≤ 14, and the Filon
+    rule on the complex moments of `monomial_moments` beyond."""
     from cohlab import _fourier as F
 
     t = np.atleast_1d(np.asarray(times, dtype=float))
@@ -590,7 +605,7 @@ def fourier_integral_panelwise(panels, times) -> np.ndarray:
             out[small] += h * phase[small] * (ker @ (F._GL_W * panels.gl_vals[i]))
         if np.any(~small):
             mono = F._MONO_MAT @ panels.coeffs[i]
-            mom = F._monomial_moments(theta[~small], F._DEGREE)
+            mom = monomial_moments(theta[~small], F._DEGREE)
             out[~small] += h * phase[~small] * (mono @ mom)
     return out if np.ndim(times) else out[0]
 

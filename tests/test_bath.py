@@ -234,24 +234,42 @@ def test_imaginary_axis_derivative_vs_finite_difference():
     assert abs(imaginary_axis_denominator_derivative(spec, y) - fd) < 1e-6
 
 
+_DISPERSION_Y = np.concatenate([np.geomspace(1e-9, 50.0, 10), [0.999, 1.0]])
+
+
 @functools.lru_cache(maxsize=None)
-def _dispersion_errors(s, points=10):
+def _dispersion_errors(s):
     """Worst relative errors of I(y) = ∫x^s e^{-x}/(x+y), -I'(y) and the
-    principal value against mpmath quadrature, over y = w ∈ [1e-9, 50].
-    The PV passes through zero, so its error is taken relative to the
-    modulus of the boundary value PV + iπ w^s e^{-w} it is the real part of.
-    The grid includes both sides of the switch from series to continued
-    fraction at y = 1, where each converges slowest.  Cached: two tests
-    gate the same s.
+    principal value against mpmath's closed forms (`stieltjes_closed_mp`,
+    `pv_power_exp_closed_mp`), over y = w ∈ [1e-9, 50]; the test below
+    holds them to the quadrature of the definitions.  The PV passes
+    through zero, so its error is taken relative to the modulus of the
+    boundary value PV + iπ w^s e^{-w} it is the real part of.  The grid
+    includes both sides of the switch from series to continued fraction
+    at y = 1, where each converges slowest.  Cached: two tests gate the
+    same s.
     """
-    y = np.concatenate([np.geomspace(1e-9, 50.0, points), [0.999, 1.0]])
-    i_ref = np.array([stieltjes_mp(s, v) for v in y])
-    d_ref = np.array([stieltjes_mp(s, v, power=2) for v in y])
-    pv_ref, im_ref = np.array([pv_power_exp_mp(s, v) for v in y]).T
+    y = _DISPERSION_Y
+    i_ref, d_ref = np.array([[float(v) for v in stieltjes_closed_mp(s, v)] for v in y]).T
+    pv_ref, im_ref = np.array([pv_power_exp_closed_mp(s, v) for v in y]).T
     i, d = _stieltjes(s, y)
     return (np.max(np.abs(i / i_ref - 1.0)),
             np.max(np.abs(d / d_ref - 1.0)),
             np.max(np.abs(pv_power_exp(s, y) - pv_ref) / np.hypot(pv_ref, im_ref)))
+
+
+@pytest.mark.parametrize("s", (0.5, 4.3, 3.000000001))
+def test_dispersion_closed_forms_match_quadrature(s):
+    # the references of _dispersion_errors against mpmath quadrature of the definitions, on
+    # its grid: measured 0 at these s (elsewhere up to one ulp, 2.2e-16)
+    y = _DISPERSION_Y
+    closed = np.array([[float(v) for v in stieltjes_closed_mp(s, v)] for v in y])
+    quad_ = np.array([[stieltjes_mp(s, v), stieltjes_mp(s, v, power=2)] for v in y])
+    assert np.max(np.abs(quad_ / closed - 1.0)) <= 2e-16
+    pv, im = np.array([pv_power_exp_closed_mp(s, v) for v in y]).T
+    pv_q, im_q = np.array([pv_power_exp_mp(s, v) for v in y]).T
+    assert np.max(np.abs(pv_q - pv) / np.hypot(pv, im)) <= 2e-16
+    assert np.max(np.abs(im_q / im - 1.0)) <= 2e-16
 
 
 def _tightened(s, tol, old_tol):

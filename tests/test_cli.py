@@ -324,6 +324,18 @@ def test_bath_limits_exit_2_and_s_150_runs(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 0
 
 
+@pytest.mark.filterwarnings("error")
+def test_stepper_limit_exits_2(tmp_path, capsys):
+    # past s = 107.81 the stepper's kernel modes overflow: a configuration error for the
+    # solvers that step, where it exited 1 on a NaN gate or a math range error
+    for s in ("108", "150", "170"):
+        for solver in ("volterra", "both"):
+            assert main(["propagator", "--s", s, "--eta0", "0.5", "--solver", solver, "--tmax", "10",
+                         "--points", "200", "--out", str(tmp_path)]) == 2
+            assert "at most 107.81 for the time stepper" in capsys.readouterr().err
+    assert RunConfig(s=107.81, solver="volterra").s == 107.81
+
+
 # all four commands, --config, --linear-out, and flags left unset
 _ARGVS = [["propagator", "--s", "0.5", "--solver", "both", "--linear-out"],
           ["channel", "--eta0", "0.5", "--code", "phase", "--n", "3", "--out-points", "20"],

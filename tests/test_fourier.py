@@ -34,6 +34,32 @@ def test_exponential_transform_in_every_regime():
     assert np.max(np.abs(got - fourier_integral_panelwise(panels, t))) <= 1e-15
 
 
+def _scale(panels):
+    """Σ_i h_i Σ_k w_k |f_ik|, the size the quadrature's rounding is taken against."""
+    return np.sum(panels.halfs * (np.abs(panels.gl_vals) @ _fourier._GL_W))
+
+
+def test_sharp_resonance_at_every_panel_switch():
+    # a Lorentzian of width 1e-4 seeded at ω = 3 on e^{-ω}: panels from 50 ω_c down to
+    # ~1e-5 ω_c wide; every panel's θ = h t just below and above both switches, at ±t
+    gamma = 1e-4
+    panels = _fourier.build_panels(
+        lambda w: np.exp(-w) + gamma / np.pi / ((w - 3.0) ** 2 + gamma**2), 0.0, 50.0, seeds=(3.0,))
+    assert panels.halfs.max() / panels.halfs.min() > 1e5
+    edges = np.array([x * (1.0 + d) for x in (_fourier._TAYLOR_SWITCH, _fourier._THETA_SWITCH)
+                      for d in (-1e-12, 1e-12)])
+    t = np.outer(1.0 / panels.halfs, edges).ravel()
+    t = np.concatenate((t, -t))
+    got = _fourier.fourier_integral(panels, t)
+    assert np.max(np.abs(got - fourier_integral_panelwise(panels, t))) <= 1e-15 * _scale(panels)
+
+
+def test_complex_integrand_raises():
+    # the real path would drop Im f
+    with pytest.raises(TypeError, match="real values"):
+        _fourier.build_panels(lambda w: np.exp(-w) * (1.0 + 0.5j), 0.0, 50.0)
+
+
 def test_scalar_time_gives_a_scalar():
     got = _fourier.fourier_integral(_exp_panels(), 1.0)
     assert np.ndim(got) == 0
@@ -82,6 +108,5 @@ def test_matches_the_panel_loop_on_figure_solves(s, eta0, tmax, monkeypatch):
     monkeypatch.setattr(propagator, "fourier_integral", recording)
     solve_laplace(BathSpec(s, eta0), 0.1, TimeGrid.log(tmax, 400, 0.1))
     (panels, times), = seen
-    scale = np.sum(panels.halfs * (np.abs(panels.gl_vals) @ _fourier._GL_W))
     diff = _fourier.fourier_integral(panels, times) - fourier_integral_panelwise(panels, times)
-    assert np.max(np.abs(diff)) <= 1e-15 * scale
+    assert np.max(np.abs(diff)) <= 1e-15 * _scale(panels)

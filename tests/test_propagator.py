@@ -346,6 +346,37 @@ def test_kernel_modes_below_two_blocks_of_lags(s):
             assert np.max(np.abs(np.exp(-np.outer(t, lam)) @ c - correlation(spec, t))) <= 1e-13 * g0, h
 
 
+_RAYS = [(h, horizon) for h in (0.2, 0.05, 0.0125, 0.003125) for horizon in (None, 10.0, 1e3, 1e5)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [108.0, 150.0, 170.0])
+def test_stepper_past_its_limit_raises_before_stepping(s, monkeypatch):
+    # past s = 107.81 a weight y^(s+1) of the kernel modes overflows, and past 169.62 so does
+    # Γ(s+2) in the nodes' bottom: a ValueError that names the limit, and no step taken
+    monkeypatch.setattr(propagator, "_step_history", None)
+    with pytest.raises(ValueError, match=r"at most 107\.81 for the time stepper"):
+        solve_volterra(BathSpec(s, 0.5), 0.1, TimeGrid.uniform(10.0, 200))
+
+
+@pytest.mark.filterwarnings("error")
+def test_stepper_limit_follows_the_node_range():
+    # up to the limit every ray's nodes and weights are finite; just past it, where
+    # (s+1) ln((45 + 4s)√2) alone is still below ln(DBL_MAX), the last node, up to one step
+    # dv past (45 + 4s)√2, already overflows y^(s+1) on some ray
+    propagator.check_stepper_range(107.81)
+    with pytest.raises(ValueError, match=r"at most 107\.81"):
+        propagator.check_stepper_range(107.82)
+    for h, horizon in _RAYS:
+        _, c, powers = propagator._kernel_modes(BathSpec(107.81, 0.5), h, horizon)
+        assert np.all(np.isfinite(c)) and np.all(np.isfinite(powers))
+    s, log_max = 107.85, math.log(np.finfo(float).max)
+    assert (s + 1.0) * math.log((45.0 + 4.0 * s) * 2**0.5) < log_max
+    top = max(propagator._trapezoid_nodes(s, propagator._ray(BathSpec(s, 0.5), h, horizon)[1])[-1]
+              for h, horizon in _RAYS)
+    assert (s + 1.0) * math.log(top) > log_max
+
+
 @pytest.mark.parametrize("s,eta0", REFERENCE_PAIRS + [(1.0, 1000.0), (3.0, 1000.0)])
 def test_block_map_matches_unit_vector_recurrence(s, eta0):
     spec = BathSpec(s, eta0)
