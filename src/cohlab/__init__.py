@@ -23,8 +23,6 @@ from .propagator import (
     PropagatorSolution,
     TimeGrid,
     find_poles,
-    lamb_shift,
-    markov_u,
     solve_laplace,
     solve_volterra,
 )
@@ -34,7 +32,7 @@ __all__ = [
     "__version__",
     "BathSpec", "spectral_density", "correlation", "inversion_denominator",
     "TimeGrid", "PropagatorSolution", "solve_volterra", "solve_laplace",
-    "find_poles", "lamb_shift", "markov_u",
+    "find_poles",
     "coherence_factor", "phase_error_prob",
     "ChannelMetrics", "teleportation_fidelity", "metrics_closed",
     "phase_success_prob", "corrected_c",

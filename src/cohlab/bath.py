@@ -26,8 +26,7 @@ axis the entire sum is read from a piecewise-polynomial table built once
 per s (`_pv_table`); on the imaginary axis it is summed at w = -y for y < 1,
 and Legendre's continued fraction of U serves y ≥ 1.  The tests gate both
 against mpmath and against the hand-derived s ∈ {1/2, 1, 3} forms kept in
-`tests/oracles.py`.  The same principal value gives the Lamb shift of
-`propagator.lamb_shift`.  Only numpy and `math` are imported.
+`tests/oracles.py`.  Only numpy and `math` are imported.
 
 All frequencies are nondimensionalized by ω_c internally; τ_c = 1/ω_c only
 appears at the API boundary.
@@ -48,7 +47,6 @@ __all__ = [
     "correlation",
     "inversion_denominator",
     "imaginary_axis_denominator",
-    "imaginary_axis_denominator_derivative",
     "pv_power_exp",
 ]
 
@@ -396,10 +394,3 @@ def imaginary_axis_denominator(spec: BathSpec, omega0: float, y):
         raise ValueError("imaginary_axis_denominator requires y > 0")
     out = omega0 / spec.omega_c + yy - spec.eta_s * _stieltjes(spec.s, yy)[0]
     return float(out[0]) if np.ndim(y) == 0 else out
-
-
-def imaginary_axis_denominator_derivative(spec: BathSpec, y: float) -> float:
-    """d B_loc/dy = 1 + η_s ∫_0^∞ x^s e^{-x}/(x+y)² dx, in closed form."""
-    if y <= 0:
-        raise ValueError("requires y > 0")
-    return 1.0 + spec.eta_s * float(_stieltjes(spec.s, np.array([float(y)]))[1][0])

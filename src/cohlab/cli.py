@@ -34,7 +34,7 @@ from . import __version__
 from .bath import BathSpec, spectral_density
 from .channel import metrics_closed, x_state_metrics
 from .codes import bitflip_metrics, bitflip_p_e, corrected_c
-from .propagator import TimeGrid, check_stepper_range, resample, solve_laplace, solve_volterra
+from .propagator import TimeGrid, check_stepper_range, solve_laplace, solve_volterra
 from .qubit import phase_error_prob
 
 __all__ = ["RunConfig", "ConfigError", "main"]
@@ -200,8 +200,8 @@ def _output_grid(cfg: RunConfig) -> TimeGrid:
 def _solve_u(cfg: RunConfig) -> _Solved:
     """u on the output grid per requested solver(s), checked against each other.
 
-    Time stepping always runs on the uniform grid and is cubic-resampled;
-    Laplace inversion is evaluated on the output grid directly.  Each
+    Time stepping runs on the uniform grid and answers at the output times
+    from its finest level; Laplace inversion evaluates them directly.  Each
     solver's diagnostics become one footer line (`laplace: panels = …`),
     values by repr; they record and never gate, and η₀ = 0 has none.
     """
@@ -209,8 +209,8 @@ def _solve_u(cfg: RunConfig) -> _Solved:
     sols = {}
     spec = cfg.bath
     if cfg.solver in ("volterra", "both"):
-        uniform = TimeGrid.uniform(cfg.tmax, cfg.points)
-        sols["volterra"] = resample(solve_volterra(spec, cfg.omega0, uniform), out_grid)
+        sols["volterra"] = solve_volterra(spec, cfg.omega0, TimeGrid.uniform(cfg.tmax, cfg.points),
+                                          times=out_grid)
     if cfg.solver in ("laplace", "both"):
         sols["laplace"] = solve_laplace(spec, cfg.omega0, out_grid)
     evidence = [f"{m}: " + ", ".join(f"{k} = {v!r}" for k, v in sol.diagnostics.items())

@@ -13,9 +13,8 @@ non-decaying term at strong coupling) plus a branch-cut integral
     u(t) = Σ_p  e^{z_p t} / D'(z_p)
          + (1/π) ∫_0^∞ Im{1/B(ω)} e^{-i ω ω_c t} dω.
 
-A weak-coupling Markovian exponential is provided as a diagnostic; it
-rotates at the Lamb-shifted frequency, whose principal value is the one
-`bath.pv_power_exp` gives B(ω).
+The stepper answers at any output times inside its uniform grid from its
+finest level; the Laplace route evaluates at the output times directly.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from ._fourier import FourierQuadratureError, build_panels, fourier_integral
 from .bath import BathSpec
 
 __all__ = ["TimeGrid", "PropagatorSolution", "NonConvergenceError", "solve_volterra", "solve_laplace",
-           "check_stepper_range", "find_poles", "lamb_shift", "markov_u", "resample"]
+           "check_stepper_range", "find_poles"]
 
 
 class NonConvergenceError(RuntimeError):
@@ -40,7 +39,7 @@ class NonConvergenceError(RuntimeError):
 
 
 _MODULUS_SLACK = 1e-9     # |u| roundoff tolerated above 1 by `validate`
-_HALVING_TOL = 1e-5       # step-halving gate on the change of |u|
+_HALVING_TOL = 1e-5       # step-halving gate on the change of |u| and the interpolation gap
 _Y_MAX = 50.0             # top of the pole bracket on the imaginary axis
 _OMEGA_MAX = 50.0         # top of the branch-cut integral, in units of ω_c
 _TAIL_TOL = 1e-8          # bound on ∫|density| over [_OMEGA_MAX, _OMEGA_MAX + 20]
@@ -113,11 +112,11 @@ class PropagatorSolution:
     |u| only when the poles are the whole non-decaying part of u.
     diagnostics holds the evidence the solution rests on.  Time stepping
     records `refinements` (halvings of the grid step), `h_final` (the step
-    of the returned solution), `halving_delta` (the last max ||u_fine| -
-    |u_coarse|| seen by the halving gate), `modes` (K, the exponential
-    modes of the far history at h_final) and `fit_bound` (their largest
-    error relative to |g(0)|, at lags of 65 to 128 steps and at 64
-    log-spaced lags up to the stepper's horizon).  Laplace
+    of the level read), `halving_delta` (the last max ||u_fine| - |u_coarse||
+    seen by the halving gate), `interp_delta` (that level's `_at_times` gap),
+    `modes` (K, the exponential modes of the far history at h_final) and
+    `fit_bound` (their largest error relative to |g(0)|, at lags of 65 to
+    128 steps and at 64 log-spaced lags up to the stepper's horizon).  Laplace
     inversion records `panels` (the panel count of the branch-cut
     quadrature), `worst_tail` (the largest share half-width × Chebyshev
     tail of the error budget taken by a panel kept at the minimum width, 0
@@ -422,58 +421,82 @@ def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
     return u[:n + 1], modes
 
 
-def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *,
+def _lagrange(u: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
+    """u at the fractional node indices x, none on a node, by the m-point Lagrange rule on the
+    nodes round each x's interval, shifted inside u at the ends (barycentric, first form)."""
+    m = min(m, len(u))
+    start = np.clip(np.floor(x).astype(int) + 1 - m // 2, 0, len(u) - m)
+    d = (x - start)[:, None] - np.arange(m)
+    c = [math.prod(i - k for k in range(m) if k != i) for i in range(m)]
+    return np.prod(d, axis=1) * np.sum(u[start[:, None] + np.arange(m)] / (d * c), axis=1)
+
+
+def _at_times(u: np.ndarray, x: np.ndarray):
+    """u at the fractional node indices x, and the gap max |6-point - 4-point `_lagrange`| over
+    the x off the nodes (0 if none).  An x on a node, to 1e-12 relative (linspace's rounding)
+    or absolute, reads the node; any other takes the 6-point rule."""
+    j = np.rint(x)
+    off = np.abs(x - j) > 1e-12 * np.maximum(j, 1.0)
+    out = u[j.astype(int)]
+    if not off.any():
+        return out, 0.0
+    out[off] = _lagrange(u, x[off], 6)
+    return out, float(np.max(np.abs(out[off] - _lagrange(u, x[off], 4))))
+
+
+def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *, times: TimeGrid | None = None,
                    max_refinements: int = 4) -> PropagatorSolution:
     """Solve the memory-kernel equation of motion by direct time stepping.
 
-    The grid must be uniform.  The internal step starts at the grid step
-    and is halved until one more halving changes the modulus profile |u|
-    by less than _HALVING_TOL everywhere (the self-validation gate); the
-    finer solution is returned, restricted to the requested grid, with
-    the gate's and the modes' evidence in its diagnostics (see
+    The uniform grid is the stepping grid.  Its step is halved until one
+    more halving changes |u| by less than _HALVING_TOL everywhere and the
+    finer level's `_at_times` gap at `times` (default: the grid) is below
+    it too (the self-validation gate).  u is returned on `times`, with the
+    gate's and the modes' evidence in its diagnostics (see
     `PropagatorSolution`; empty when no stepping was needed).  K and the
     fit bound are those of the final step's modes at its horizon.
 
     Raises
     ------
     ValueError
-        If s is past the stepper's limit (`check_stepper_range`), before any step.
+        If s is past the stepper's limit (`check_stepper_range`) or `times` past the grid.
     NonConvergenceError
         If the refinement budget is exhausted before the gate passes.
     """
     if max_refinements < 1:
         raise ValueError("max_refinements must be at least 1")
     check_stepper_range(spec.s)
+    times = grid if times is None else times
+    if times.t_max > grid.t_max:
+        raise ValueError(f"output times reach t = {times.t_max:g}, past the stepping grid's {grid.t_max:g}")
     if len(grid.samples) == 1:
-        return PropagatorSolution(grid, np.array([1.0 + 0.0j]))
+        return PropagatorSolution(times, np.array([1.0 + 0.0j]))
     h0 = grid.step
     if spec.eta0 == 0.0:
-        u = np.exp(-1j * omega0 * grid.samples)
+        u = np.exp(-1j * omega0 * times.samples)
         u[0] = 1.0
-        return PropagatorSolution(grid, u)
+        return PropagatorSolution(times, u)
 
     n0 = len(grid.samples) - 1
     u_h, _ = _step_history(spec, omega0, h0, n0)
     for r in range(1, max_refinements + 1):
-        factor = 2**r
-        u_fine, (lam, c, powers) = _step_history(spec, omega0, h0 / factor, n0 * factor)
+        n, h, nb = n0 * 2**r, h0 / 2**r, _NEAR_BLOCK
+        u_fine, (lam, c, powers) = _step_history(spec, omega0, h, n)
         delta = float(np.max(np.abs(np.abs(u_fine[::2]) - np.abs(u_h))))
-        if delta < _HALVING_TOL:
-            u_out = u_fine[::factor].copy()
-            u_out[0] = 1.0 + 0.0j
-            h, nb = h0 / factor, _NEAR_BLOCK
+        u_out, interp = _at_times(u_fine, times.samples / h)
+        if delta < _HALVING_TOL and interp < _HALVING_TOL:
             # the fit at lags nb+1..2nb and at 64 log-spaced lags up to the stepper's horizon
-            t_log = np.geomspace((nb + 1) * h, _whole_blocks(n0 * factor) * h, 64)
+            t_log = np.geomspace((nb + 1) * h, _whole_blocks(n) * h, 64)
             g = _bath.correlation(spec, np.r_[np.arange(2 * nb + 1) * h, t_log])
             err = np.r_[powers[1:] @ (c * powers[nb]), np.exp(-np.outer(t_log, lam)) @ c] - g[nb + 1:]
             fit = np.max(np.abs(err)) / abs(g[0])
             diagnostics = {"refinements": r, "h_final": h, "halving_delta": delta,
-                           "modes": len(c), "fit_bound": float(fit)}
-            return PropagatorSolution(grid, u_out, diagnostics=diagnostics)
+                           "interp_delta": interp, "modes": len(c), "fit_bound": float(fit)}
+            return PropagatorSolution(times, u_out, diagnostics=diagnostics)
         u_h = u_fine
     raise NonConvergenceError(
         f"step halving did not stabilize |u| to {_HALVING_TOL} within "
-        f"{max_refinements} refinements (last change {delta:.3e})"
+        f"{max_refinements} refinements (last change {delta:.3e}, interpolation gap {interp:.3e})"
     )
 
 
@@ -629,54 +652,3 @@ def solve_laplace(spec: BathSpec, omega0: float, grid: TimeGrid) -> PropagatorSo
     diagnostics = {"panels": len(panels), "worst_tail": panels.worst_tail,
                    "sum_rule_delta": float(abs(u[0] - 1.0))}
     return PropagatorSolution(grid, u, poles, diagnostics=diagnostics)
-
-
-# ---------------------------------------------------------------------------
-# Markovian diagnostic
-# ---------------------------------------------------------------------------
-
-def lamb_shift(spec: BathSpec, omega0: float) -> float:
-    """ω_0' = ω_0 - (1/2π) PV ∫_0^∞ J(ω)/(ω-ω_0) dω = ω_0 - η_s ω_c PV(s, ω_0/ω_c),
-
-    with PV the closed-form principal value of `bath.pv_power_exp`, the
-    one B(ω) is built from.  The sign makes the diagnostic consistent with
-    the exact solver: the coupling to the band above ω_0 pushes the
-    resonance down, as the time-stepped phase confirms at weak coupling.
-    Raises ValueError unless 0 < ω_0/ω_c ≤ 700.
-    """
-    return omega0 - spec.eta_s * spec.omega_c * _bath.pv_power_exp(spec.s, omega0 / spec.omega_c)
-
-
-def markov_u(spec: BathSpec, omega0: float, t):
-    """Weak-coupling exponential e^{-(i ω_0' + J(ω_0)/2) t} (diagnostic only).
-
-    The phase rotates at the Lamb-shifted ω_0', but the rate is the bare
-    golden-rule rate J(ω_0)/2.  When the shift is a sizeable fraction of ω_0
-    (s=1, η_0=0.01 moves the resonance from 0.1 to 0.069, where J is ~30%
-    smaller) this exponential leaves the exact |u| far behind.  Acceptance
-    criterion 1 (tests/test_acceptance.py) uses the renormalized pole form
-    Z e^{-Z J(ω_r) t/2} instead.
-    """
-    tt = np.asarray(t, dtype=float)
-    if np.any(tt < 0):
-        raise ValueError("markov_u requires t >= 0")
-    w0p = lamb_shift(spec, omega0)
-    rate = 0.5 * _bath.spectral_density(spec, omega0)
-    out = np.exp(-(1j * w0p + rate) * tt)
-    return complex(out) if np.ndim(t) == 0 else out
-
-
-def resample(solution: PropagatorSolution, grid: TimeGrid) -> PropagatorSolution:
-    """Cubic interpolation of a uniform-grid solution onto another grid.
-
-    Time stepping never runs on non-uniform grids; log-spaced output is
-    produced here instead.
-    """
-    if grid.t_max > solution.grid.t_max + 1e-12:
-        raise ValueError("target grid extends beyond the solved interval")
-    from scipy.interpolate import CubicSpline  # only here: it costs every import about 0.1 s
-
-    sp = CubicSpline(solution.grid.samples, solution.u)
-    u = sp(grid.samples)
-    u[0] = solution.u[0]
-    return PropagatorSolution(grid, u, list(solution.poles), diagnostics=dict(solution.diagnostics))

@@ -2,11 +2,12 @@
 
 Everything here is deliberately built from defining series, continued
 fractions, or quadrature of defining integrals — never from the code paths
-under test.  The exception is the last two sections, which only the tests
-use: the single-qubit element map and the cat-state densities, and the
-two-qubit channel state with its matrix oracles (Wootters concurrence,
-magic-basis and direct-search f_max), built on `cohlab.qubit`'s coherence
-factor.
+under test.  The exceptions are code that only the tests use: the
+closed-form Lamb shift, the Markovian exponential and the slope of B_loc,
+built on `cohlab.bath`'s closed forms; and the last two sections, the
+single-qubit element map and the cat-state densities, and the two-qubit
+channel state with its matrix oracles (Wootters concurrence, magic-basis and
+direct-search f_max), built on `cohlab.qubit`'s coherence factor.
 """
 
 import cmath
@@ -233,7 +234,7 @@ def find_poles_scan(spec, omega0: float, y_max: float = 50.0, n_scan: int = 4000
             yp = brentq(b_loc, ys[i], ys[i + 1], xtol=1e-14, rtol=8.9e-16)
         else:
             continue
-        res = 1.0 / bath.imaginary_axis_denominator_derivative(spec, yp)
+        res = 1.0 / imaginary_axis_denominator_derivative(spec, yp)
         poles.append((1j * yp * spec.omega_c, complex(res)))
     return poles
 
@@ -318,6 +319,50 @@ def ghat_laplace_quadrature(spec, omega: float, eps: float = 1e-7) -> complex:
         is_, _ = quad(gi, 0.0, np.inf, weight="sin", wvar=omega, **kw)
     # e^{-zt} = e^{-εt} e^{iωt} = e^{-εt}(cos ωt + i sin ωt)
     return (rc - is_) + 1j * (rs + ic)
+
+
+def lamb_shift(spec, omega0: float) -> float:
+    """ω_0' = ω_0 - (1/2π) PV ∫_0^∞ J(ω)/(ω-ω_0) dω = ω_0 - η_s ω_c PV(s, ω_0/ω_c),
+
+    with PV the closed-form principal value of `bath.pv_power_exp`, the
+    one B(ω) is built from.  The sign makes the diagnostic consistent with
+    the exact solver: the coupling to the band above ω_0 pushes the
+    resonance down, as the time-stepped phase confirms at weak coupling.
+    Raises ValueError unless 0 < ω_0/ω_c ≤ 700.
+    """
+    from cohlab.bath import pv_power_exp
+
+    return omega0 - spec.eta_s * spec.omega_c * pv_power_exp(spec.s, omega0 / spec.omega_c)
+
+
+def markov_u(spec, omega0: float, t):
+    """Weak-coupling exponential e^{-(i ω_0' + J(ω_0)/2) t} (diagnostic only).
+
+    The phase rotates at the Lamb-shifted ω_0', but the rate is the bare
+    golden-rule rate J(ω_0)/2.  When the shift is a sizeable fraction of ω_0
+    (s=1, η_0=0.01 moves the resonance from 0.1 to 0.069, where J is ~30%
+    smaller) this exponential leaves the exact |u| far behind.  Acceptance
+    criterion 1 (tests/test_acceptance.py) uses the renormalized pole form
+    Z e^{-Z J(ω_r) t/2} instead.
+    """
+    from cohlab.bath import spectral_density
+
+    tt = np.asarray(t, dtype=float)
+    if np.any(tt < 0):
+        raise ValueError("markov_u requires t >= 0")
+    w0p = lamb_shift(spec, omega0)
+    rate = 0.5 * spectral_density(spec, omega0)
+    out = np.exp(-(1j * w0p + rate) * tt)
+    return complex(out) if np.ndim(t) == 0 else out
+
+
+def imaginary_axis_denominator_derivative(spec, y: float) -> float:
+    """d B_loc/dy = 1 + η_s ∫_0^∞ x^s e^{-x}/(x+y)² dx, in closed form from `bath._stieltjes`."""
+    from cohlab.bath import _stieltjes
+
+    if y <= 0:
+        raise ValueError("requires y > 0")
+    return 1.0 + spec.eta_s * float(_stieltjes(spec.s, np.array([float(y)]))[1][0])
 
 
 def lamb_shift_excised(spec, omega0: float, rel_tol: float = 1e-6,

@@ -16,7 +16,6 @@ import cohlab
 from cohlab.bath import (
     BathSpec,
     imaginary_axis_denominator,
-    imaginary_axis_denominator_derivative,
     inversion_denominator,
     pv_power_exp,
     spectral_density,
@@ -27,6 +26,7 @@ from cohlab.bath import _PV_EDGES, _kummer_sum, _pv_table, _stieltjes
 from oracles import (
     correlation_quadrature,
     ghat_laplace_quadrature,
+    imaginary_axis_denominator_derivative,
     imaginary_axis_denominator_hand,
     inversion_denominator_hand,
     pv_power_exp_closed_mp,

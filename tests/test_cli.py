@@ -121,6 +121,17 @@ def test_propagator_both_solvers_footer(tmp_path):
     np.testing.assert_allclose(rows[:, iv], rows[:, il], atol=1e-3)
 
 
+@pytest.mark.parametrize("s, omega0, tol", [("3", "2", 1e-6), ("0.5", "1", 2e-6)])
+def test_stepper_on_log_output_agrees_with_laplace(tmp_path, s, omega0, tol):
+    # a cubic spline through the stepping grid read 1.33e-4 and 1.27e-5 off here; the finest
+    # level's 6-point rule reads 1.6e-7 and 7.3e-7
+    rc = main(["propagator", "--s", s, "--eta0", "0.5", "--omega0", omega0, "--tmax", "50",
+               "--points", "500", "--out-points", "200", "--solver", "both", "--out", str(tmp_path)])
+    assert rc == 0
+    footer = load(tmp_path / f"propagator_s{s}_eta0.5.csv")[3]
+    assert float(footer[0].split(" = ")[1].split()[0]) <= tol
+
+
 def test_csv_byte_determinism(tmp_path):
     # identical resolved config (the out directory is part of it) -> identical bytes
     args = ["channel", "--eta0", "0.5", "--s", "0.5", "--tmax", "100",
@@ -439,7 +450,7 @@ def test_solver_diagnostics_footer(tmp_path, argv, csv):
     lines = [f for f in footer if not f.startswith("max_solver_discrepancy")]
     assert [f.split(": ")[0] for f in lines] == methods
     keys = {"laplace": ["panels", "worst_tail", "sum_rule_delta"],
-            "volterra": ["refinements", "h_final", "halving_delta", "modes", "fit_bound"]}
+            "volterra": ["refinements", "h_final", "halving_delta", "interp_delta", "modes", "fit_bound"]}
     for m, line in zip(methods, lines):
         items = [kv.split(" = ") for kv in line.split(": ")[1].split(", ")]
         assert [k for k, _ in items] == keys[m]
@@ -468,6 +479,17 @@ def test_default_figure_leaves_out_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split()[-1:] == ["done"]
     assert len(list(tmp_path.glob("figure4_*.csv"))) == 12
+
+
+def test_stepping_command_leaves_out_scipy(tmp_path):
+    # the stepper answers at log-spaced output times itself: no spline, no scipy module
+    code = ("import sys; from cohlab import cli; "
+            "code = cli.main(['channel', '--s', '1', '--eta0', '0.5', '--tmax', '100', '--points', '2000', "
+            f"'--out-points', '50', '--solver', 'volterra', '--out', {str(tmp_path)!r}]); "
+            "print(code, *[m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cohlab.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1].split() == ["0"]  # the CSV path is printed first
 
 
 def test_first_solve_leaves_out_numpy_ma(tmp_path):

@@ -12,7 +12,6 @@ from cohlab.bath import (
     BathSpec,
     correlation,
     imaginary_axis_denominator,
-    imaginary_axis_denominator_derivative,
     inversion_denominator,
     pv_power_exp,
     spectral_density,
@@ -22,9 +21,6 @@ from cohlab.propagator import (
     PropagatorSolution,
     TimeGrid,
     find_poles,
-    lamb_shift,
-    markov_u,
-    resample,
     solve_laplace,
     solve_volterra,
 )
@@ -36,8 +32,11 @@ from oracles import (
     bound_state_mp,
     cut_tail_quad,
     find_poles_scan,
+    imaginary_axis_denominator_derivative,
     kernel_modes_pi4,
+    lamb_shift,
     lamb_shift_excised,
+    markov_u,
     resonance_seeds_brentq,
     step_history_blocked_fft,
     step_history_direct,
@@ -142,7 +141,6 @@ def test_laplace_diagnostics_record_panel_evidence(s, eta0):
     assert d["panels"] >= 1
     assert 0.0 <= d["worst_tail"] < 1e-7
     assert d["sum_rule_delta"] == abs(sol.u[0] - 1.0) <= 1e-9
-    assert resample(sol, TimeGrid.log(500.0, 10)).diagnostics == d
 
 
 @pytest.mark.parametrize("s", [3.0, 4.3, 5.5, 7.5])
@@ -426,7 +424,7 @@ def test_volterra_diagnostics():
     horizon = propagator._whole_blocks(200 * 2 ** d["refinements"]) * d["h_final"]
     assert d["modes"] == len(propagator._kernel_modes(spec, d["h_final"], horizon)[1])
     assert 0.0 < d["fit_bound"] <= 1e-13
-    assert resample(sol, TimeGrid.log(20.0, 10)).diagnostics == d
+    assert d["interp_delta"] == 0.0  # every output time is a node
     assert solve_volterra(BathSpec(1.0, 0.0), 0.1, grid).diagnostics == {}
 
 
@@ -647,15 +645,63 @@ def test_markov_agrees_with_exact_at_genuinely_weak_coupling():
 
 
 # ---------------------------------------------------------------------------
-# resampling
+# output times off the stepping grid
 # ---------------------------------------------------------------------------
 
-def test_resample_to_log_grid_matches_laplace():
+def test_times_on_a_log_grid_match_laplace():
     spec = BathSpec(1.0, 0.5)
     uniform = TimeGrid.uniform(100.0, 10000)
     log = TimeGrid.log(100.0, 60, t_min=0.5)
-    sv = resample(solve_volterra(spec, 0.1, uniform), log)
+    sv = solve_volterra(spec, 0.1, uniform, times=log)
     sl = solve_laplace(spec, 0.1, log)
-    assert np.max(np.abs(sv.u - sl.u)) < 1e-4
-    with pytest.raises(ValueError):
-        resample(sv, TimeGrid.uniform(200.0, 10))
+    assert sv.grid is log
+    assert np.max(np.abs(sv.u - sl.u)) < 1e-6
+    assert 0.0 < sv.diagnostics["interp_delta"] < 1e-5
+
+
+def test_lagrange_rules_reproduce_polynomials_on_centred_stencils():
+    # the m-point rule is exact for degree m - 1, also where its stencil is shifted at either end
+    rng = np.random.default_rng(3)
+    k, x = np.arange(20.0), np.array([1e-9, 0.3, 1.5, 2.5, 9.25, 17.9, 18.6, 19.0 - 1e-9])
+    for m in (6, 4):
+        p = np.polynomial.Polynomial(rng.normal(size=m) + 1j * rng.normal(size=m))
+        scale = np.max(np.abs(p(k)))
+        assert np.max(np.abs(propagator._lagrange(p(k), x, m) - p(x))) <= 1e-13 * scale
+    # inside, each rule on e^{iak} meets the remainder bound a^m |Π (x - node)| / m! of the
+    # stencil centred on x's interval, which a stencil shifted by one node breaks
+    a, x = 0.5, np.linspace(2.05, 16.95, 50)
+    for m in (6, 4):
+        nodes = np.floor(x)[:, None] + np.arange(1 - m // 2, 1 + m // 2)
+        bound = a**m * np.abs(np.prod(x[:, None] - nodes, axis=1)) / math.factorial(m)
+        err = np.abs(propagator._lagrange(np.exp(1j * a * k), x, m) - np.exp(1j * a * x))
+        assert np.all(err <= bound * (1.0 + 1e-9))
+
+
+def test_times_past_the_grid_raise():
+    with pytest.raises(ValueError, match="past the stepping grid"):
+        solve_volterra(BathSpec(1.0, 0.5), 0.1, TimeGrid.uniform(100.0, 1000),
+                       times=TimeGrid.uniform(200.0, 10))
+
+
+@pytest.mark.parametrize("grid", [TimeGrid.uniform(150.0, 3000), TimeGrid.uniform(37.3, 777)],
+                         ids=["150", "37.3"])
+def test_times_equal_to_the_grid_read_the_nodes(grid):
+    # linspace's rounding leaves each time within an ulp of a node: the nodes are read, not interpolated
+    spec = BathSpec(0.5, 0.5)
+    default = solve_volterra(spec, 0.1, grid)
+    given = solve_volterra(spec, 0.1, grid, times=TimeGrid(grid.samples.copy()))
+    assert given.u.tobytes() == default.u.tobytes()
+    assert given.diagnostics == default.diagnostics
+
+
+def test_interpolation_gap_joins_the_halving_gate():
+    # at h = 0.25 the first halving passes the |u| test, but its 6- and 4-point rules differ by
+    # 1.4e-5 on the log times: the gate takes one more level, and with none left it raises
+    spec, grid, log = BathSpec(1.0, 0.01), TimeGrid.uniform(2.0, 8), TimeGrid.log(2.0, 50, t_min=0.02)
+    assert solve_volterra(spec, 1.0, grid).diagnostics["refinements"] == 1
+    sol = solve_volterra(spec, 1.0, grid, times=log)
+    assert sol.diagnostics["refinements"] == 2
+    assert 0.0 < sol.diagnostics["interp_delta"] < 1e-5
+    assert np.max(np.abs(sol.u - solve_laplace(spec, 1.0, log).u)) <= 1e-6
+    with pytest.raises(NonConvergenceError, match="interpolation gap 1.36"):
+        solve_volterra(spec, 1.0, grid, times=log, max_refinements=1)
