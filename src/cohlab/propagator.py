@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +39,7 @@ class NonConvergenceError(RuntimeError):
 
 _MODULUS_SLACK = 1e-9     # |u| roundoff tolerated above 1 by `validate`
 _HALVING_TOL = 1e-5       # step-halving gate on the change of |u| and the interpolation gap
+_MAX_REFINEMENTS = 4      # halvings of the grid step the gate may take
 _Y_MAX = 50.0             # top of the pole bracket on the imaginary axis
 _OMEGA_MAX = 50.0         # top of the branch-cut integral, in units of ω_c
 _TAIL_TOL = 1e-8          # bound on ∫|density| over [_OMEGA_MAX, _OMEGA_MAX + 20]
@@ -114,14 +114,15 @@ class PropagatorSolution:
     records `refinements` (halvings of the grid step), `h_final` (the step
     of the level read), `halving_delta` (the last max ||u_fine| - |u_coarse||
     seen by the halving gate), `interp_delta` (that level's `_at_times` gap),
-    `modes` (K, the exponential modes of the far history at h_final) and
-    `fit_bound` (their largest error relative to |g(0)|, at lags of 65 to
-    128 steps and at 64 log-spaced lags up to the stepper's horizon).  Laplace
-    inversion records `panels` (the panel count of the branch-cut
-    quadrature), `worst_tail` (the largest share half-width × Chebyshev
-    tail of the error budget taken by a panel kept at the minimum width, 0
-    when every panel met the budget) and `sum_rule_delta` (|u(0) - 1|,
-    which vanishes for an exact solution).
+    `modes` (K, the exponential modes of the far history at h_final, fitted
+    on its lags from 65 steps to the stepper's horizon) and `fit_bound`
+    (their largest error relative to |g(0)|, at lags of 65 to 128 steps and
+    at 64 log-spaced lags up to that horizon).  Laplace inversion records
+    `panels` (the panel count of the branch-cut quadrature), `worst_tail`
+    (the largest share half-width × Chebyshev tail of the error budget
+    taken by a panel kept at the minimum width, 0 when every panel met the
+    budget) and `sum_rule_delta` (|u(0) - 1|, which vanishes for an exact
+    solution).
     """
 
     grid: TimeGrid
@@ -219,57 +220,41 @@ def _block_map(g: np.ndarray, omega0: float, h: float) -> np.ndarray:
 
 
 _DV_SCALE = 0.55  # `_ray`'s step is at most 2 × _DV_SCALE/(s+1), on the widest strip d = π/2
+# the stepper's largest s: its top weight y^{s+1}, at y less than one step dv past (45 + 4s)√2 with
+# (s+1) dv ≤ 2 _DV_SCALE, stays finite while (s+1) ln((45 + 4s)√2) + 2 _DV_SCALE < ln(DBL_MAX),
+# that is for s < 107.81782; rounded down
+_S_STEPPER_MAX = 107.81
 
 
-def _ray(spec: BathSpec, h: float, horizon: float | None = None):
+def _ray(spec: BathSpec, tau_lo: float, tau_hi: float):
     """The ray angle θ and trapezoid step dv of `_kernel_modes` for lags in [τ_lo, τ_hi].
 
     On the ray x = y e^{-iθ} the integrand of g(τ) decays as e^{-y √(1+ω_c²τ²) cos(α - θ)},
     α = arctan ω_c τ: it stays analytic in ln y over a strip of half-width d = π/2 - (α_hi -
     α_lo)/2 when θ = (α_lo + α_hi)/2, and the trapezoid error e^{-2πd/dv} holds at dv ∝ d
-    (Weideman & Trefethen, Math. Comp. 76 (2007) 1341).  τ_lo = (nb+1) h, and τ_hi is the
-    horizon but at least (2nb+1) h; without a horizon the lags are [0, ∞), θ = d = π/4.
+    (Weideman & Trefethen, Math. Comp. 76 (2007) 1341).
     """
-    nb, wc = _NEAR_BLOCK, spec.omega_c
-    if horizon is None:
-        a_lo, a_hi = 0.0, 0.5 * math.pi
-    else:
-        a_lo, a_hi = math.atan(wc * (nb + 1) * h), math.atan(wc * max(horizon, (2 * nb + 1) * h))
+    wc = spec.omega_c
+    a_lo, a_hi = math.atan(wc * tau_lo), math.atan(wc * tau_hi)
     d = 0.5 * math.pi - 0.5 * (a_hi - a_lo)
-    # the step 0.1 alone is 5e-12 off at s = 9.5, h = 0.00125 on the π/4 ray
+    # the step 0.1 alone is 5e-12 off at s = 9.5 on the π/4 ray of lags [0.08, ∞)
     return 0.5 * (a_lo + a_hi), min(0.1, _DV_SCALE / (spec.s + 1.0)) * (d / (0.25 * math.pi))
 
 
-def _node_top(s: float) -> float:
-    """(45 + 4s)√2, the y up to which `_trapezoid_nodes` reaches."""
-    return (45.0 + 4.0 * s) * 2**0.5
-
-
 def _trapezoid_nodes(s: float, dv: float) -> np.ndarray:
-    """The trapezoid nodes y_k = exp(lo + k dv) of `_kernel_modes`, lo + k dv as np.arange drifts."""
+    """The trapezoid nodes y_k = exp(lo + k dv) of `_kernel_modes`, up to one step past (45 +
+    4s)√2, lo + k dv as np.arange drifts."""
     lo = math.log(1e-17 * math.gamma(s + 2.0)) / (s + 1.0)
-    return np.exp(lo + dv * np.arange(math.ceil((math.log(_node_top(s)) - lo) / dv) + 1))
+    return np.exp(lo + dv * np.arange(math.ceil((math.log((45.0 + 4.0 * s) * 2**0.5) - lo) / dv) + 1))
 
 
 def check_stepper_range(s: float) -> None:
-    """Raise ValueError, naming the limit, if a weight y^{s+1} of `_kernel_modes` may pass the
-    largest float at power s: the last node of `_trapezoid_nodes` lies less than one step dv
-    past `_node_top`(s), and (s+1) dv ≤ 2 _DV_SCALE on every ray of `_ray`.
-
-    The limit, the largest s that passes, is found by bisection and named rounded down
-    (107.81); up to it the stepper's nodes, weights and Γ(s+2) are finite.
-    """
-    def overflows(x):  # grows with x
-        return (x + 1.0) * math.log(_node_top(x)) + 2.0 * _DV_SCALE > math.log(sys.float_info.max)
-
-    if not overflows(s):
-        return
-    lo, hi = 0.0, s
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if overflows(mid) else (mid, hi)
-    raise ValueError(f"power s must be at most {math.floor(100.0 * lo) / 100.0} for the time stepper, "
-                     f"where its kernel-mode weights y^(s+1) overflow at y up to (45 + 4s)*sqrt(2), got {s}")
+    """Raise ValueError, naming the limit, if s is past `_S_STEPPER_MAX`, where a weight y^{s+1}
+    of `_kernel_modes` may pass the largest float; up to it the stepper's nodes, weights and
+    Γ(s+2) are finite."""
+    if s > _S_STEPPER_MAX:
+        raise ValueError(f"power s must be at most {_S_STEPPER_MAX} for the time stepper, where its "
+                         f"kernel-mode weights y^(s+1) overflow at y up to (45 + 4s)*sqrt(2), got {s}")
 
 
 @functools.lru_cache(32)
@@ -294,41 +279,34 @@ def _slow_rule(s: float, k: int, dv: float):
     return x, w.sum() * v[0] ** 2
 
 
-def _kernel_modes(spec: BathSpec, h: float, horizon: float | None = None):
-    """λ, c and the table e^{-λ_k j h}, j ≤ nb, of g(t) ≈ Σ_k c_k e^{-λ_k t} for t ≥ (nb+1) h:
-    Γ(s+1)(1 + iτ)^{-(s+1)} = ∫_0^∞ x^s e^{-x(1+iτ)} dx on the ray x = y e^{-iθ} of `_ray` by
-    the trapezoid rule in ln y with step dv, y from (1e-17 Γ(s+2))^{1/(s+1)} to (45 + 4s)√2, so
-    λ_k = ω_c y_k e^{i(π/2-θ)} and c_k = η_s ω_c² w_k e^{-y_k e^{-iθ} - iθ(s+1)}, w_k = dv
-    y_k^{s+1}.  The nodes with |c_k e^{-λ_k τ}| ∝ w_k e^{-y_k(cos θ + ω_c τ sin θ)} below
-    1e-18 Γ(s+1) at τ = (nb+1) h are dropped.  Without a horizon, θ = π/4 and dv = min(0.1,
-    0.55/(s+1)), a fit for every lag past (nb+1) h.
+def _kernel_modes(spec: BathSpec, tau_lo: float, tau_hi: float):
+    """λ and c of g(τ) ≈ Σ_k c_k e^{-λ_k τ} for lags τ in [τ_lo, τ_hi]: Γ(s+1)(1 + iτ)^{-(s+1)}
+    = ∫_0^∞ x^s e^{-x(1+iτ)} dx on the ray x = y e^{-iθ} of `_ray`, balanced over those lags,
+    by the trapezoid rule in ln y with step dv, y from (1e-17 Γ(s+2))^{1/(s+1)} to (45 + 4s)√2,
+    so λ_k = ω_c y_k e^{i(π/2-θ)} and c_k = η_s ω_c² w_k e^{-y_k e^{-iθ} - iθ(s+1)}, w_k = dv
+    y_k^{s+1}.
 
-    With a horizon T, to which the fit need only hold, θ and dv are balanced over [(nb+1) h, T]
-    and the nodes below y_c = 2^{-k} ≤ 4/(1 + ω_c T), if more than 12, become the 12-point
+    The nodes below y_c = 2^{-k} ≤ 4/(1 + ω_c τ_hi), if more than 12, become the 12-point
     Gauss rule of their weights (`_slow_rule`, cached per (s, k, dv)).  There c_k e^{-λ_k τ} ∝
-    w_k exp(-y_k e^{-iθ}(1 + iω_c τ)), entire in y with an exponent of at most y_c (1 + ω_c T)
-    ≤ 4 for τ ≤ T: 12 nodes match the trapezoid to 2^24/24! Σw ≈ 3e-17 Σw.
+    w_k exp(-y_k e^{-iθ}(1 + iω_c τ)), entire in y with an exponent of at most y_c (1 + ω_c
+    τ_hi) ≤ 4 for τ ≤ τ_hi: 12 nodes match the trapezoid to 2^24/24! Σw ≈ 3e-17 Σw.  The nodes
+    with |c_k e^{-λ_k τ_lo}| ∝ w_k e^{-y_k(cos θ + ω_c τ_lo sin θ)} below 1e-18 Γ(s+1) are
+    dropped.
     """
-    nb, s, wc = _NEAR_BLOCK, spec.s, spec.omega_c
-    theta, dv = _ray(spec, h, horizon)
+    s, wc = spec.s, spec.omega_c
+    theta, dv = _ray(spec, tau_lo, tau_hi)
     y = _trapezoid_nodes(s, dv)
     wt = dv * y ** (s + 1.0)
-    if horizon is not None:
-        k = math.ceil(math.log2((1.0 + wc * horizon) / 4.0))
-        fast = y >= 2.0**-k
-        if np.count_nonzero(~fast) > 12:
-            ys, ws = _slow_rule(s, k, dv)
-            y, wt = np.r_[ys, y[fast]], np.r_[ws, wt[fast]]
-    rate = math.cos(theta) + (nb + 1) * wc * h * math.sin(theta)
+    k = math.ceil(math.log2((1.0 + wc * tau_hi) / 4.0))
+    fast = y >= 2.0**-k
+    if np.count_nonzero(~fast) > 12:
+        ys, ws = _slow_rule(s, k, dv)
+        y, wt = np.r_[ys, y[fast]], np.r_[ws, wt[fast]]
+    rate = math.cos(theta) + wc * tau_lo * math.sin(theta)
     keep = wt * np.exp(-y * rate) > 1e-18 * math.gamma(s + 1.0)
     y, wt = y[keep], wt[keep]
     lam = wc * y * np.exp(1j * (0.5 * math.pi - theta))
-    c = spec.eta_s * wc**2 * wt * np.exp(1j * lam / wc - 1j * theta * (s + 1.0))
-    powers = np.empty((nb + 1, len(y)), dtype=complex)
-    powers[0], powers[1] = 1.0, np.exp(-h * lam)
-    for m in 1 << np.arange(6):  # doubling: rows m+1..2m are rows 1..m times row m
-        powers[m + 1:2 * m + 1] = powers[1:m + 1] * powers[m]
-    return lam, c, powers
+    return lam, spec.eta_s * wc**2 * wt * np.exp(1j * lam / wc - 1j * theta * (s + 1.0))
 
 
 def _whole_blocks(n: int) -> int:
@@ -351,25 +329,34 @@ def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
     u_j but for the Gregory weights 3/8, 7/6, 23/24 of u_0..u_2, is split
     at the block starts r.  The previous block's lags, the exact square
     g_{nb+i-k}, are folded into the map.  Older blocks live in K sums S_k =
-    Σ_{j<r-nb} e^{-λ_k (r-nb-j) h} ũ_j over the modes of `_kernel_modes` at
-    the horizon `_whole_blocks`(n)·h, so g is evaluated at lags below 2 nb
-    only.  Their forcing V S, V_ik = c_k e^{-λ_k (nb+i) h}, is folded into
-    the map as well, and so is the mode update S ← e^{-λ_k nb h} S + W
-    u_prev, the oblivious convolution quadrature of Lubich & Schädle (SIAM
-    J. Sci. Comput. 24 (2002) 161): each block is one product of (u_prev,
-    state, S) with a (70 + K)² matrix.  V is geometric in i and the map's
-    forcing rows are lower-triangular Toeplitz, so the map times V is one
-    cumulative sum over i, O(nb K), and the set-up's one dense product is
-    the map times the square, O(nb³) whatever K.  The start-up is the
+    Σ_{j<r-nb} e^{-λ_k (r-nb-j) h} ũ_j over the modes of `_kernel_modes`,
+    fitted on the lags they serve, from (nb+1) h to the horizon T =
+    `_whole_blocks`(n)·h but at least (2nb+1) h, so g is evaluated at
+    lags below 2 nb only.  Their forcing V S, V_ik = c_k e^{-λ_k (nb+i) h},
+    is folded into the map as well, and so is the mode update S ←
+    e^{-λ_k nb h} S + W u_prev, the oblivious convolution quadrature of
+    Lubich & Schädle (SIAM J. Sci. Comput. 24 (2002) 161): each block is
+    one product of (u_prev, state, S) with a (70 + K)² matrix.  V is
+    geometric in i and the map's forcing rows are lower-triangular
+    Toeplitz, so the map times V is one cumulative sum over i, O(nb K), and
+    the set-up's one dense product is the map times the square, O(nb³)
+    whatever K.  The start-up is the
     first block's history: at r = 9, u_prev is 55 zeros and ũ_0..ũ_8, and
     S = 0.  Cost O(n (K + nb)²/nb); the far history is K numbers.
-    Returns u_0..u_n and the modes (λ, c, powers), built for every n.
+    Returns u_0..u_n and the modes (λ, c, powers), built for every n, with
+    powers the table e^{-λ_k j h}, j ≤ nb, by doubling.
     """
     nb = _NEAR_BLOCK
     size = _whole_blocks(n)
     u = np.empty(size, dtype=complex)
     n0 = min(8, n)
-    modes = _kernel_modes(spec, h, size * h)
+    # the modes serve lags from (nb+1) h to the horizon, and up to (2nb+1) h at least: the fit
+    # bound of `solve_volterra` reads lags nb+1..2nb
+    lam, c = _kernel_modes(spec, (nb + 1) * h, max(size, 2 * nb + 1) * h)
+    powers = np.empty((nb + 1, len(c)), dtype=complex)  # e^{-λ_k j h}, j ≤ nb
+    powers[0], powers[1] = 1.0, np.exp(-h * lam)
+    for m in 1 << np.arange(6):  # doubling: rows m+1..2m are rows 1..m times row m
+        powers[m + 1:2 * m + 1] = powers[1:m + 1] * powers[m]
 
     # the fine steps (Heun, trapezoid memory, H = h/64) as power series in z are
     # (1 - e - δ z) u = 1 - e/2, δ = 1 + H w + (H w)²/2 - (H² g_0)²/8 and e_l =
@@ -386,14 +373,13 @@ def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
     uf = 0.5 * (q + np.r_[1.0, delta * q[:-1]])
     u[:n0 + 1] = uf[::refine]
     if n <= 8:
-        return u, modes
+        return u, (lam, c, powers)
     k = refine * np.arange(n0, n0 - 4, -1)  # f_m = w u_m - trapezoid memory, m = 8, 7, 6, 5
     f = w * uf[k] - hf * np.array([gf[j::-1] @ uf[:j + 1] - 0.5 * (gf[j] + gf[0] * uf[j]) for j in k])
 
     # the block map and the square g_{nb+i-k} take lags below 2 nb
     g = _bath.correlation(spec, np.arange(2 * nb) * h)
     step_map = _block_map(g, omega0, h)
-    _, c, powers = modes
     rho, big_w = powers[:nb], powers[nb:0:-1]  # ρ^i and W_m = ρ^{nb-m}, ρ = e^{-λh}
     # x = (u_{r-nb}..u_{r-1}, state, S) and x ← x a: a's first nb + 6 columns are the map's rows,
     # its last K the update S ← ρ^nb S + W u_prev.  The map's forcing d is square u_prev + V S with
@@ -418,7 +404,7 @@ def _step_history(spec: BathSpec, omega0: float, h: float, n: int):
         np.dot(x, a, out=x_next)
         x, x_next = x_next, x
         u[r:r + nb] = x[:nb]
-    return u[:n + 1], modes
+    return u[:n + 1], (lam, c, powers)
 
 
 def _lagrange(u: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
@@ -444,16 +430,17 @@ def _at_times(u: np.ndarray, x: np.ndarray):
     return out, float(np.max(np.abs(out[off] - _lagrange(u, x[off], 4))))
 
 
-def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *, times: TimeGrid | None = None,
-                   max_refinements: int = 4) -> PropagatorSolution:
+def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *,
+                   times: TimeGrid | None = None) -> PropagatorSolution:
     """Solve the memory-kernel equation of motion by direct time stepping.
 
-    The uniform grid is the stepping grid.  Its step is halved until one
-    more halving changes |u| by less than _HALVING_TOL everywhere and the
-    finer level's `_at_times` gap at `times` (default: the grid) is below
-    it too (the self-validation gate).  u is returned on `times`, with the
-    gate's and the modes' evidence in its diagnostics (see
-    `PropagatorSolution`; empty when no stepping was needed).  K and the
+    The uniform grid is the stepping grid.  Its step is halved, at most
+    _MAX_REFINEMENTS times, until one more halving changes |u| by less
+    than _HALVING_TOL everywhere and the finer level's `_at_times` gap at
+    `times` (default: the grid) is below it too (the self-validation
+    gate).  u is returned on `times`, with the gate's and the modes'
+    evidence in its diagnostics (see `PropagatorSolution`; empty when no
+    stepping was needed).  K and the
     fit bound are those of the final step's modes at its horizon.
 
     Raises
@@ -463,8 +450,6 @@ def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *, times: Time
     NonConvergenceError
         If the refinement budget is exhausted before the gate passes.
     """
-    if max_refinements < 1:
-        raise ValueError("max_refinements must be at least 1")
     check_stepper_range(spec.s)
     times = grid if times is None else times
     if times.t_max > grid.t_max:
@@ -479,7 +464,7 @@ def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *, times: Time
 
     n0 = len(grid.samples) - 1
     u_h, _ = _step_history(spec, omega0, h0, n0)
-    for r in range(1, max_refinements + 1):
+    for r in range(1, _MAX_REFINEMENTS + 1):
         n, h, nb = n0 * 2**r, h0 / 2**r, _NEAR_BLOCK
         u_fine, (lam, c, powers) = _step_history(spec, omega0, h, n)
         delta = float(np.max(np.abs(np.abs(u_fine[::2]) - np.abs(u_h))))
@@ -496,7 +481,7 @@ def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *, times: Time
         u_h = u_fine
     raise NonConvergenceError(
         f"step halving did not stabilize |u| to {_HALVING_TOL} within "
-        f"{max_refinements} refinements (last change {delta:.3e}, interpolation gap {interp:.3e})"
+        f"{_MAX_REFINEMENTS} refinements (last change {delta:.3e}, interpolation gap {interp:.3e})"
     )
 
 

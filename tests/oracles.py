@@ -478,9 +478,9 @@ def kernel_modes_pi4(spec, h: float):
     the trapezoid rule in ln y at the step min(0.1, 0.55/(s+1)), nodes from (1e-17
     Γ(s+2))^{1/(s+1)} to (45 + 4s)√2, without those below 1e-18 Γ(s+1) at t = 65 h.
 
-    The form `cohlab.propagator._kernel_modes` gives for every h without a horizon, kept
-    operation for operation so that the two agree bit for bit.  Returns λ, c and the table
-    e^{-λ_k j h}, j ≤ 64.
+    The form `cohlab.propagator._kernel_modes` took for every h before it fitted the lag
+    interval it is given; the mode count the balanced ray must not exceed.  Returns λ, c and
+    the table e^{-λ_k j h}, j ≤ 64.
     """
     nb, s, wc = 64, spec.s, spec.omega_c
     dv = min(0.1, 0.55 / (s + 1.0))

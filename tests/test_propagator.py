@@ -241,13 +241,14 @@ def test_kernel_modes_fit_the_kernel_past_the_near_block(s):
     spec = BathSpec(s, 1.0)
     counts = []
     for h in (0.1, 0.0125, 0.003125, 0.00125):
-        lam, c, powers = propagator._kernel_modes(spec, h)
+        lam, c = propagator._kernel_modes(spec, 65 * h, 1000.0)
         assert np.all(lam.real > 0.0)
         t = np.concatenate((np.linspace(65 * h, 1000.0, 10001), np.geomspace(65 * h, 1000.0, 2001)))
         fit = np.concatenate([np.exp(-np.outer(ch, lam)) @ c for ch in np.array_split(t, 24)])
         assert np.max(np.abs(fit - correlation(spec, t))) <= 1e-13 * abs(correlation(spec, 0.0)), h
-        # the table by doubling, against exp at each lag: a phase of 10-100 rad
+        # the stepper's table by doubling, against exp at each lag: a phase of 10-100 rad
         # carries ~1e-14 relative in the rounded argument alone
+        lam, _, powers = propagator._step_history(spec, 0.1, h, 8)[1]
         np.testing.assert_allclose(powers, np.exp(-np.outer(np.arange(65) * h, lam)), rtol=1e-13, atol=0)
         counts.append(len(c))
     assert counts == sorted(counts) and 40 <= counts[0] and counts[-1] <= 400
@@ -261,13 +262,14 @@ def test_kernel_modes_fit_to_the_horizon(s):
     spec = BathSpec(s, 1.0)
     g0 = abs(correlation(spec, 0.0))
     for h in (0.1, 0.0125, 0.003125, 0.00125):
-        full = len(propagator._kernel_modes(spec, h)[1])
+        full = len(kernel_modes_pi4(spec, h)[1])
         for horizon in (0.24, 150.0, 1000.0, 1e4):
-            lam, c, _ = propagator._kernel_modes(spec, h, horizon)
+            tau_hi = max(horizon, 129 * h)  # the stepper's clamp
+            lam, c = propagator._kernel_modes(spec, 65 * h, tau_hi)
             assert np.all(lam.real > 0.0) and len(c) <= full, (h, horizon)
-            y_c = 2.0 ** -math.ceil(math.log2((1.0 + horizon) / 4.0))
+            y_c = 2.0 ** -math.ceil(math.log2((1.0 + tau_hi) / 4.0))
             slow = np.abs(lam) < y_c
-            theta, dv = propagator._ray(spec, h, horizon)
+            theta, dv = propagator._ray(spec, 65 * h, tau_hi)
             w = c[slow] / (spec.eta_s * np.exp(1j * lam[slow] - 1j * theta * (s + 1.0)))
             trapezoid_slow = np.count_nonzero(propagator._trapezoid_nodes(s, dv) < y_c)
             assert np.count_nonzero(slow) == min(12, trapezoid_slow), (h, horizon)
@@ -276,17 +278,21 @@ def test_kernel_modes_fit_to_the_horizon(s):
                 t = np.concatenate((np.linspace(65 * h, horizon, 10001), np.geomspace(65 * h, horizon, 2001)))
                 fit = np.concatenate([np.exp(-np.outer(ch, lam)) @ c for ch in np.array_split(t, 24)])
                 assert np.max(np.abs(fit - correlation(spec, t))) <= 1e-13 * g0, (h, horizon)
-    if s == 0.5:  # 298 modes without the horizon: a fall-back to the full set fails here
-        assert len(propagator._kernel_modes(spec, 0.005, 1000.0)[1]) <= 120
+    if s == 0.5:  # 298 modes for the full rule: a fall-back to the full set fails here
+        assert len(propagator._kernel_modes(spec, 65 * 0.005, 1000.0)[1]) <= 120
 
 
-def test_kernel_modes_without_horizon_keep_the_pi_over_4_ray():
-    # without a horizon the ray stays at π/4 and the step at min(0.1, 0.55/(s+1)), bit for bit
-    for s, h, omega_c in itertools.product((0.3, 0.5, 1.0, 3.0, 9.5, 30.0), (0.1, 0.0125, 0.00125), (0.5, 1.0)):
-        spec = BathSpec(s, 0.5, omega_c)
-        for got, want in zip(propagator._kernel_modes(spec, h), kernel_modes_pi4(spec, h)):
-            assert got.shape == want.shape and np.array_equal(got, want), (s, h, omega_c)
-    assert propagator._ray(BathSpec(1.0, 0.5), 0.1) == (0.25 * np.pi, 0.1)
+@pytest.mark.parametrize("s", [0.3, 0.5, 1.0, 3.0, 5.5, 9.5])
+def test_kernel_modes_fit_from_lag_zero(s):
+    # the interval [0, T]: the ray and the keep rate at τ_lo = 0, no step h at all
+    spec = BathSpec(s, 1.0)
+    g0 = abs(correlation(spec, 0.0))
+    for t_max in (0.5, 10.0, 1e3, 1e5):
+        lam, c = propagator._kernel_modes(spec, 0.0, t_max)
+        assert np.all(lam.real > 0.0), t_max
+        t = np.concatenate((np.linspace(0.0, t_max, 10001), np.geomspace(1e-6, t_max, 2001)))
+        fit = np.concatenate([np.exp(-np.outer(ch, lam)) @ c for ch in np.array_split(t, 24)])
+        assert np.max(np.abs(fit - correlation(spec, t))) <= 1e-13 * g0, t_max
 
 
 TIME_STEPPING = [(s, 0.5, 150.0, 3000) for s in S_VALUES] + [(s, 0.01, 400.0, 4000) for s in S_VALUES]
@@ -306,7 +312,7 @@ def test_kernel_modes_fit_every_halving_level(s, eta0, t_max, steps, monkeypatch
     g0 = abs(correlation(spec, 0.0))
     for h, n in levels:
         horizon = propagator._whole_blocks(n) * h
-        lam, c, _ = propagator._kernel_modes(spec, h, horizon)
+        lam, c = propagator._kernel_modes(spec, 65 * h, horizon)
         assert len(c) <= 80, (h, len(c))
         t = np.concatenate((np.linspace(65 * h, horizon, 4001), np.geomspace(65 * h, horizon, 1001)))
         fit = np.concatenate([np.exp(-np.outer(ch, lam)) @ c for ch in np.array_split(t, 8)])
@@ -330,21 +336,23 @@ def test_slow_rule_is_cached_per_step():
 
 @pytest.mark.parametrize("s", [0.5, 3.0, 9.5])
 def test_kernel_modes_below_two_blocks_of_lags(s):
-    # a horizon below (2nb + 1) h is read as (2nb + 1) h for the ray: Re λ > 0, and the
+    # the stepper reads a horizon below (2nb + 1) h as (2nb + 1) h: Re λ > 0, and the
     # fit holds over [65 h, T]
     spec = BathSpec(s, 1.0)
     g0 = abs(correlation(spec, 0.0))
     for h in (0.1, 0.0125):
-        for horizon in (73 * h, 100 * h, 128 * h):
-            theta, dv = propagator._ray(spec, h, horizon)
-            assert (theta, dv) == propagator._ray(spec, h, 129 * h)
-            lam, c, _ = propagator._kernel_modes(spec, h, horizon)
-            assert np.all(lam.real > 0.0)
-            t = np.linspace(65 * h, horizon, 2001)
-            assert np.max(np.abs(np.exp(-np.outer(t, lam)) @ c - correlation(spec, t))) <= 1e-13 * g0, h
+        lam, c = propagator._kernel_modes(spec, 65 * h, 129 * h)
+        assert np.all(lam.real > 0.0)
+        for n in (8, 40, 72):  # one block: horizons of 9 and 73 steps
+            got = propagator._step_history(spec, 0.1, h, n)[1]
+            assert np.array_equal(got[0], lam) and np.array_equal(got[1], c), (h, n)
+        t = np.linspace(65 * h, 129 * h, 2001)
+        assert np.max(np.abs(np.exp(-np.outer(t, lam)) @ c - correlation(spec, t))) <= 1e-13 * g0, h
 
 
-_RAYS = [(h, horizon) for h in (0.2, 0.05, 0.0125, 0.003125) for horizon in (None, 10.0, 1e3, 1e5)]
+# the lag intervals [τ_lo, τ_hi]: from lag 0, and from 65 h as the stepper passes them
+_RAYS = [(lo, max(hi, 129 * h)) for h in (0.2, 0.05, 0.0125, 0.003125) for lo in (0.0, 65 * h)
+         for hi in (10.0, 1e3, 1e5)]
 
 
 @pytest.mark.filterwarnings("error")
@@ -363,15 +371,15 @@ def test_stepper_limit_follows_the_node_range():
     # (s+1) ln((45 + 4s)√2) alone is still below ln(DBL_MAX), the last node, up to one step
     # dv past (45 + 4s)√2, already overflows y^(s+1) on some ray
     propagator.check_stepper_range(107.81)
-    with pytest.raises(ValueError, match=r"at most 107\.81"):
-        propagator.check_stepper_range(107.82)
-    for h, horizon in _RAYS:
-        _, c, powers = propagator._kernel_modes(BathSpec(107.81, 0.5), h, horizon)
-        assert np.all(np.isfinite(c)) and np.all(np.isfinite(powers))
+    for s in (107.815, 107.82):  # past the named limit, below the overflow's root 107.81782 too
+        with pytest.raises(ValueError, match=r"at most 107\.81 for the time stepper"):
+            propagator.check_stepper_range(s)
+    for tau_lo, tau_hi in _RAYS:
+        lam, c = propagator._kernel_modes(BathSpec(107.81, 0.5), tau_lo, tau_hi)
+        assert np.all(np.isfinite(c)) and np.all(np.isfinite(lam))
     s, log_max = 107.85, math.log(np.finfo(float).max)
     assert (s + 1.0) * math.log((45.0 + 4.0 * s) * 2**0.5) < log_max
-    top = max(propagator._trapezoid_nodes(s, propagator._ray(BathSpec(s, 0.5), h, horizon)[1])[-1]
-              for h, horizon in _RAYS)
+    top = max(propagator._trapezoid_nodes(s, propagator._ray(BathSpec(s, 0.5), *ray)[1])[-1] for ray in _RAYS)
     assert (s + 1.0) * math.log(top) > log_max
 
 
@@ -404,9 +412,10 @@ def test_halving_gate_decisions_match_direct_sum(s, eta0, monkeypatch):
     spec = BathSpec(s, eta0)
     grid = TimeGrid.uniform(40.0, 400)
     fast = solve_volterra(spec, 0.1, grid)
-    # the direct sum's u, with the modes the fit check reads
+    # the direct sum's u, with the stepper's modes the fit check reads
+    step_history = propagator._step_history
     monkeypatch.setattr(propagator, "_step_history", lambda spec, w0, h, n: (
-        step_history_direct(spec, w0, h, n), propagator._kernel_modes(spec, h, propagator._whole_blocks(n) * h)))
+        step_history_direct(spec, w0, h, n), step_history(spec, w0, h, n)[1]))
     ref = solve_volterra(spec, 0.1, grid)
     assert fast.diagnostics["refinements"] == ref.diagnostics["refinements"] >= 1
     assert fast.diagnostics["h_final"] == ref.diagnostics["h_final"]
@@ -422,16 +431,17 @@ def test_volterra_diagnostics():
     assert d["h_final"] == grid.step / 2 ** d["refinements"]
     assert 0.0 <= d["halving_delta"] < 1e-5
     horizon = propagator._whole_blocks(200 * 2 ** d["refinements"]) * d["h_final"]
-    assert d["modes"] == len(propagator._kernel_modes(spec, d["h_final"], horizon)[1])
+    assert d["modes"] == len(propagator._kernel_modes(spec, 65 * d["h_final"], horizon)[1])
     assert 0.0 < d["fit_bound"] <= 1e-13
     assert d["interp_delta"] == 0.0  # every output time is a node
     assert solve_volterra(BathSpec(1.0, 0.0), 0.1, grid).diagnostics == {}
 
 
-def test_volterra_refinement_budget_error():
+def test_volterra_refinement_budget_error(monkeypatch):
+    monkeypatch.setattr(propagator, "_MAX_REFINEMENTS", 1)
     spec = BathSpec(3.0, 0.5)
-    with pytest.raises(NonConvergenceError):
-        solve_volterra(spec, 0.1, TimeGrid.uniform(100.0, 250), max_refinements=1)
+    with pytest.raises(NonConvergenceError, match="within 1 refinements"):
+        solve_volterra(spec, 0.1, TimeGrid.uniform(100.0, 250))
 
 
 def test_volterra_requires_uniform_grid():
@@ -694,7 +704,7 @@ def test_times_equal_to_the_grid_read_the_nodes(grid):
     assert given.diagnostics == default.diagnostics
 
 
-def test_interpolation_gap_joins_the_halving_gate():
+def test_interpolation_gap_joins_the_halving_gate(monkeypatch):
     # at h = 0.25 the first halving passes the |u| test, but its 6- and 4-point rules differ by
     # 1.4e-5 on the log times: the gate takes one more level, and with none left it raises
     spec, grid, log = BathSpec(1.0, 0.01), TimeGrid.uniform(2.0, 8), TimeGrid.log(2.0, 50, t_min=0.02)
@@ -703,5 +713,6 @@ def test_interpolation_gap_joins_the_halving_gate():
     assert sol.diagnostics["refinements"] == 2
     assert 0.0 < sol.diagnostics["interp_delta"] < 1e-5
     assert np.max(np.abs(sol.u - solve_laplace(spec, 1.0, log).u)) <= 1e-6
+    monkeypatch.setattr(propagator, "_MAX_REFINEMENTS", 1)
     with pytest.raises(NonConvergenceError, match="interpolation gap 1.36"):
-        solve_volterra(spec, 1.0, grid, times=log, max_refinements=1)
+        solve_volterra(spec, 1.0, grid, times=log)
