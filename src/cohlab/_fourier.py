@@ -41,6 +41,8 @@ _TAYLOR_SWITCH = 2.0      # |θ| up to which the Gauss-Legendre sum is a Taylor 
 _THETA_SWITCH = 14.0      # |θ| above which the Filon rule replaces Gauss-Legendre
 _BLOCK = 1 << 17          # (panel, time) pairs per array pass, bounding memory
 _PANEL_TOL = 1e-10        # panel accepted once half-width × Chebyshev tail ≤ this
+_LEVELS_PER_CALL = 3      # bisection levels sampled by one call of the integrand, at most
+_CALL_POINTS = 2048       # points past which a call samples no deeper level
 _MAX_PANELS = 6000
 
 # Chebyshev-Gauss-Lobatto nodes on [-1, 1], descending from +1
@@ -123,8 +125,17 @@ def build_panels(f, a: float, b: float, *, seeds=()) -> PanelSet:
     h × tail, its share of ∫|f - p|, is at most _PANEL_TOL (tail: the
     largest of its last three Chebyshev coefficients); the rule is
     absolute, carrying no scale from one panel to the next.  `seeds` are forced breakpoints.
-    The bisection runs breadth-first: all pending panels of a level are
-    sampled by one call of f and transformed by one matrix product.
+    The bisection runs breadth-first, up to _LEVELS_PER_CALL levels per
+    call of f: one call samples the pending panels, their halves and their
+    quarters, the deeper levels only while the call stays within
+    _CALL_POINTS points: there the call's fixed cost (about that of 500
+    more points of the Laplace route's density) outweighs the points
+    sampled in vain.  The levels are decided in turn, from the same call:
+    the pending one, then the halves of the panels it splits, then the
+    quarters of the halves those split; each level's coefficients are one
+    matrix product.  The decisions are those of one call per level, so an
+    f whose value at a point does not depend on the other points of the
+    call gets the same panels, bit for bit, from fewer calls.
     Panels are not split below (b - a) 2⁻⁵⁰; the largest share h × tail
     of such a panel goes into `worst_tail` (0 when every panel met
     _PANEL_TOL).  Raises FourierQuadratureError once the kept and pending
@@ -136,18 +147,12 @@ def build_panels(f, a: float, b: float, *, seeds=()) -> PanelSet:
             raise TypeError(f"f must return real values, got {vals.dtype}")
         return vals
 
-    min_width = (b - a) * 2.0**-50
-    pts = np.sort([a, b, *(float(x) for x in seeds if a < x < b)])
-    pts = pts[np.r_[True, pts[1:] != pts[:-1]]]  # np.unique's points, without loading numpy.ma
-    lo, hi = pts[:-1], pts[1:]
-    kept = []
-    n_kept = 0
-    worst_tail = 0.0
-    while lo.size:
+    def decide(lo, hi, vals):
+        """Keep the resolved panels of one level; returns the mask of those to split."""
+        nonlocal n_kept, worst_tail
         m = 0.5 * (lo + hi)
         h = 0.5 * (hi - lo)
-        vals = sample((m[:, None] + h[:, None] * _CGL_NODES).ravel())
-        c = vals.reshape(len(m), _DEGREE + 1) @ _COEF_MAT.T
+        c = vals @ _COEF_MAT.T
         tail = np.max(np.abs(c[:, -3:]), axis=1)
         share = h * tail
         floor = (hi - lo) <= min_width
@@ -163,6 +168,40 @@ def build_panels(f, a: float, b: float, *, seeds=()) -> PanelSet:
                 f"panel budget {_MAX_PANELS} exhausted on [{a}, {b}]; "
                 f"unresolved Chebyshev tail {tail[k]:.3e} on a panel of half-width {h[k]:.3e}"
             )
+        return split
+
+    min_width = (b - a) * 2.0**-50
+    pts = np.sort([a, b, *(float(x) for x in seeds if a < x < b)])
+    pts = pts[np.r_[True, pts[1:] != pts[:-1]]]  # np.unique's points, without loading numpy.ma
+    lo, hi = pts[:-1], pts[1:]
+    kept = []
+    n_kept = 0
+    worst_tail = 0.0
+    while lo.size:
+        # the pending panels, their halves and their quarters while the call
+        # stays small; each level lists its panels as the next one lists the
+        # halves of the panels it splits
+        levels = 1
+        while levels < _LEVELS_PER_CALL and \
+                (2 ** (levels + 1) - 1) * lo.size * (_DEGREE + 1) <= _CALL_POINTS:
+            levels += 1
+        los, his = [lo], [hi]
+        for _ in range(levels - 1):
+            m = 0.5 * (los[-1] + his[-1])
+            los.append(np.concatenate((los[-1], m)))
+            his.append(np.concatenate((m, his[-1])))
+        all_lo, all_hi = np.concatenate(los), np.concatenate(his)
+        mid, half = 0.5 * (all_lo + all_hi), 0.5 * (all_hi - all_lo)
+        vals = sample((mid[:, None] + half[:, None] * _CGL_NODES).ravel()).reshape(-1, _DEGREE + 1)
+        start, pick = 0, np.ones(lo.size, dtype=bool)
+        for level_lo, level_hi in zip(los, his):
+            lo, hi = level_lo[pick], level_hi[pick]
+            split = decide(lo, hi, vals[start:start + level_lo.size][pick])
+            start += level_lo.size
+            chosen = np.zeros(level_lo.size, dtype=bool)
+            chosen[pick] = split
+            pick = np.tile(chosen, 2)  # their halves, on the next level
+        m = 0.5 * (lo + hi)
         lo, hi = np.concatenate((lo[split], m[split])), np.concatenate((m[split], hi[split]))
 
     mids, halfs, coeffs = (np.concatenate(x) for x in zip(*kept))

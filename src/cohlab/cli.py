@@ -4,14 +4,18 @@ Configuration comes from a flat key=value file plus command-line overrides
 (CLI > file > defaults); every float must be finite.  Each command runs one
 pipeline: configs -> each distinct propagator solved once -> CSV writers
 that only format.  A figure or sweep derives all of its curves from those
-solutions, solved one after another in the calling process.  With solver
-'both' every solve is checked against the other route once.  That check and
-each solver's diagnostics are footer lines that travel with the solution into
-every CSV drawn from it.  The parser is built once per process, on first use.
+solutions, solved one after another in the calling process, and builds each
+distinct output grid once.  With solver 'both' every solve is checked against
+the other route once.  That check and each solver's diagnostics are footer
+lines that travel with the solution into every CSV drawn from it.  The parser
+is built once per process, on first use; this module keeps nothing else
+between calls.
 
 Every CSV starts with a '#'-prefixed header recording the fully resolved
 configuration, uses 17-significant-digit floats, '\\n' newlines and UTF-8,
-so output is byte-deterministic for a fixed configuration and version.
+so output is byte-deterministic for a fixed configuration and version.  A
+column that recurs among the CSVs of one command (the output times, p_e
+across the codes of one curve) is formatted once and its cells reused.
 
 Exit codes: 0 ok; 1 for a solver error or a cross-solver discrepancy above
 CROSS_SOLVER_TOL; 2 for a configuration error.
@@ -20,6 +24,7 @@ CROSS_SOLVER_TOL; 2 for a configuration error.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import itertools
 import math
@@ -159,15 +164,64 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def write_csv(path: str, header_items, columns: list[str], rows, footer: list[str] = ()):
-    """Rows of equal layout: int columns print as '%d', the rest as '%.17g'."""
+    """The '# key = value' header, the column names, one line per entry of
+    `rows` (one entry per CSV row, already formatted, as `_csv_lines` yields
+    them), then the '# ' footer lines."""
     lines = [f"# {k} = {v}" for k, v in header_items]
     lines.append(",".join(columns))
-    if len(rows):
-        fmt = ",".join("%d" if isinstance(x, (int, np.integer)) else "%.17g" for x in rows[0])
-        lines.extend(fmt % tuple(row) for row in rows)
+    lines.extend(rows)
     lines.extend(f"# {f}" for f in footer)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _fmt(column: np.ndarray) -> str:
+    """A column's printf format: '%d' for ints, '%.17g' for the rest."""
+    return "%d" if column.dtype.kind in "iu" else "%.17g"
+
+
+def _cells(column: np.ndarray) -> list[str]:
+    """A column's cells, each as `_fmt` prints it."""
+    fmt = _fmt(column)
+    return [fmt % x for x in column.tolist()]
+
+
+def _csv_lines(tables: list[list[np.ndarray]]):
+    """Yield the CSV lines of each table, a list of equal-length columns,
+    each printed in its `_fmt`.
+
+    A column that recurs among the tables (same dtype and bytes) is
+    formatted once, by `_cells`, and its cells are held only until its last
+    use; any other column is formatted in its rows.  Nothing outlives the
+    call.
+    """
+    keys = [[(c.dtype.str, c.tobytes()) for c in table] for table in tables]
+    uses = collections.Counter(k for table_keys in keys for k in table_keys)
+    held = {}
+    for table, table_keys in zip(tables, keys):
+        fmts, values = [], []
+        for c, k in zip(table, table_keys):
+            uses[k] -= 1
+            if k not in held and not uses[k]:  # the column's only use
+                fmts.append(_fmt(c))
+                values.append(c.tolist())
+                continue
+            cells = held.pop(k) if k in held else _cells(c)
+            if uses[k]:
+                held[k] = cells
+            fmts.append("%s")
+            values.append(cells)
+        fmt = ",".join(fmts)
+        yield [fmt % row for row in zip(*values)]
+
+
+def _write_tables(items) -> list[str]:
+    """Write each (path, header items, column names, columns, footer) item
+    as one CSV, the recurring columns formatted once; returns the paths."""
+    lines = _csv_lines([columns for _, _, _, columns, _ in items])
+    for (path, header, names, _, footer), rows in zip(items, lines):
+        write_csv(path, header, names, rows, footer)
+    return [path for path, *_ in items]
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +245,21 @@ class _Solved(NamedTuple):
     ok: bool
 
 
+# the RunConfig fields that determine the output grid
+_GRID_FIELDS = ("tmax", "out_points", "tmin_out", "log_out")
+
+
+def _key(cfg: RunConfig, names: tuple) -> tuple:
+    return tuple(getattr(cfg, f) for f in names)
+
+
 def _output_grid(cfg: RunConfig) -> TimeGrid:
     if cfg.log_out:
         return TimeGrid.log(cfg.tmax, cfg.out_points, min(cfg.tmin_out, cfg.tmax / 10.0))
     return TimeGrid.uniform(cfg.tmax, cfg.out_points - 1)
 
 
-def _solve_u(cfg: RunConfig) -> _Solved:
+def _solve_u(cfg: RunConfig, out_grid: TimeGrid) -> _Solved:
     """u on the output grid per requested solver(s), checked against each other.
 
     Time stepping runs on the uniform grid and answers at the output times
@@ -205,7 +267,6 @@ def _solve_u(cfg: RunConfig) -> _Solved:
     solver's diagnostics become one footer line (`laplace: panels = …`),
     values by repr; they record and never gate, and η₀ = 0 has none.
     """
-    out_grid = _output_grid(cfg)
     sols = {}
     spec = cfg.bath
     if cfg.solver in ("volterra", "both"):
@@ -227,10 +288,14 @@ def _solve_each_once(cfgs: list[RunConfig]) -> list[_Solved]:
     """_solve_u for every config, solving each distinct propagator once.
 
     Configs that differ only outside _PROPAGATOR_FIELDS (α0, code, n, out)
-    share one solution.  Nothing is kept between calls.
+    share one solution, and solutions on the same output grid share one
+    grid.  Nothing is kept between calls.
     """
-    keys = [tuple(getattr(c, f) for f in _PROPAGATOR_FIELDS) for c in cfgs]
-    by_key = {k: _solve_u(c) for k, c in dict(zip(keys, cfgs)).items()}
+    keys = [_key(c, _PROPAGATOR_FIELDS) for c in cfgs]
+    distinct = dict(zip(keys, cfgs))
+    grids = {_key(c, _GRID_FIELDS): c for c in distinct.values()}
+    grids = {g: _output_grid(c) for g, c in grids.items()}
+    by_key = {k: _solve_u(c, grids[_key(c, _GRID_FIELDS)]) for k, c in distinct.items()}
     return [by_key[k] for k in keys]
 
 
@@ -239,21 +304,22 @@ def _solve_each_once(cfgs: list[RunConfig]) -> list[_Solved]:
 # ---------------------------------------------------------------------------
 
 def _u_table(cfg: RunConfig, sol: _Solved) -> tuple[list[str], list]:
+    """Column names and columns: t, then Re u, Im u and |u| per solver."""
     methods = sorted(sol.sols)
-    columns = ["t"] + [f"{c}_{m}" for m in methods for c in ("re_u", "im_u", "abs_u")]
-    data = [sol.grid.samples]
+    names = ["t"] + [f"{c}_{m}" for m in methods for c in ("re_u", "im_u", "abs_u")]
+    columns = [sol.grid.samples]
     for m in methods:
         u = sol.sols[m].u
         # hypot rounds |u| as the scalar abs() does; np.abs on a complex array
         # differs from it in the last bit
-        data += [u.real, u.imag, np.hypot(u.real, u.imag)]
-    return columns, np.column_stack(data).tolist()
+        columns += [u.real, u.imag, np.hypot(u.real, u.imag)]
+    return names, columns
 
 
 def _channel_table(cfg: RunConfig, sol: _Solved) -> tuple[list[str], list]:
-    """One row per output time, from the Laplace solution when there is one;
-    every metric is one array pass over u, with |u| > 1 roundoff clamped to
-    the unit circle."""
+    """Column names and columns, one row per output time, from the Laplace
+    solution when there is one; every metric is one array pass over u, with
+    |u| > 1 roundoff clamped to the unit circle."""
     u = sol.sols.get("laplace", sol.sols.get("volterra")).u
     u = u / np.maximum(np.abs(u), 1.0)
     p_e = phase_error_prob(cfg.alpha0, u)
@@ -264,9 +330,8 @@ def _channel_table(cfg: RunConfig, sol: _Solved) -> tuple[list[str], list]:
         m, extra = bitflip_metrics(cfg.n, cfg.alpha0, u), {"p_e_n": bitflip_p_e(cfg.n, cfg.alpha0, u)}
     else:
         m, extra = metrics_closed(cfg.alpha0, u), {}
-    columns = ["t", "concurrence", "f_max", "fidelity", "p_e", *extra]
-    data = [sol.grid.samples, m.concurrence, m.f_max, m.fidelity, p_e, *extra.values()]
-    return columns, np.column_stack(data).tolist()
+    return (["t", "concurrence", "f_max", "fidelity", "p_e", *extra],
+            [sol.grid.samples, m.concurrence, m.f_max, m.fidelity, p_e, *extra.values()])
 
 
 _TABLES = {"u": _u_table, "channel": _channel_table}
@@ -276,12 +341,12 @@ def _write_curves(kind: str, prefix: str, cfgs: list[RunConfig]) -> tuple[list[s
     """One CSV per config: the `kind` table of its solution under the
     solution's footer; the verdict is that of every solution."""
     solved = _solve_each_once(cfgs)
-    paths = []
+    items = []
     for c, sol in zip(cfgs, solved):
         tag = "" if kind == "u" or c.code == "none" else f"_{c.code}{c.n}"
-        paths.append(os.path.join(c.out, f"{prefix}s{c.s:g}_eta{c.eta0:g}{tag}.csv"))
-        write_csv(paths[-1], c.header_items(), *_TABLES[kind](c, sol), sol.footer)
-    return paths, all(sol.ok for sol in solved)
+        items.append((os.path.join(c.out, f"{prefix}s{c.s:g}_eta{c.eta0:g}{tag}.csv"),
+                      c.header_items(), *_TABLES[kind](c, sol), sol.footer))
+    return _write_tables(items), all(sol.ok for sol in solved)
 
 
 def _sweep_values(axis: str, text: str) -> list:
@@ -302,15 +367,16 @@ def _write_sweep(cfg: RunConfig, axis: str, values: list) -> tuple[list[str], bo
     cross-solver footer lines are tagged with its axis value."""
     cfgs = [replace(cfg, **{axis: v}) for v in values]
     solved = _solve_each_once(cfgs)
-    rows, footer = [], []
+    tables, footer = [], []
     for c, sol in zip(cfgs, solved):
         v = getattr(c, axis)
-        columns, table = _channel_table(c, sol)
-        rows += [[v] + r for r in table]
+        names, columns = _channel_table(c, sol)
+        tables.append([np.full(len(columns[0]), v), *columns])
         footer += [f"{axis} = {v!r}: {line}" for line in sol.footer]
     path = os.path.join(cfg.out, f"sweep_{axis}.csv")
     header = [(k, repr(values) if k == axis else v) for k, v in cfg.header_items()]
-    write_csv(path, header, [axis] + columns, rows, footer)
+    rows = [line for lines in _csv_lines(tables) for line in lines]
+    write_csv(path, header, [axis] + names, rows, footer)
     return [path], all(sol.ok for sol in solved)
 
 
@@ -355,21 +421,20 @@ _FIGURES = {
 }
 
 
-def _write_spectral_curve(cfg: RunConfig, fig_id: str) -> str:
+def _spectral_curve(cfg: RunConfig, fig_id: str) -> tuple:
+    """The figure 1a/1b CSV item of one config: J on 801 points of [0, 8 ω_c]."""
     # 1b keeps η0 (scaled coupling); 1a rescales it so that η_s = η0
     eta0 = cfg.eta0 if fig_id == "1b" else cfg.eta0 * (cfg.s / math.e) ** cfg.s
     w = np.linspace(0.0, 8.0 * cfg.omega_c, 801)
-    rows = np.column_stack([w, spectral_density(BathSpec(cfg.s, eta0, cfg.omega_c), w)])
-    path = os.path.join(cfg.out, f"figure{fig_id}_J_s{cfg.s:g}.csv")
-    write_csv(path, cfg.header_items(), ["omega", "J"], rows)
-    return path
+    return (os.path.join(cfg.out, f"figure{fig_id}_J_s{cfg.s:g}.csv"), cfg.header_items(),
+            ["omega", "J"], [w, spectral_density(BathSpec(cfg.s, eta0, cfg.omega_c), w)], ())
 
 
 def _write_figure(fig_id: str, cfg: RunConfig) -> tuple[list[str], bool]:
     kind, curves, recipe = _FIGURES[fig_id]
     cfgs = [replace(cfg, **o) for o in curves]
     if kind == "J":
-        paths, ok = [_write_spectral_curve(c, fig_id) for c in cfgs], True
+        paths, ok = _write_tables([_spectral_curve(c, fig_id) for c in cfgs]), True
     else:
         paths, ok = _write_curves(kind, f"figure{fig_id}_" + ("u_" if kind == "u" else ""), cfgs)
     recipe_path = os.path.join(cfg.out, f"figure{fig_id}_recipe.txt")

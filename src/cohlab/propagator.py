@@ -604,9 +604,9 @@ def solve_laplace(spec: BathSpec, omega0: float, grid: TimeGrid) -> PropagatorSo
     so arbitrarily late times cost the same as early ones; the panels
     start from `_resonance_seeds` and meet `build_panels`' error budget.
     Every step of the set-up is whole-array: the pole and the seeds are
-    polished by safeguarded Newton, each bisection level of the panels is
-    one density call, and the neglected tail is one fixed Gauss-Legendre
-    rule (`_cut_tail`).
+    polished by safeguarded Newton, up to three bisection levels of the
+    panels are one density call, and the neglected tail is one fixed
+    Gauss-Legendre rule (`_cut_tail`).
 
     Raises
     ------

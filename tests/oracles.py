@@ -4,10 +4,12 @@ Everything here is deliberately built from defining series, continued
 fractions, or quadrature of defining integrals — never from the code paths
 under test.  The exceptions are code that only the tests use: the
 closed-form Lamb shift, the Markovian exponential and the slope of B_loc,
-built on `cohlab.bath`'s closed forms; and the last two sections, the
-single-qubit element map and the cat-state densities, and the two-qubit
-channel state with its matrix oracles (Wootters concurrence, magic-basis and
-direct-search f_max), built on `cohlab.qubit`'s coherence factor.
+built on `cohlab.bath`'s closed forms; the one-level panel bisection,
+`cohlab._fourier`'s decision rule with one density call per level; and the
+last two sections, the single-qubit element map and the cat-state
+densities, and the two-qubit channel state with its matrix oracles
+(Wootters concurrence, magic-basis and direct-search f_max), built on
+`cohlab.qubit`'s coherence factor.
 """
 
 import cmath
@@ -653,6 +655,57 @@ def fourier_integral_panelwise(panels, times) -> np.ndarray:
             mom = monomial_moments(theta[~small], F._DEGREE)
             out[~small] += h * phase[~small] * (mono @ mom)
     return out if np.ndim(times) else out[0]
+
+
+def build_panels_one_level(f, a: float, b: float, seeds=()):
+    """`cohlab._fourier.build_panels` with one call of f per bisection
+    level: the pending panels are sampled, decided by the same tail rule,
+    floor width and panel budget, and those split are sampled on the next
+    call.  The reference for the bisection that decides several levels
+    per call."""
+    from cohlab import _fourier as F
+
+    def sample(x):
+        vals = np.asarray(f(x))
+        if np.iscomplexobj(vals):
+            raise TypeError(f"f must return real values, got {vals.dtype}")
+        return vals
+
+    min_width = (b - a) * 2.0**-50
+    pts = np.sort([a, b, *(float(x) for x in seeds if a < x < b)])
+    pts = pts[np.r_[True, pts[1:] != pts[:-1]]]
+    lo, hi = pts[:-1], pts[1:]
+    kept = []
+    n_kept = 0
+    worst_tail = 0.0
+    while lo.size:
+        m = 0.5 * (lo + hi)
+        h = 0.5 * (hi - lo)
+        vals = sample((m[:, None] + h[:, None] * F._CGL_NODES).ravel())
+        c = vals.reshape(len(m), F._DEGREE + 1) @ F._COEF_MAT.T
+        tail = np.max(np.abs(c[:, -3:]), axis=1)
+        share = h * tail
+        floor = (hi - lo) <= min_width
+        done = (share <= F._PANEL_TOL) | floor
+        if floor.any():
+            worst_tail = max(worst_tail, float(share[floor].max()))
+        kept.append((m[done], h[done], c[done]))
+        n_kept += int(done.sum())
+        split = ~done
+        if n_kept + 2 * int(split.sum()) > F._MAX_PANELS:
+            k = np.flatnonzero(split)[np.argmax(share[split])]
+            raise F.FourierQuadratureError(
+                f"panel budget {F._MAX_PANELS} exhausted on [{a}, {b}]; "
+                f"unresolved Chebyshev tail {tail[k]:.3e} on a panel of half-width {h[k]:.3e}"
+            )
+        lo, hi = np.concatenate((lo[split], m[split])), np.concatenate((m[split], hi[split]))
+
+    mids, halfs, coeffs = (np.concatenate(x) for x in zip(*kept))
+    order = np.argsort(mids)
+    mids, halfs, coeffs = mids[order], halfs[order], coeffs[order]
+    gl_nodes = (mids[:, None] + halfs[:, None] * F._GL_X[None, :]).ravel()
+    gl_vals = sample(gl_nodes).reshape(len(mids), F._GL_POINTS)
+    return F.PanelSet(mids, halfs, coeffs, gl_vals, worst_tail)
 
 
 def random_channel_states(rng: np.random.Generator, count: int):

@@ -251,22 +251,89 @@ def test_channel_rows_clamp_u_above_one():
     u = np.array([1.0 + 1e-10, (1.0 + 2e-9) * np.exp(0.3j), 0.8j, 0.5])
     clamped = np.array([1.0, np.exp(0.3j), 0.8j, 0.5])
     for cfg in (RunConfig(), RunConfig(code="phase", n=101), RunConfig(code="bit", n=6)):
-        _, rows = _channel_table(cfg, _Solved(grid, {"laplace": PropagatorSolution(grid, u)}, [], True))
+        _, cols = _channel_table(cfg, _Solved(grid, {"laplace": PropagatorSolution(grid, u)}, [], True))
         _, want = _channel_table(cfg, _Solved(grid, {"laplace": PropagatorSolution(grid, clamped)},
                                               [], True))
-        np.testing.assert_allclose(rows, want, rtol=0, atol=1e-15)
-        assert rows[0][4] == 0.0          # p_e at |u| = 1
+        np.testing.assert_allclose(cols, want, rtol=0, atol=1e-15)
+        assert cols[4][0] == 0.0          # p_e at |u| = 1
 
 
 def test_write_csv_formats(tmp_path):
     # '%d' for int columns, '%.17g' for the rest: the same bytes as str(int)
     # and f"{x:.17g}" per value
     rows = [[3, 0.1, 1.0, np.float64(2.5)], [np.int64(5), 1e-300, -0.0, np.float64(np.pi)]]
+    columns = [np.array([r[i] for r in rows]) for i in range(4)]
+    assert columns[0].dtype.kind == "i"
+    (lines,) = cli._csv_lines([columns])
+    # the same columns twice: each is formatted once, by _cells, to the same cells
+    assert list(cli._csv_lines([columns, columns])) == [lines, lines]
     path = tmp_path / "x.csv"
-    cli.write_csv(str(path), [("k", "'v'")], ["n", "x", "y", "z"], rows, ["foot = 1"])
+    cli.write_csv(str(path), [("k", "'v'")], ["n", "x", "y", "z"], lines, ["foot = 1"])
     body = [f"{r[0]:d}," + ",".join(f"{float(x):.17g}" for x in r[1:]) for r in rows]
     assert path.read_text() == "\n".join(["# k = 'v'", "n,x,y,z", *body, "# foot = 1"]) + "\n"
     assert body[0] == "3,0.10000000000000001,1,2.5"
+
+
+@pytest.mark.parametrize("fig_id", ["2a", "3", "4", "6"])
+def test_recurring_columns_write_what_each_curve_writes_alone(tmp_path, fig_id):
+    # a figure formats a column that recurs among its CSVs (t, and p_e across the
+    # codes of one curve) once; each CSV must still hold the bytes that the
+    # one-curve command writes for its configuration
+    assert main(["figure", "--id", fig_id, "--out-points", "6", "--out", str(tmp_path)]) == 0
+    kind, curves, _ = cli._FIGURES[fig_id]
+    command = "propagator" if kind == "u" else "channel"
+    for o in curves:
+        flags = [x for k, v in o.items() for x in (f"--{k}", str(v))]
+        assert main([command, *flags, "--out-points", "6", "--out", str(tmp_path)]) == 0
+        tag = "" if kind == "u" or o["code"] == "none" else f"_{o['code']}{o['n']}"
+        name = f"s{o['s']:g}_eta{o['eta0']:g}{tag}.csv"
+        figure = tmp_path / f"figure{fig_id}_{'u_' if kind == 'u' else ''}{name}"
+        assert figure.read_bytes() == (tmp_path / f"{command}_{name}").read_bytes()
+
+
+def test_sweep_rows_write_what_each_value_writes_alone(tmp_path):
+    # t and p_e recur across the values of an n sweep; each value's rows must
+    # still be the one-curve command's rows behind the value
+    assert main(["sweep", "--axis", "n", "--values", "1,3,9", "--code", "phase", "--eta0", "0.5",
+                 "--out-points", "6", "--out", str(tmp_path)]) == 0
+
+    def body(name):
+        return [x for x in (tmp_path / name).read_text().splitlines() if not x.startswith("#")][1:]
+
+    rows = body("sweep_n.csv")
+    for n in ("1", "3", "9"):
+        assert main(["channel", "--code", "phase", "--n", n, "--eta0", "0.5", "--out-points", "6",
+                     "--out", str(tmp_path)]) == 0
+        assert [r for r in rows if r.split(",")[0] == n] == \
+            [f"{n},{r}" for r in body(f"channel_s1_eta0.5_phase{n}.csv")]
+
+
+def test_formatted_columns_live_for_one_command(tmp_path, monkeypatch):
+    # figure 4 at α0 = 0.9, at 1.2, then at 0.9 again in one process: each
+    # command formats its recurring columns itself, t once and p_e once per s,
+    # and the last writes what the first wrote, so no formatted column is
+    # carried from one command to the next
+    formatted = []
+    original = cli._cells
+
+    def counting(column):
+        formatted[-1].append(len(column))
+        return original(column)
+
+    monkeypatch.setattr(cli, "_cells", counting)
+    for a0, out in (("0.9", "a"), ("1.2", "b"), ("0.9", "c")):
+        formatted.append([])
+        assert main(["figure", "--id", "4", "--alpha0", a0, "--out-points", "7",
+                     "--out", str(tmp_path / out)]) == 0
+    assert formatted == [[7] * 4] * 3
+    for name in sorted(os.listdir(tmp_path / "a")):
+        first, again = ((tmp_path / d / name).read_text().splitlines() for d in ("a", "c"))
+        assert [x for x in first if not x.startswith("# out = ")] == \
+            [x for x in again if not x.startswith("# out = ")]
+        if name.endswith(".csv"):
+            p_e = [load(tmp_path / d / name) for d in ("a", "b")]
+            col = p_e[0][1].index("p_e")
+            assert not np.array_equal(p_e[0][2][1:, col], p_e[1][2][1:, col])
 
 
 def test_sweep_alpha0_t0_concurrence(tmp_path):
@@ -417,7 +484,7 @@ def test_cross_solver_check_once_per_solve(tmp_path, monkeypatch):
     # 6 curves, 2 propagators: each solve's footer line goes to its 3 CSVs
     solves = []
     original = cli._solve_u
-    monkeypatch.setattr(cli, "_solve_u", lambda cfg: solves.append(cfg.s) or original(cfg))
+    monkeypatch.setattr(cli, "_solve_u", lambda cfg, grid: solves.append(cfg.s) or original(cfg, grid))
     base = RunConfig(solver="both", tmax=50.0, points=2000, out_points=20, out=str(tmp_path))
     cfgs = [replace(base, s=s, code=code, n=n) for s in (1.0, 3.0)
             for code, n in (("none", 1), ("phase", 3), ("bit", 6))]

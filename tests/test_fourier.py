@@ -1,5 +1,7 @@
 """Panel Fourier quadrature: the exact transform of e^{-ω} and the panel loop."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from cohlab import _fourier, propagator
 from cohlab.bath import BathSpec
 from cohlab.propagator import TimeGrid, solve_laplace
 
-from oracles import fourier_integral_panelwise
+from oracles import build_panels_one_level, fourier_integral_panelwise
 
 
 def _exp_panels():
@@ -110,3 +112,65 @@ def test_matches_the_panel_loop_on_figure_solves(s, eta0, tmax, monkeypatch):
     (panels, times), = seen
     diff = _fourier.fourier_integral(panels, times) - fourier_integral_panelwise(panels, times)
     assert np.max(np.abs(diff)) <= 1e-15 * _scale(panels)
+
+
+def _assert_matches_one_level(f, a, b, seeds=()):
+    """build_panels against the one-level bisection: the same panels, bit for
+    bit, from at most ⌈levels/2⌉ + 2 calls of f."""
+    calls = []
+
+    def counted(w):
+        calls.append(np.size(w))
+        return f(w)
+
+    got = _fourier.build_panels(counted, a, b, seeds=seeds)
+    calls_now = len(calls)
+    want = build_panels_one_level(counted, a, b, seeds=seeds)
+    levels = len(calls) - calls_now - 1  # one call per level, then the Gauss-Legendre values
+    for name in ("mids", "halfs", "coeffs", "gl_vals"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert got.worst_tail == want.worst_tail
+    assert calls_now <= math.ceil(levels / 2) + 2
+    return got
+
+
+# the six reference pairs, the generic-s pairs and the two η0 = 1000 pairs
+BISECTION_PAIRS = [(s, eta0) for s in (0.5, 1.0, 3.0) for eta0 in (0.01, 0.5)] + [
+    (1.5, 0.01), (2.0, 0.5), (0.3, 0.01), (5.5, 0.01), (7.5, 0.01), (1.0, 1000.0), (3.0, 1000.0)]
+
+
+@pytest.mark.parametrize("s,eta0", BISECTION_PAIRS)
+def test_bisection_matches_the_one_level_bisection(s, eta0, monkeypatch):
+    # the Laplace route's own density and seeds: the same panels, bit for bit,
+    # from at most half the density calls
+    seen = []
+
+    def recording(f, a, b, *, seeds=()):
+        seen.append((f, a, b, seeds))
+        return _fourier.build_panels(f, a, b, seeds=seeds)
+
+    monkeypatch.setattr(propagator, "build_panels", recording)
+    solve_laplace(BathSpec(s, eta0), 0.1, TimeGrid.log(100.0, 20, 0.1))
+    (f, a, b, seeds), = seen
+    _assert_matches_one_level(f, a, b, seeds)
+
+
+def test_bisection_matches_at_the_floor_width():
+    # a singularity no panel resolves: panels stop at the floor width 50 levels down,
+    # and worst_tail carries the largest share left there
+    panels = _assert_matches_one_level(lambda w: 1.0 / np.sqrt(np.abs(w - 0.3) + 1e-300), 0.0, 1.0)
+    assert panels.worst_tail > _fourier._PANEL_TOL
+
+
+def test_bisection_shares_the_budget_error():
+    # a pointwise density no panel resolves: both bisections give up at the
+    # same level, naming the same panel
+    def f(w):
+        return np.sin(1e9 * w)
+
+    with pytest.raises(_fourier.FourierQuadratureError, match="panel budget 6000 exhausted") as got:
+        _fourier.build_panels(f, 0.0, 1.0)
+    with pytest.raises(_fourier.FourierQuadratureError) as want:
+        build_panels_one_level(f, 0.0, 1.0)
+    assert str(got.value) == str(want.value)
