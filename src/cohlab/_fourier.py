@@ -116,6 +116,14 @@ class PanelSet:
         return len(self.mids)
 
 
+def _real_values(f, x: np.ndarray) -> np.ndarray:
+    """f(x) as an array, which must be real."""
+    vals = np.asarray(f(x))
+    if np.iscomplexobj(vals):
+        raise TypeError(f"f must return real values, got {vals.dtype}")
+    return vals
+
+
 def build_panels(f, a: float, b: float, *, seeds=()) -> PanelSet:
     """Split [a, b] into panels on which f is Chebyshev-resolved.
 
@@ -130,46 +138,19 @@ def build_panels(f, a: float, b: float, *, seeds=()) -> PanelSet:
     quarters, the deeper levels only while the call stays within
     _CALL_POINTS points: there the call's fixed cost (about that of 500
     more points of the Laplace route's density) outweighs the points
-    sampled in vain.  The levels are decided in turn, from the same call:
-    the pending one, then the halves of the panels it splits, then the
-    quarters of the halves those split; each level's coefficients are one
-    matrix product.  The decisions are those of one call per level, so an
-    f whose value at a point does not depend on the other points of the
-    call gets the same panels, bit for bit, from fewer calls.
+    sampled in vain.  Each call is decided in one pass: one matrix product
+    and one tail test cover every panel it samples, and the levels are then
+    walked as index arrays into them, each holding the halves of the panels
+    the one above splits, lower halves first.  The decisions are those of
+    one call per level, so an f whose value at a point does not depend on
+    the other points of the call gets the same panels, bit for bit, from
+    fewer calls.
     Panels are not split below (b - a) 2⁻⁵⁰; the largest share h × tail
     of such a panel goes into `worst_tail` (0 when every panel met
     _PANEL_TOL).  Raises FourierQuadratureError once the kept and pending
-    panels together exceed _MAX_PANELS.
+    panels together exceed _MAX_PANELS, naming the panel of largest share
+    on the level that splits past it.
     """
-    def sample(x):
-        vals = np.asarray(f(x))
-        if np.iscomplexobj(vals):
-            raise TypeError(f"f must return real values, got {vals.dtype}")
-        return vals
-
-    def decide(lo, hi, vals):
-        """Keep the resolved panels of one level; returns the mask of those to split."""
-        nonlocal n_kept, worst_tail
-        m = 0.5 * (lo + hi)
-        h = 0.5 * (hi - lo)
-        c = vals @ _COEF_MAT.T
-        tail = np.max(np.abs(c[:, -3:]), axis=1)
-        share = h * tail
-        floor = (hi - lo) <= min_width
-        done = (share <= _PANEL_TOL) | floor
-        if floor.any():
-            worst_tail = max(worst_tail, float(share[floor].max()))
-        kept.append((m[done], h[done], c[done]))
-        n_kept += int(done.sum())
-        split = ~done
-        if n_kept + 2 * int(split.sum()) > _MAX_PANELS:
-            k = np.flatnonzero(split)[np.argmax(share[split])]
-            raise FourierQuadratureError(
-                f"panel budget {_MAX_PANELS} exhausted on [{a}, {b}]; "
-                f"unresolved Chebyshev tail {tail[k]:.3e} on a panel of half-width {h[k]:.3e}"
-            )
-        return split
-
     min_width = (b - a) * 2.0**-50
     pts = np.sort([a, b, *(float(x) for x in seeds if a < x < b)])
     pts = pts[np.r_[True, pts[1:] != pts[:-1]]]  # np.unique's points, without loading numpy.ma
@@ -190,26 +171,39 @@ def build_panels(f, a: float, b: float, *, seeds=()) -> PanelSet:
             m = 0.5 * (los[-1] + his[-1])
             los.append(np.concatenate((los[-1], m)))
             his.append(np.concatenate((m, his[-1])))
-        all_lo, all_hi = np.concatenate(los), np.concatenate(his)
-        mid, half = 0.5 * (all_lo + all_hi), 0.5 * (all_hi - all_lo)
-        vals = sample((mid[:, None] + half[:, None] * _CGL_NODES).ravel()).reshape(-1, _DEGREE + 1)
-        start, pick = 0, np.ones(lo.size, dtype=bool)
-        for level_lo, level_hi in zip(los, his):
-            lo, hi = level_lo[pick], level_hi[pick]
-            split = decide(lo, hi, vals[start:start + level_lo.size][pick])
-            start += level_lo.size
-            chosen = np.zeros(level_lo.size, dtype=bool)
-            chosen[pick] = split
-            pick = np.tile(chosen, 2)  # their halves, on the next level
-        m = 0.5 * (lo + hi)
-        lo, hi = np.concatenate((lo[split], m[split])), np.concatenate((m[split], hi[split]))
+        lo, hi = np.concatenate(los), np.concatenate(his)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        vals = _real_values(f, (mid[:, None] + half[:, None] * _CGL_NODES).ravel())
+        c = vals.reshape(-1, _DEGREE + 1) @ _COEF_MAT.T
+        tail = np.max(np.abs(c[:, -3:]), axis=1)
+        share = half * tail
+        floor = (hi - lo) <= min_width
+        done = (share <= _PANEL_TOL) | floor
+        # level j starts at index n (2^j - 1), n = los[0].size, so the halves
+        # of its panel at index i are at i + n 2^j and i + n 2^(j+1)
+        pick, keep = np.arange(los[0].size), []
+        for size in (x.size for x in los):
+            keep.append(pick[done[pick]])
+            split = pick[~done[pick]]
+            n_kept += keep[-1].size
+            if n_kept + 2 * split.size > _MAX_PANELS:
+                k = split[np.argmax(share[split])]
+                raise FourierQuadratureError(
+                    f"panel budget {_MAX_PANELS} exhausted on [{a}, {b}]; "
+                    f"unresolved Chebyshev tail {tail[k]:.3e} on a panel of half-width {half[k]:.3e}"
+                )
+            pick = np.concatenate((split + size, split + 2 * size))
+        keep = np.concatenate(keep)
+        kept.append((mid[keep], half[keep], c[keep]))
+        worst_tail = max(worst_tail, float(share[keep[floor[keep]]].max(initial=0.0)))
+        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
 
     mids, halfs, coeffs = (np.concatenate(x) for x in zip(*kept))
     order = np.argsort(mids)
     mids, halfs, coeffs = mids[order], halfs[order], coeffs[order]
     # batch-evaluate f at all GL nodes for the low-|θ| path
     gl_nodes = (mids[:, None] + halfs[:, None] * _GL_X[None, :]).ravel()
-    gl_vals = sample(gl_nodes).reshape(len(mids), _GL_POINTS)
+    gl_vals = _real_values(f, gl_nodes).reshape(len(mids), _GL_POINTS)
     return PanelSet(mids, halfs, coeffs, gl_vals, worst_tail)
 
 

@@ -258,6 +258,7 @@ def _kummer_sum(s: float, w: np.ndarray) -> np.ndarray:
     return inv @ p
 
 
+@functools.lru_cache(maxsize=32)
 def _bracket_constants(s: float) -> tuple[float, float]:
     """(a, b) in the m = n Kummer term and the cot term over e^{-w} w^n,
     a - b expm1(ε ln w), which has no cancellation.  With ε = s - n and
@@ -266,6 +267,7 @@ def _bracket_constants(s: float) -> tuple[float, float]:
         a = expm1(δ)/ε + 2 Σ_k ζ(2k) ε^{2k-1},   b = π cot(πε),
 
     and at ε = 0 the limit a - ln w with a = H_n - γ (ψ(n+1)), b = 1.
+    Kept per s: `_stieltjes` and `_pv_table` read the same pair.
     """
     n = round(s)
     eps = s - n

@@ -135,13 +135,16 @@ def _assert_matches_one_level(f, a, b, seeds=()):
     return got
 
 
-# the six reference pairs, the generic-s pairs and the two η0 = 1000 pairs
-BISECTION_PAIRS = [(s, eta0) for s in (0.5, 1.0, 3.0) for eta0 in (0.01, 0.5)] + [
-    (1.5, 0.01), (2.0, 0.5), (0.3, 0.01), (5.5, 0.01), (7.5, 0.01), (1.0, 1000.0), (3.0, 1000.0)]
+# the six reference pairs, the generic-s pairs and the two η0 = 1000 pairs at ω0 = 0.1, then
+# the deepest bisections the route meets: 314 and 1 416 panels, floor-width ones among them
+BISECTION_CASES = [pytest.param(s, eta0, 0.1, id=f"{s}-{eta0}") for s, eta0 in [
+    *((s, eta0) for s in (0.5, 1.0, 3.0) for eta0 in (0.01, 0.5)),
+    (1.5, 0.01), (2.0, 0.5), (0.3, 0.01), (5.5, 0.01), (7.5, 0.01), (1.0, 1000.0), (3.0, 1000.0),
+    (7.5, 0.05)]] + [pytest.param(10.0, 1.0, 1.0, id="10.0-1.0-1.0")]
 
 
-@pytest.mark.parametrize("s,eta0", BISECTION_PAIRS)
-def test_bisection_matches_the_one_level_bisection(s, eta0, monkeypatch):
+@pytest.mark.parametrize("s,eta0,omega0", BISECTION_CASES)
+def test_bisection_matches_the_one_level_bisection(s, eta0, omega0, monkeypatch):
     # the Laplace route's own density and seeds: the same panels, bit for bit,
     # from at most half the density calls
     seen = []
@@ -151,7 +154,7 @@ def test_bisection_matches_the_one_level_bisection(s, eta0, monkeypatch):
         return _fourier.build_panels(f, a, b, seeds=seeds)
 
     monkeypatch.setattr(propagator, "build_panels", recording)
-    solve_laplace(BathSpec(s, eta0), 0.1, TimeGrid.log(100.0, 20, 0.1))
+    solve_laplace(BathSpec(s, eta0), omega0, TimeGrid.log(100.0, 20, 0.1))
     (f, a, b, seeds), = seen
     _assert_matches_one_level(f, a, b, seeds)
 
@@ -174,3 +177,26 @@ def test_bisection_shares_the_budget_error():
     with pytest.raises(_fourier.FourierQuadratureError) as want:
         build_panels_one_level(f, 0.0, 1.0)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_budget_error_on_each_level_of_a_call(level, monkeypatch):
+    # the first call samples 1 + 2 + 4 panels of sin(10⁹ ω) on [0, 1], none resolved: a
+    # budget of 1, 3 or 7 runs out on its first, second or third level, and the error names
+    # a panel of that level, as the one-level bisection's does on its own call for that level
+    monkeypatch.setattr(_fourier, "_MAX_PANELS", 2 ** (level + 1) - 1)
+    calls = []
+
+    def f(w):
+        calls.append(w.size)
+        return np.sin(1e9 * w)
+
+    with pytest.raises(_fourier.FourierQuadratureError) as got:
+        _fourier.build_panels(f, 0.0, 1.0)
+    assert calls == [7 * (_fourier._DEGREE + 1)]
+    with pytest.raises(_fourier.FourierQuadratureError) as want:
+        build_panels_one_level(f, 0.0, 1.0)
+    assert calls[1:] == [2 ** j * (_fourier._DEGREE + 1) for j in range(level + 1)]
+    assert str(got.value) == str(want.value)
+    assert f"budget {2 ** (level + 1) - 1} exhausted" in str(got.value)
+    assert f"half-width {0.5 / 2 ** level:.3e}" in str(got.value)
