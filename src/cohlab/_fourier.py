@@ -60,20 +60,10 @@ def _dct_matrix(p: int) -> np.ndarray:
     return mat
 
 
-def _cheb_to_monomial(p: int) -> np.ndarray:
-    """M[j, k] = coefficient of ξ^j in T_k(ξ), for k = 0..p."""
-    mat = np.zeros((p + 1, p + 1))
-    mat[0, 0] = 1.0
-    if p >= 1:
-        mat[1, 1] = 1.0
-    for k in range(1, p):
-        mat[1:, k + 1] = 2.0 * mat[:-1, k]
-        mat[:, k + 1] -= mat[:, k - 1]
-    return mat
-
-
 _COEF_MAT = _dct_matrix(_DEGREE)
-_MONO_MAT = _cheb_to_monomial(_DEGREE)
+# _MONO_MAT[j, k] = coefficient of ξ^j in T_k(ξ); cheb2poly drops the zeros past ξ^k
+_MONO_MAT = np.column_stack([np.pad(np.polynomial.chebyshev.cheb2poly(e), (0, _DEGREE - k))
+                             for k, e in enumerate(np.eye(_DEGREE + 1))])
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_POINTS)
 _GL_HALF = _GL_POINTS // 2  # _GL_X[_GL_HALF + k] = -_GL_X[_GL_HALF - 1 - k], with equal weights
 

@@ -1,21 +1,22 @@
 """Command-line front end: figure reproduction, parameter sweeps, CSV output.
 
 Configuration comes from a flat key=value file plus command-line overrides
-(CLI > file > defaults); every float must be finite.  Each command runs one
-pipeline: configs -> each distinct propagator solved once -> CSV writers
-that only format.  A figure or sweep derives all of its curves from those
-solutions, solved one after another in the calling process, and builds each
-distinct output grid once.  With solver 'both' every solve is checked against
-the other route once.  That check and each solver's diagnostics are footer
-lines that travel with the solution into every CSV drawn from it.  The parser
-is built once per process, on first use; this module keeps nothing else
-between calls.
+(CLI > file > defaults); every float must be finite, and BathSpec checks
+s, η0 and ω_c.  Each command runs one pipeline: configs -> each distinct
+propagator solved once, on its own output grid -> CSV writers that only
+format.  A figure or sweep derives all of its curves from those solutions,
+solved one after another in the calling process.  With solver 'both' every
+solve is checked against the other route once.  That check and each solver's
+diagnostics are footer lines that travel with the solution into every CSV
+drawn from it.  The parser is built once per process, on first use; this
+module keeps nothing else between calls.
 
 Every CSV starts with a '#'-prefixed header recording the fully resolved
 configuration, uses 17-significant-digit floats, '\\n' newlines and UTF-8,
 so output is byte-deterministic for a fixed configuration and version.  A
 column that recurs among the CSVs of one command (the output times, p_e
-across the codes of one curve) is formatted once and its cells reused.
+across the codes of one curve) is formatted once, and its cells are held
+until the command's last CSV is written.
 
 Exit codes: 0 ok; 1 for a solver error or a cross-solver discrepancy above
 CROSS_SOLVER_TOL; 2 for a configuration error.
@@ -79,9 +80,7 @@ class RunConfig:
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.code not in ("none", "phase", "bit"):
             raise ConfigError(f"unknown code {self.code!r}")
-        if self.eta0 < 0:
-            raise ConfigError(f"eta0 must be >= 0, got {self.eta0}")
-        for name in ("s", "omega_c", "omega0", "alpha0", "tmax", "tmin_out"):
+        for name in ("omega0", "alpha0", "tmax", "tmin_out"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"parameter {name} must be positive, got {getattr(self, name)}")
         if self.points < 2 or self.out_points < 2:
@@ -94,7 +93,7 @@ class RunConfig:
             self.bath
             if self.solver != "laplace":
                 check_stepper_range(self.s)
-        except ValueError as exc:  # the bath's own limits on s and eta_s, and the stepper's on s
+        except ValueError as exc:  # the bath's own checks of s, eta0 and omega_c, and the stepper's on s
             raise ConfigError(str(exc)) from None
 
     @property
@@ -153,10 +152,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         v = getattr(args, f.name, None)
         if v is not None:
             values[f.name] = v
-    try:
-        return RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return RunConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +187,9 @@ def _csv_lines(tables: list[list[np.ndarray]]):
     each printed in its `_fmt`.
 
     A column that recurs among the tables (same dtype and bytes) is
-    formatted once, by `_cells`, and its cells are held only until its last
-    use; any other column is formatted in its rows.  Nothing outlives the
-    call.
+    formatted once, by `_cells`, and its cells are held for the rest of the
+    call; a column used once is formatted in its rows.  Nothing outlives
+    the call.
     """
     keys = [[(c.dtype.str, c.tobytes()) for c in table] for table in tables]
     uses = collections.Counter(k for table_keys in keys for k in table_keys)
@@ -201,16 +197,14 @@ def _csv_lines(tables: list[list[np.ndarray]]):
     for table, table_keys in zip(tables, keys):
         fmts, values = [], []
         for c, k in zip(table, table_keys):
-            uses[k] -= 1
-            if k not in held and not uses[k]:  # the column's only use
+            if uses[k] == 1:
                 fmts.append(_fmt(c))
                 values.append(c.tolist())
                 continue
-            cells = held.pop(k) if k in held else _cells(c)
-            if uses[k]:
-                held[k] = cells
+            if k not in held:
+                held[k] = _cells(c)
             fmts.append("%s")
-            values.append(cells)
+            values.append(held[k])
         fmt = ",".join(fmts)
         yield [fmt % row for row in zip(*values)]
 
@@ -245,14 +239,6 @@ class _Solved(NamedTuple):
     ok: bool
 
 
-# the RunConfig fields that determine the output grid
-_GRID_FIELDS = ("tmax", "out_points", "tmin_out", "log_out")
-
-
-def _key(cfg: RunConfig, names: tuple) -> tuple:
-    return tuple(getattr(cfg, f) for f in names)
-
-
 def _output_grid(cfg: RunConfig) -> TimeGrid:
     if cfg.log_out:
         return TimeGrid.log(cfg.tmax, cfg.out_points, min(cfg.tmin_out, cfg.tmax / 10.0))
@@ -285,17 +271,14 @@ def _solve_u(cfg: RunConfig, out_grid: TimeGrid) -> _Solved:
 
 
 def _solve_each_once(cfgs: list[RunConfig]) -> list[_Solved]:
-    """_solve_u for every config, solving each distinct propagator once.
+    """_solve_u for every config, solving each distinct propagator once on
+    its own output grid.
 
     Configs that differ only outside _PROPAGATOR_FIELDS (α0, code, n, out)
-    share one solution, and solutions on the same output grid share one
-    grid.  Nothing is kept between calls.
+    share one solution.  Nothing is kept between calls.
     """
-    keys = [_key(c, _PROPAGATOR_FIELDS) for c in cfgs]
-    distinct = dict(zip(keys, cfgs))
-    grids = {_key(c, _GRID_FIELDS): c for c in distinct.values()}
-    grids = {g: _output_grid(c) for g, c in grids.items()}
-    by_key = {k: _solve_u(c, grids[_key(c, _GRID_FIELDS)]) for k, c in distinct.items()}
+    keys = [tuple(getattr(c, f) for f in _PROPAGATOR_FIELDS) for c in cfgs]
+    by_key = {k: _solve_u(c, _output_grid(c)) for k, c in dict(zip(keys, cfgs)).items()}
     return [by_key[k] for k in keys]
 
 

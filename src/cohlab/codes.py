@@ -82,9 +82,10 @@ def corrected_channel_metrics(alpha0: complex, u, n: int) -> ChannelMetrics:
     return x_state_metrics(alpha0, u, corrected_c(n, phase_error_prob(alpha0, u)))
 
 
-def bitflip_p_e(n: int, alpha0: complex, u: complex) -> float:
+def bitflip_p_e(n: int, alpha0: complex, u):
     """Phase-error probability of the n-bit repetition encoding,
-    p_e^(n) = (1 - c^n)/2; strictly increasing in n whenever |u| < 1."""
+    p_e^(n) = (1 - c^n)/2, elementwise over an array u; strictly increasing
+    in n whenever |u| < 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
     c = coherence_factor(alpha0, u)

@@ -82,6 +82,20 @@ def test_run_config_validation():
         RunConfig(tmax=-1.0)
 
 
+@pytest.mark.parametrize("field, bad", [("s", 0.0), ("s", -3.0), ("omega_c", 0.0), ("eta0", -1.0)])
+def test_run_config_takes_the_bath_checks(field, bad):
+    # s > 0, ω_c > 0 and η0 ≥ 0 are BathSpec's checks, raised as configuration errors
+    with pytest.raises(ConfigError, match=field):
+        RunConfig(**{field: bad})
+
+
+def test_negative_eta0_exits_2(tmp_path, capsys):
+    assert main(["channel", "--eta0", "-1", "--tmax", "10", "--out-points", "5",
+                 "--out", str(tmp_path)]) == 2
+    assert "eta0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("field", ["s", "eta0", "omega_c", "omega0", "alpha0", "tmax", "tmin_out"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_run_config_rejects_non_finite(field, bad):

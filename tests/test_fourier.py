@@ -114,24 +114,35 @@ def test_matches_the_panel_loop_on_figure_solves(s, eta0, tmax, monkeypatch):
     assert np.max(np.abs(diff)) <= 1e-15 * _scale(panels)
 
 
-def _assert_matches_one_level(f, a, b, seeds=()):
-    """build_panels against the one-level bisection: the same panels, bit for
-    bit, from at most ⌈levels/2⌉ + 2 calls of f."""
-    calls = []
-
-    def counted(w):
-        calls.append(np.size(w))
+def _recording(f, calls):
+    """f, appending the points of each call to `calls`."""
+    def recorded(w):
+        calls.append(w)
         return f(w)
 
-    got = _fourier.build_panels(counted, a, b, seeds=seeds)
-    calls_now = len(calls)
-    want = build_panels_one_level(counted, a, b, seeds=seeds)
-    levels = len(calls) - calls_now - 1  # one call per level, then the Gauss-Legendre values
+    return recorded
+
+
+def _is_subsequence(want: list, got: list) -> bool:
+    """Whether `want` is `got` with some entries left out, the rest in order."""
+    rest = iter(got)
+    return all(x in rest for x in want)
+
+
+def _assert_matches_one_level(f, a, b, seeds=()):
+    """build_panels against the one-level bisection: the same panels, bit for
+    bit, from at most ⌈levels/2⌉ + 2 calls of f, whose points hold the
+    one-level bisection's points, call after call, in their order."""
+    got_calls, want_calls = [], []
+    got = _fourier.build_panels(_recording(f, got_calls), a, b, seeds=seeds)
+    want = build_panels_one_level(_recording(f, want_calls), a, b, seeds=seeds)
+    levels = len(want_calls) - 1  # one call per level, then the Gauss-Legendre values
     for name in ("mids", "halfs", "coeffs", "gl_vals"):
         x, y = getattr(got, name), getattr(want, name)
         assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
     assert got.worst_tail == want.worst_tail
-    assert calls_now <= math.ceil(levels / 2) + 2
+    assert len(got_calls) <= math.ceil(levels / 2) + 2
+    assert _is_subsequence(np.concatenate(want_calls).tolist(), np.concatenate(got_calls).tolist())
     return got
 
 
@@ -177,6 +188,27 @@ def test_bisection_shares_the_budget_error():
     with pytest.raises(_fourier.FourierQuadratureError) as want:
         build_panels_one_level(f, 0.0, 1.0)
     assert str(got.value) == str(want.value)
+
+
+def test_each_level_of_a_call_is_a_one_level_call():
+    # every panel of sin(10⁹ ω) on [0, 1] splits until the budget runs out: each level's
+    # slice of a call is the one-level bisection's call for that level, point for point
+    def f(w):
+        return np.sin(1e9 * w)
+
+    got, want = [], []
+    for build, calls in ((_fourier.build_panels, got), (build_panels_one_level, want)):
+        with pytest.raises(_fourier.FourierQuadratureError):
+            build(_recording(f, calls), 0.0, 1.0)
+    assert len(got) < len(want)
+    levels = iter(want)
+    for call in got:
+        start = 0
+        while start < call.size:
+            level = next(levels)
+            assert call[start:start + level.size].tobytes() == level.tobytes()
+            start += level.size
+    assert next(levels, None) is None
 
 
 @pytest.mark.parametrize("level", [0, 1, 2])
