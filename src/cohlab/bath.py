@@ -28,8 +28,9 @@ and Legendre's continued fraction of U serves y ≥ 1.  The tests gate both
 against mpmath and against the hand-derived s ∈ {1/2, 1, 3} forms kept in
 `tests/oracles.py`.  Only numpy and `math` are imported.
 
-All frequencies are nondimensionalized by ω_c internally; τ_c = 1/ω_c only
-appears at the API boundary.
+Every frequency here, at the API as inside, is in units of ω_c and every
+time in units of 1/ω_c, so that ω_c = 1 in the formulas above: u depends on
+ω_c only through ω_0/ω_c and ω_c t, and physical units follow by rescaling.
 """
 
 from __future__ import annotations
@@ -85,30 +86,26 @@ _ZETA = _zeta(_ZETA_K)
 
 @dataclass(frozen=True)
 class BathSpec:
-    """Spectral-density parameters (s, η_0, ω_c).
+    """Spectral-density parameters (s, η_0), frequencies in units of ω_c.
 
     s : power of the low-frequency behaviour (sub-Ohmic s<1, Ohmic s=1,
         super-Ohmic s>1); any s > 0 up to 170.62, past which Γ(s+1)
         overflows, is supported.  With η_0 > 0, η_s must be a normal float:
         a ValueError names either limit.
     eta0 : dimensionless coupling strength (peak height is 2π η_0 ω_c).
-    omega_c : cutoff frequency; unity in all reference configurations.
     """
 
     s: float
     eta0: float
-    omega_c: float = 1.0
 
     def __post_init__(self):
-        for name in ("s", "eta0", "omega_c"):
+        for name in ("s", "eta0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.s > 0:
             raise ValueError(f"power s must be > 0, got {self.s}")
         if self.eta0 < 0:
             raise ValueError(f"coupling eta0 must be >= 0, got {self.eta0}")
-        if not self.omega_c > 0:
-            raise ValueError(f"cutoff omega_c must be > 0, got {self.omega_c}")
         try:
             math.gamma(self.s + 1.0)
         except OverflowError:
@@ -131,26 +128,26 @@ def _power_exp(s: float, x: np.ndarray) -> np.ndarray:
 
 
 def spectral_density(spec: BathSpec, omega):
-    """J(ω) = 2π η_s ω (ω/ω_c)^{s-1} e^{-ω/ω_c} for ω ≥ 0 (vectorized)."""
+    """J(ω) = 2π η_s ω^s e^{-ω} for ω ≥ 0 in units of ω_c (vectorized)."""
     w = np.asarray(omega, dtype=float)
     if np.any(w < 0):
         raise ValueError("spectral_density requires omega >= 0")
-    out = 2.0 * np.pi * spec.eta_s * spec.omega_c * _power_exp(spec.s, w / spec.omega_c)
+    out = 2.0 * np.pi * spec.eta_s * _power_exp(spec.s, w)
     return float(out) if np.ndim(omega) == 0 else out
 
 
 def correlation(spec: BathSpec, t):
     """Noise correlation g(t) = ∫_0^∞ dω/2π J(ω) e^{-iωt} in closed form.
 
-    g(t) = η_s ω_c² Γ(s+1) / (1 + i ω_c t)^{s+1}, principal branch, in real
-    arithmetic as |1 + i ω_c t|^{-(s+1)} e^{-i(s+1) arctan(ω_c t)}: exact for the
-    principal branch as Re(1 + i ω_c t) = 1 > 0, and within 3.1e-15 relative of
+    g(t) = η_s Γ(s+1) / (1 + i t)^{s+1}, t in units of 1/ω_c, principal branch,
+    in real arithmetic as |1 + i t|^{-(s+1)} e^{-i(s+1) arctan t}: exact for the
+    principal branch as Re(1 + i t) = 1 > 0, and within 3.1e-15 relative of
     mpmath for s ≤ 15 (numpy's complex power is up to 4.2e-14 off).  Valid for
     t ≥ 0 (and in fact all real t).
     """
-    wt = spec.omega_c * np.asarray(t, dtype=float)
-    g0 = spec.eta_s * spec.omega_c**2 * math.gamma(spec.s + 1.0)
-    out = g0 * np.hypot(1.0, wt) ** -(spec.s + 1.0) * np.exp(-1j * (spec.s + 1.0) * np.arctan(wt))
+    tt = np.asarray(t, dtype=float)
+    g0 = spec.eta_s * math.gamma(spec.s + 1.0)
+    out = g0 * np.hypot(1.0, tt) ** -(spec.s + 1.0) * np.exp(-1j * (spec.s + 1.0) * np.arctan(tt))
     return complex(out) if np.ndim(t) == 0 else out
 
 
@@ -358,29 +355,29 @@ def inversion_denominator(spec: BathSpec, omega0: float, omega):
 
     B is the analytic continuation of the denominator of û(z) onto the
     right side of the cut (z = -iω + 0⁺), divided by i; the inversion reads
-    u(t) ∋ (1/π) ∫_0^∞ Im{1/B(ω)} e^{-iω ω_c t} dω.  Arguments are physical;
-    ω and ω_0 are scaled by ω_c internally.  For every s,
+    u(t) ∋ (1/π) ∫_0^∞ Im{1/B(ω)} e^{-iωt} dω, with ω, ω_0 in units of ω_c
+    and t in units of 1/ω_c.  For every s,
 
-        B = ω0τc - ω - η_s (PV + iπ ω^s e^{-ω}),
+        B = ω0 - ω - η_s (PV + iπ ω^s e^{-ω}),
 
-    with the principal value of `pv_power_exp` (so ω ≤ 700 ω_c), and
+    with the principal value of `pv_power_exp` (so ω ≤ 700), and
     Im B = -π η_s ω^s e^{-ω} < 0 always.
     """
-    w = np.array(omega, dtype=float, ndmin=1) / spec.omega_c
+    w = np.array(omega, dtype=float, ndmin=1)
     _check_range(w, "inversion_denominator")
     es = spec.eta_s
     out = np.empty(w.shape, dtype=complex)
-    out.real = omega0 / spec.omega_c - w - es * _pv(spec.s, w)
+    out.real = omega0 - w - es * _pv(spec.s, w)
     out.imag = -np.pi * es * _power_exp(spec.s, w)
     return complex(out[0]) if np.ndim(omega) == 0 else out
 
 
 def imaginary_axis_denominator(spec: BathSpec, omega0: float, y):
-    """Denominator of û on the positive imaginary axis, z = i y ω_c, y > 0.
+    """Denominator of û on the positive imaginary axis, z = i y, y > 0.
 
     There D(iy) = i B_loc(y) with the purely real
 
-        B_loc(y) = ω0τc + y - η_s ∫_0^∞ x^s e^{-x}/(x+y) dx,
+        B_loc(y) = ω0 + y - η_s ∫_0^∞ x^s e^{-x}/(x+y) dx,
 
     so poles of û(z) are real zeros of B_loc.  For every s the integral is
     Φ(-y) = Γ(s+1) U(1, 1-s, y), whole-array: a continued fraction for
@@ -389,10 +386,10 @@ def imaginary_axis_denominator(spec: BathSpec, omega0: float, y):
     y > 0).
 
     B_loc is strictly increasing (slope ≥ 1), so at most one zero exists;
-    it does iff ω0τc < η_s Γ(s).
+    it does iff ω0 < η_s Γ(s).
     """
     yy = np.atleast_1d(np.asarray(y, dtype=float))
     if np.any(yy <= 0):
         raise ValueError("imaginary_axis_denominator requires y > 0")
-    out = omega0 / spec.omega_c + yy - spec.eta_s * _stieltjes(spec.s, yy)[0]
+    out = omega0 + yy - spec.eta_s * _stieltjes(spec.s, yy)[0]
     return float(out[0]) if np.ndim(y) == 0 else out

@@ -1,10 +1,11 @@
 """Command-line front end: figure reproduction, parameter sweeps, CSV output.
 
 Configuration comes from a flat key=value file plus command-line overrides
-(CLI > file > defaults); every float must be finite, and BathSpec checks
-s, η0 and ω_c.  Each command runs one pipeline: configs -> each distinct
-propagator solved once, on its own output grid -> CSV writers that only
-format.  A figure or sweep derives all of its curves from those solutions,
+(CLI > file > defaults); every float must be finite, BathSpec checks s and
+η0, and the phase-flip code checks n.  Frequencies are in units of ω_c and
+times in units of 1/ω_c.  Each command runs one pipeline: configs -> each
+distinct propagator solved once, on its own output grid -> CSV writers that
+only format.  A figure or sweep derives all of its curves from those solutions,
 solved one after another in the calling process.  With solver 'both' every
 solve is checked against the other route once.  That check and each solver's
 diagnostics are footer lines that travel with the solution into every CSV
@@ -39,7 +40,7 @@ import numpy as np
 from . import __version__
 from .bath import BathSpec, spectral_density
 from .channel import metrics_closed, x_state_metrics
-from .codes import bitflip_metrics, bitflip_p_e, corrected_c
+from .codes import bitflip_metrics, bitflip_p_e, corrected_c, phase_success_prob
 from .propagator import TimeGrid, check_stepper_range, solve_laplace, solve_volterra
 from .qubit import phase_error_prob
 
@@ -59,13 +60,11 @@ class RunConfig:
 
     s: float = 1.0
     eta0: float = 0.01
-    omega_c: float = 1.0
     omega0: float = 0.1
     alpha0: float = 1.2
     tmax: float = 1000.0
     points: int = 20000
     out_points: int = 400
-    tmin_out: float = 0.1
     log_out: bool = True
     solver: str = "laplace"
     code: str = "none"
@@ -80,25 +79,27 @@ class RunConfig:
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.code not in ("none", "phase", "bit"):
             raise ConfigError(f"unknown code {self.code!r}")
-        for name in ("omega0", "alpha0", "tmax", "tmin_out"):
+        for name in ("omega0", "alpha0", "tmax"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"parameter {name} must be positive, got {getattr(self, name)}")
         if self.points < 2 or self.out_points < 2:
             raise ConfigError("points and out_points must be at least 2")
+        if self.log_out and self.out_points < 3:
+            raise ConfigError(f"out_points must be at least 3 for log-spaced output, got {self.out_points}")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
-        if self.code == "phase" and self.n % 2 == 0:
-            raise ConfigError("phase-flip code requires odd n")
         try:
             self.bath
             if self.solver != "laplace":
                 check_stepper_range(self.s)
-        except ValueError as exc:  # the bath's own checks of s, eta0 and omega_c, and the stepper's on s
+            if self.code == "phase":
+                phase_success_prob(self.n, 0.0)
+        except ValueError as exc:  # the bath's checks of s and eta0, the stepper's on s, the code's on n
             raise ConfigError(str(exc)) from None
 
     @property
     def bath(self) -> BathSpec:
-        return BathSpec(self.s, self.eta0, self.omega_c)
+        return BathSpec(self.s, self.eta0)
 
     def header_items(self) -> list[tuple[str, str]]:
         items = [(f.name, repr(getattr(self, f.name))) for f in fields(self)]
@@ -223,8 +224,7 @@ def _write_tables(items) -> list[str]:
 # ---------------------------------------------------------------------------
 
 # the RunConfig fields that determine u on the output grid
-_PROPAGATOR_FIELDS = ("s", "eta0", "omega_c", "omega0", "tmax", "points",
-                      "out_points", "tmin_out", "log_out", "solver")
+_PROPAGATOR_FIELDS = ("s", "eta0", "omega0", "tmax", "points", "out_points", "log_out", "solver")
 
 
 class _Solved(NamedTuple):
@@ -241,7 +241,7 @@ class _Solved(NamedTuple):
 
 def _output_grid(cfg: RunConfig) -> TimeGrid:
     if cfg.log_out:
-        return TimeGrid.log(cfg.tmax, cfg.out_points, min(cfg.tmin_out, cfg.tmax / 10.0))
+        return TimeGrid.log(cfg.tmax, cfg.out_points, min(0.1, cfg.tmax / 10.0))
     return TimeGrid.uniform(cfg.tmax, cfg.out_points - 1)
 
 
@@ -405,12 +405,12 @@ _FIGURES = {
 
 
 def _spectral_curve(cfg: RunConfig, fig_id: str) -> tuple:
-    """The figure 1a/1b CSV item of one config: J on 801 points of [0, 8 ω_c]."""
+    """The figure 1a/1b CSV item of one config: J on 801 points of [0, 8] (ω_c)."""
     # 1b keeps η0 (scaled coupling); 1a rescales it so that η_s = η0
     eta0 = cfg.eta0 if fig_id == "1b" else cfg.eta0 * (cfg.s / math.e) ** cfg.s
-    w = np.linspace(0.0, 8.0 * cfg.omega_c, 801)
+    w = np.linspace(0.0, 8.0, 801)
     return (os.path.join(cfg.out, f"figure{fig_id}_J_s{cfg.s:g}.csv"), cfg.header_items(),
-            ["omega", "J"], [w, spectral_density(BathSpec(cfg.s, eta0, cfg.omega_c), w)], ())
+            ["omega", "J"], [w, spectral_density(BathSpec(cfg.s, eta0), w)], ())
 
 
 def _write_figure(fig_id: str, cfg: RunConfig) -> tuple[list[str], bool]:
@@ -443,7 +443,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, help="repetition-code size")
     p.add_argument("--tmax", type=float, help="solver horizon (units of 1/omega_c)")
     p.add_argument("--points", type=int, help="uniform solver grid steps")
-    p.add_argument("--out-points", dest="out_points", type=int, help="output rows")
+    p.add_argument("--out-points", dest="out_points", type=int,
+                   help="output rows (at least 3 when log-spaced)")
     p.add_argument("--linear-out", dest="log_out", action="store_const", const=False,
                    help="uniform instead of log-spaced output times")
 

@@ -11,7 +11,9 @@ Laplace inversion, splitting the Bromwich integral into pole contributions
 non-decaying term at strong coupling) plus a branch-cut integral
 
     u(t) = Σ_p  e^{z_p t} / D'(z_p)
-         + (1/π) ∫_0^∞ Im{1/B(ω)} e^{-i ω ω_c t} dω.
+         + (1/π) ∫_0^∞ Im{1/B(ω)} e^{-i ω t} dω,
+
+frequencies in units of ω_c and times in units of 1/ω_c throughout.
 
 The stepper answers at any output times inside its uniform grid from its
 finest level; the Laplace route evaluates at the output times directly.
@@ -59,7 +61,7 @@ _SEED_SCAN.flags.writeable = False
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Ordered sample times starting at t = 0 (in units of 1/ω_c by default)."""
+    """Ordered sample times starting at t = 0, in units of 1/ω_c."""
 
     samples: np.ndarray
 
@@ -96,9 +98,10 @@ class TimeGrid:
 
     @classmethod
     def log(cls, t_max: float, n_points: int, t_min: float = 1e-2) -> "TimeGrid":
-        """t = 0 followed by n_points-1 log-spaced times in [t_min, t_max]."""
-        if not (0 < t_min < t_max) or n_points < 2:
-            raise ValueError("need 0 < t_min < t_max and n_points >= 2")
+        """t = 0 followed by n_points-1 log-spaced times from t_min to t_max; n_points ≥ 3, as
+        fewer would leave t_max out."""
+        if not (0 < t_min < t_max) or n_points < 3:
+            raise ValueError("need 0 < t_min < t_max and n_points >= 3")
         return cls(np.concatenate(([0.0], np.geomspace(t_min, t_max, n_points - 1))))
 
 
@@ -229,13 +232,12 @@ _S_STEPPER_MAX = 107.81
 def _ray(spec: BathSpec, tau_lo: float, tau_hi: float):
     """The ray angle θ and trapezoid step dv of `_kernel_modes` for lags in [τ_lo, τ_hi].
 
-    On the ray x = y e^{-iθ} the integrand of g(τ) decays as e^{-y √(1+ω_c²τ²) cos(α - θ)},
-    α = arctan ω_c τ: it stays analytic in ln y over a strip of half-width d = π/2 - (α_hi -
+    On the ray x = y e^{-iθ} the integrand of g(τ) decays as e^{-y √(1+τ²) cos(α - θ)},
+    α = arctan τ: it stays analytic in ln y over a strip of half-width d = π/2 - (α_hi -
     α_lo)/2 when θ = (α_lo + α_hi)/2, and the trapezoid error e^{-2πd/dv} holds at dv ∝ d
     (Weideman & Trefethen, Math. Comp. 76 (2007) 1341).
     """
-    wc = spec.omega_c
-    a_lo, a_hi = math.atan(wc * tau_lo), math.atan(wc * tau_hi)
+    a_lo, a_hi = math.atan(tau_lo), math.atan(tau_hi)
     d = 0.5 * math.pi - 0.5 * (a_hi - a_lo)
     # the step 0.1 alone is 5e-12 off at s = 9.5 on the π/4 ray of lags [0.08, ∞)
     return 0.5 * (a_lo + a_hi), min(0.1, _DV_SCALE / (spec.s + 1.0)) * (d / (0.25 * math.pi))
@@ -283,30 +285,28 @@ def _kernel_modes(spec: BathSpec, tau_lo: float, tau_hi: float):
     """λ and c of g(τ) ≈ Σ_k c_k e^{-λ_k τ} for lags τ in [τ_lo, τ_hi]: Γ(s+1)(1 + iτ)^{-(s+1)}
     = ∫_0^∞ x^s e^{-x(1+iτ)} dx on the ray x = y e^{-iθ} of `_ray`, balanced over those lags,
     by the trapezoid rule in ln y with step dv, y from (1e-17 Γ(s+2))^{1/(s+1)} to (45 + 4s)√2,
-    so λ_k = ω_c y_k e^{i(π/2-θ)} and c_k = η_s ω_c² w_k e^{-y_k e^{-iθ} - iθ(s+1)}, w_k = dv
-    y_k^{s+1}.
+    so λ_k = y_k e^{i(π/2-θ)} and c_k = η_s w_k e^{-y_k e^{-iθ} - iθ(s+1)}, w_k = dv y_k^{s+1}.
 
-    The nodes below y_c = 2^{-k} ≤ 4/(1 + ω_c τ_hi), if more than 12, become the 12-point
+    The nodes below y_c = 2^{-k} ≤ 4/(1 + τ_hi), if more than 12, become the 12-point
     Gauss rule of their weights (`_slow_rule`, cached per (s, k, dv)).  There c_k e^{-λ_k τ} ∝
-    w_k exp(-y_k e^{-iθ}(1 + iω_c τ)), entire in y with an exponent of at most y_c (1 + ω_c
-    τ_hi) ≤ 4 for τ ≤ τ_hi: 12 nodes match the trapezoid to 2^24/24! Σw ≈ 3e-17 Σw.  The nodes
-    with |c_k e^{-λ_k τ_lo}| ∝ w_k e^{-y_k(cos θ + ω_c τ_lo sin θ)} below 1e-18 Γ(s+1) are
-    dropped.
+    w_k exp(-y_k e^{-iθ}(1 + iτ)), entire in y with an exponent of at most y_c (1 + τ_hi) ≤ 4
+    for τ ≤ τ_hi: 12 nodes match the trapezoid to 2^24/24! Σw ≈ 3e-17 Σw.  The nodes with
+    |c_k e^{-λ_k τ_lo}| ∝ w_k e^{-y_k(cos θ + τ_lo sin θ)} below 1e-18 Γ(s+1) are dropped.
     """
-    s, wc = spec.s, spec.omega_c
+    s = spec.s
     theta, dv = _ray(spec, tau_lo, tau_hi)
     y = _trapezoid_nodes(s, dv)
     wt = dv * y ** (s + 1.0)
-    k = math.ceil(math.log2((1.0 + wc * tau_hi) / 4.0))
+    k = math.ceil(math.log2((1.0 + tau_hi) / 4.0))
     fast = y >= 2.0**-k
     if np.count_nonzero(~fast) > 12:
         ys, ws = _slow_rule(s, k, dv)
         y, wt = np.r_[ys, y[fast]], np.r_[ws, wt[fast]]
-    rate = math.cos(theta) + wc * tau_lo * math.sin(theta)
+    rate = math.cos(theta) + tau_lo * math.sin(theta)
     keep = wt * np.exp(-y * rate) > 1e-18 * math.gamma(s + 1.0)
     y, wt = y[keep], wt[keep]
-    lam = wc * y * np.exp(1j * (0.5 * math.pi - theta))
-    return lam, spec.eta_s * wc**2 * wt * np.exp(1j * lam / wc - 1j * theta * (s + 1.0))
+    lam = y * np.exp(1j * (0.5 * math.pi - theta))
+    return lam, spec.eta_s * wt * np.exp(1j * lam - 1j * theta * (s + 1.0))
 
 
 def _whole_blocks(n: int) -> int:
@@ -517,7 +517,7 @@ def _polish_zeros(f, lo, hi, f_lo, f_hi):
 def find_poles(spec: BathSpec, omega0: float) -> list[tuple[complex, complex]]:
     """Poles of û(z) on the imaginary axis, with residues 1/D'(z_p).
 
-    On the positive imaginary axis (z = i y ω_c, y > 0: frequencies below
+    On the positive imaginary axis (z = i y, y > 0: frequencies below
     the bath band) the denominator is i B_loc(y) with B_loc real and
     strictly increasing (slope ≥ 1), so there is at most one zero: it is
     bracketed by one sign test on [1e-9, _Y_MAX] and polished by the
@@ -530,11 +530,11 @@ def find_poles(spec: BathSpec, omega0: float) -> list[tuple[complex, complex]]:
     """
     if spec.eta0 == 0.0:
         return [(-1j * omega0, 1.0 + 0.0j)]
-    w0, es = omega0 / spec.omega_c, spec.eta_s
+    es = spec.eta_s
 
     def b_loc(y):
         i, d = _bath._stieltjes(spec.s, y)
-        return w0 + y - es * i, 1.0 + es * d
+        return omega0 + y - es * i, 1.0 + es * d
 
     y = np.array([1e-9, _Y_MAX])
     b = b_loc(y)[0]
@@ -542,7 +542,7 @@ def find_poles(spec: BathSpec, omega0: float) -> list[tuple[complex, complex]]:
         return []
     yp = _polish_zeros(b_loc, y[:1], y[1:], b[:1], b[1:])
     slope = b_loc(yp)[1][0]
-    return [(1j * float(yp[0]) * spec.omega_c, complex(1.0 / slope))]
+    return [(1j * float(yp[0]), complex(1.0 / slope))]
 
 
 def _resonance_seeds(spec: BathSpec, omega0: float) -> list[float]:
@@ -553,19 +553,19 @@ def _resonance_seeds(spec: BathSpec, omega0: float) -> list[float]:
     on a 2 400-point scan are polished together by `_polish_zeros`, with
     the slope Re B' = -1 - η_s PV' from PV' = (s PV - Γ(s+1))/ω - PV, so
     one `bath.inversion_denominator` call per iterate gives both.  Raises
-    FourierQuadratureError for a resonance narrower than 1e-14 (in units
-    of ω_c), which no panel resolves.
+    FourierQuadratureError for a resonance narrower than 1e-14, which no
+    panel resolves.
     """
-    w0, es, s = omega0 / spec.omega_c, spec.eta_s, spec.s
+    es, s = spec.eta_s, spec.s
     g1 = math.gamma(s + 1.0)
     ws = _SEED_SCAN
-    re = np.real(_bath.inversion_denominator(spec, omega0, ws * spec.omega_c))
+    re = np.real(_bath.inversion_denominator(spec, omega0, ws))
     i = np.flatnonzero(np.diff(re < 0))
     sign = np.where(re[i] < 0, 1.0, -1.0)  # Re B × sign rises through each zero
 
     def rising(w):
-        b = np.real(_bath.inversion_denominator(spec, omega0, w * spec.omega_c))
-        pv = (w0 - w - b) / es
+        b = np.real(_bath.inversion_denominator(spec, omega0, w))
+        pv = (omega0 - w - b) / es
         return sign * b, sign * (-1.0 - es * ((s * pv - g1) / w - pv))
 
     wstar = ws[i]
@@ -578,15 +578,15 @@ def _resonance_seeds(spec: BathSpec, omega0: float) -> list[float]:
             raise FourierQuadratureError(
                 f"resonance at omega = {w:.6g} omega_c has width {dw:.2g}, "
                 "narrower than the 1e-14 the panels can resolve")
-    return [x for x in [w0, *wstar.tolist()] if 0.0 < x < _OMEGA_MAX]
+    return [x for x in [omega0, *wstar.tolist()] if 0.0 < x < _OMEGA_MAX]
 
 
 def _cut_density(spec: BathSpec, omega0: float, w) -> np.ndarray:
-    """The branch-cut spectral density Im{1/B(ω)} at ω = w ω_c, 0 for w ≤ 0."""
+    """The branch-cut spectral density Im{1/B(ω)} at ω = w, 0 for w ≤ 0."""
     w = np.asarray(w, dtype=float)
     out = np.zeros(w.shape)
     pos = w > 0.0
-    out[pos] = np.imag(1.0 / _bath.inversion_denominator(spec, omega0, w[pos] * spec.omega_c))
+    out[pos] = np.imag(1.0 / _bath.inversion_denominator(spec, omega0, w[pos]))
     return out  # Im B ∝ -ω^s e^{-ω} vanishes at the band edge ω = 0
 
 
@@ -630,8 +630,7 @@ def solve_laplace(spec: BathSpec, omega0: float, grid: TimeGrid) -> PropagatorSo
 
     panels = build_panels(lambda w: _cut_density(spec, omega0, w), 0.0, _OMEGA_MAX,
                           seeds=_resonance_seeds(spec, omega0))
-    tau = t * spec.omega_c
-    u = fourier_integral(panels, tau) / np.pi
+    u = fourier_integral(panels, t) / np.pi
     for z_p, res in poles:
         u = u + res * np.exp(z_p * t)
     diagnostics = {"panels": len(panels), "worst_tail": panels.worst_tail,

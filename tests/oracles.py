@@ -157,31 +157,30 @@ def pv_power_exp_closed_mp(s: float, w: float, dps: int = 80) -> tuple[float, fl
 def inversion_denominator_hand(spec, omega0: float, omega) -> np.ndarray:
     """Branch-cut denominator B(ω) from the hand-derived closed forms
 
-        s = 3  : (ω0τc - 2η_s) - (1+η_s)ω - η_s ω² - η_s ω³ e^{-ω}(-Ei(ω)+iπ)
-        s = 1  : (ω0τc - η_s) - ω[1 + η_s e^{-ω}(-Ei(ω)+iπ)]
-        s = 1/2: (ω0τc - √π η_s) - ω - iπη_s √ω (e^{-ω} + i(2/√π)F(√ω))
+        s = 3  : (ω0 - 2η_s) - (1+η_s)ω - η_s ω² - η_s ω³ e^{-ω}(-Ei(ω)+iπ)
+        s = 1  : (ω0 - η_s) - ω[1 + η_s e^{-ω}(-Ei(ω)+iπ)]
+        s = 1/2: (ω0 - √π η_s) - ω - iπη_s √ω (e^{-ω} + i(2/√π)F(√ω))
 
     with F Dawson's integral: Ei and F from scipy, no principal value.
     """
-    w = np.asarray(omega, dtype=float) / spec.omega_c
-    w0 = omega0 / spec.omega_c
+    w = np.asarray(omega, dtype=float)
     es = spec.eta_s
     if spec.s == 3.0:
         ei = _sp.expi(w)
-        return (w0 - 2 * es) - (1 + es) * w - es * w**2 \
+        return (omega0 - 2 * es) - (1 + es) * w - es * w**2 \
             - es * w**3 * np.exp(-w) * (-ei + 1j * np.pi)
     if spec.s == 1.0:
         ei = _sp.expi(w)
-        return (w0 - es) - w * (1 + es * np.exp(-w) * (-ei + 1j * np.pi))
+        return (omega0 - es) - w * (1 + es * np.exp(-w) * (-ei + 1j * np.pi))
     if spec.s == 0.5:
         rw = np.sqrt(w)
-        return (w0 - np.sqrt(np.pi) * es) - w \
+        return (omega0 - np.sqrt(np.pi) * es) - w \
             - 1j * np.pi * es * rw * (np.exp(-w) + 1j * (2 / np.sqrt(np.pi)) * _sp.dawsn(rw))
     raise ValueError(f"no hand-derived form for s = {spec.s}")
 
 
 def imaginary_axis_denominator_hand(spec, omega0: float, y) -> np.ndarray:
-    """B_loc(y) = ω0τc + y - η_s ∫_0^∞ x^s e^{-x}/(x+y) dx with the integral
+    """B_loc(y) = ω0 + y - η_s ∫_0^∞ x^s e^{-x}/(x+y) dx with the integral
 
         s = 3  : 2 - y + y² - y³ e^{y} E1(y)
         s = 1  : 1 - y e^{y} E1(y)
@@ -200,7 +199,7 @@ def imaginary_axis_denominator_hand(spec, omega0: float, y) -> np.ndarray:
         integral = np.sqrt(np.pi) - np.pi * ry * _sp.erfcx(ry)
     else:
         raise ValueError(f"no hand-derived form for s = {spec.s}")
-    return omega0 / spec.omega_c + yy - spec.eta_s * integral
+    return omega0 + yy - spec.eta_s * integral
 
 
 def phase_success_mp(n: int, p: float, dps: int = 50) -> float:
@@ -237,7 +236,7 @@ def find_poles_scan(spec, omega0: float, y_max: float = 50.0, n_scan: int = 4000
         else:
             continue
         res = 1.0 / imaginary_axis_denominator_derivative(spec, yp)
-        poles.append((1j * yp * spec.omega_c, complex(res)))
+        poles.append((1j * yp, complex(res)))
     return poles
 
 
@@ -250,14 +249,14 @@ def resonance_seeds_brentq(spec, omega0: float, omega_max: float = 50.0) -> list
     from cohlab import bath
 
     def re_b(w):
-        return np.real(bath.inversion_denominator(spec, omega0, w * spec.omega_c))
+        return np.real(bath.inversion_denominator(spec, omega0, w))
 
     ws = np.unique(np.concatenate([
         np.geomspace(1e-8, omega_max, 1200),
         np.linspace(1e-6, omega_max, 1200),
     ]))
     re = re_b(ws)
-    seeds = [omega0 / spec.omega_c]
+    seeds = [omega0]
     for i in np.flatnonzero(np.diff(re < 0)):
         seeds.append(brentq(lambda w: float(re_b(w)), ws[i], ws[i + 1], xtol=1e-15, rtol=8.9e-16))
     return [s for s in seeds if 0.0 < s < omega_max]
@@ -269,7 +268,7 @@ def cut_tail_quad(spec, omega0: float, omega_max: float = 50.0) -> float:
     from cohlab import bath
 
     def density(w):
-        return abs(np.imag(1.0 / bath.inversion_denominator(spec, omega0, w * spec.omega_c)))
+        return abs(np.imag(1.0 / bath.inversion_denominator(spec, omega0, w)))
 
     tail, _ = quad(density, omega_max, omega_max + 20.0, epsabs=0.0, epsrel=1e-13, limit=200)
     return tail
@@ -324,17 +323,17 @@ def ghat_laplace_quadrature(spec, omega: float, eps: float = 1e-7) -> complex:
 
 
 def lamb_shift(spec, omega0: float) -> float:
-    """ω_0' = ω_0 - (1/2π) PV ∫_0^∞ J(ω)/(ω-ω_0) dω = ω_0 - η_s ω_c PV(s, ω_0/ω_c),
+    """ω_0' = ω_0 - (1/2π) PV ∫_0^∞ J(ω)/(ω-ω_0) dω = ω_0 - η_s PV(s, ω_0),
 
     with PV the closed-form principal value of `bath.pv_power_exp`, the
     one B(ω) is built from.  The sign makes the diagnostic consistent with
     the exact solver: the coupling to the band above ω_0 pushes the
     resonance down, as the time-stepped phase confirms at weak coupling.
-    Raises ValueError unless 0 < ω_0/ω_c ≤ 700.
+    Raises ValueError unless 0 < ω_0 ≤ 700.
     """
     from cohlab.bath import pv_power_exp
 
-    return omega0 - spec.eta_s * spec.omega_c * pv_power_exp(spec.s, omega0 / spec.omega_c)
+    return omega0 - spec.eta_s * pv_power_exp(spec.s, omega0)
 
 
 def markov_u(spec, omega0: float, t):
@@ -385,7 +384,7 @@ def lamb_shift_excised(spec, omega0: float, rel_tol: float = 1e-6,
     def integrand(w):
         return spectral_density(spec, w) / (w - omega0)
 
-    far = omega0 + max(5.0 * spec.omega_c, 3.0 * omega0)
+    far = omega0 + max(5.0, 3.0 * omega0)
 
     def excised(eps: float) -> float:
         left, _ = quad(integrand, 0.0, omega0 - eps, limit=400)
@@ -484,15 +483,15 @@ def kernel_modes_pi4(spec, h: float):
     interval it is given; the mode count the balanced ray must not exceed.  Returns λ, c and
     the table e^{-λ_k j h}, j ≤ 64.
     """
-    nb, s, wc = 64, spec.s, spec.omega_c
+    nb, s = 64, spec.s
     dv = min(0.1, 0.55 / (s + 1.0))
     lo = math.log(1e-17 * math.gamma(s + 2.0)) / (s + 1.0)
     y = np.exp(lo + dv * np.arange(math.ceil((math.log((45.0 + 4.0 * s) * 2**0.5) - lo) / dv) + 1))
     wt = dv * y ** (s + 1.0)
-    keep = wt * np.exp(-y * (1.0 + (nb + 1) * wc * h) / 2**0.5) > 1e-18 * math.gamma(s + 1.0)
+    keep = wt * np.exp(-y * (1.0 + (nb + 1) * h) / 2**0.5) > 1e-18 * math.gamma(s + 1.0)
     y, wt = y[keep], wt[keep]
-    lam = wc * y * np.exp(0.25j * np.pi)
-    c = spec.eta_s * wc**2 * wt * np.exp(1j * lam / wc - 0.25j * np.pi * (s + 1.0))
+    lam = y * np.exp(0.25j * np.pi)
+    c = spec.eta_s * wt * np.exp(1j * lam - 0.25j * np.pi * (s + 1.0))
     powers = np.empty((nb + 1, len(y)), dtype=complex)
     powers[0], powers[1] = 1.0, np.exp(-h * lam)
     for m in 1 << np.arange(6):

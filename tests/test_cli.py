@@ -82,11 +82,46 @@ def test_run_config_validation():
         RunConfig(tmax=-1.0)
 
 
-@pytest.mark.parametrize("field, bad", [("s", 0.0), ("s", -3.0), ("omega_c", 0.0), ("eta0", -1.0)])
+@pytest.mark.parametrize("field, bad", [("s", 0.0), ("s", -3.0), ("eta0", -1.0)])
 def test_run_config_takes_the_bath_checks(field, bad):
-    # s > 0, ω_c > 0 and η0 ≥ 0 are BathSpec's checks, raised as configuration errors
+    # s > 0 and η0 ≥ 0 are BathSpec's checks, raised as configuration errors
     with pytest.raises(ConfigError, match=field):
         RunConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("line", ["omega_c = 2.0", "tmin_out = 0.01"])
+def test_config_file_cannot_set_the_units(tmp_path, capsys, line):
+    # frequencies are in units of ω_c and the log grid starts at min(0.1, tmax/10)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    assert main(["channel", "--config", str(cfg), "--tmax", "10", "--out-points", "5",
+                 "--out", str(out)]) == 2
+    assert "unknown key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["channel", "--code", "phase", "--n", "1031"],
+                                  ["channel", "--code", "phase", "--n", "4"],
+                                  ["sweep", "--axis", "n", "--values", "3,1031", "--code", "phase"]])
+def test_phase_code_n_is_a_config_error(tmp_path, capsys, argv):
+    # the code's own limits, odd n ≤ 1029, refuse the run before any solve
+    assert main([*argv, "--tmax", "10", "--out-points", "5", "--out", str(tmp_path)]) == 2
+    assert "configuration error: n must be" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_log_output_needs_three_points(tmp_path, capsys):
+    # two log-spaced rows would be t = 0 and t = 0.1, never tmax
+    assert main(["channel", "--tmax", "1000", "--out-points", "2", "--out", str(tmp_path)]) == 2
+    assert "out_points" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(ConfigError, match="out_points"):
+        RunConfig(out_points=2)
+    assert main(["channel", "--tmax", "1000", "--out-points", "2", "--linear-out",
+                 "--out", str(tmp_path)]) == 0
+    _, _, rows, _ = load(tmp_path / "channel_s1_eta0.01.csv")
+    assert rows[:, 0].tolist() == [0.0, 1000.0]
 
 
 def test_negative_eta0_exits_2(tmp_path, capsys):
@@ -96,7 +131,7 @@ def test_negative_eta0_exits_2(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("field", ["s", "eta0", "omega_c", "omega0", "alpha0", "tmax", "tmin_out"])
+@pytest.mark.parametrize("field", ["s", "eta0", "omega0", "alpha0", "tmax"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_run_config_rejects_non_finite(field, bad):
     with pytest.raises(ConfigError, match=f"{field} must be finite"):
