@@ -1,16 +1,18 @@
 """Command-line front end: figure reproduction, parameter sweeps, CSV output.
 
 Configuration comes from a flat key=value file plus command-line overrides
-(CLI > file > defaults); every float must be finite, BathSpec checks s and
-η0, and the phase-flip code checks n.  Frequencies are in units of ω_c and
-times in units of 1/ω_c.  Each command runs one pipeline: configs -> each
-distinct propagator solved once, on its own output grid -> CSV writers that
-only format.  A figure or sweep derives all of its curves from those solutions,
+(CLI > file > defaults); ω0, α0 and tmax must be finite and positive,
+BathSpec checks s and η0, and the phase-flip code checks n.  Frequencies
+are in units of ω_c and times in units of 1/ω_c.  Each command runs one
+pipeline: configs -> each distinct propagator solved once, on its own
+output grid -> CSV writers that only format.  A figure or sweep derives all of its curves from those solutions,
 solved one after another in the calling process.  With solver 'both' every
 solve is checked against the other route once.  That check and each solver's
 diagnostics are footer lines that travel with the solution into every CSV
 drawn from it.  The parser is built once per process, on first use; this
-module keeps nothing else between calls.
+module keeps nothing else between calls.  The output directory is made by
+the first CSV written into it, so a command that fails before writing
+leaves nothing on disk.
 
 Every CSV starts with a '#'-prefixed header recording the fully resolved
 configuration, uses 17-significant-digit floats, '\\n' newlines and UTF-8,
@@ -72,16 +74,16 @@ class RunConfig:
     out: str = "."
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"parameter {f.name} must be finite, got {getattr(self, f.name)}")
         if self.solver not in ("volterra", "laplace", "both"):
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.code not in ("none", "phase", "bit"):
             raise ConfigError(f"unknown code {self.code!r}")
         for name in ("omega0", "alpha0", "tmax"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"parameter {name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"parameter {name} must be finite, got {value}")
+            if not value > 0:
+                raise ConfigError(f"parameter {name} must be positive, got {value}")
         if self.points < 2 or self.out_points < 2:
             raise ConfigError("points and out_points must be at least 2")
         if self.log_out and self.out_points < 3:
@@ -163,11 +165,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def write_csv(path: str, header_items, columns: list[str], rows, footer: list[str] = ()):
     """The '# key = value' header, the column names, one line per entry of
     `rows` (one entry per CSV row, already formatted, as `_csv_lines` yields
-    them), then the '# ' footer lines."""
+    them), then the '# ' footer lines.  Makes the file's directory if it is
+    missing, so a command that writes no CSV leaves nothing on disk."""
     lines = [f"# {k} = {v}" for k, v in header_items]
     lines.append(",".join(columns))
     lines.extend(rows)
     lines.extend(f"# {f}" for f in footer)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -380,7 +384,8 @@ _BIT = [{"code": "none", "n": 1}] + [{"code": "bit", "n": n} for n in (3, 6, 9)]
 _CODE_RECIPE = ("per s: concurrence vs t and fidelity vs t for {}; x axis log scale; "
                 "horizontal line F = 2/3")
 
-# figure id -> (curve kind, per-curve overrides with each caption's parameters, recipe)
+# figure id -> (curve kind, per-curve overrides with each caption's parameters, recipe); a
+# 10^4 horizon comes with 2 x 10^5 stepper steps, the step h = 0.05 of every 10^3 curve
 _FIGURES = {
     "1a": ("J", _curves({"eta0": 0.5}, _S),
            "plot J vs omega for each CSV; linear axes; omega in units of omega_c (unscaled coupling)"),
@@ -391,11 +396,11 @@ _FIGURES = {
            "plot abs_u_laplace vs t; x axis log scale, t in units of 1/omega_c; one curve per s"),
     "2b": ("u", _curves({"eta0": 0.5, "tmax": 1000.0}, _S),
            "plot abs_u_laplace vs t; x axis log scale; one curve per s"),
-    "3": ("channel", _curves({"code": "none"}, _S, [{"eta0": 0.01, "tmax": 10000.0},
+    "3": ("channel", _curves({"code": "none"}, _S, [{"eta0": 0.01, "tmax": 10000.0, "points": 200000},
                                                     {"eta0": 0.5, "tmax": 1000.0}]),
           "two panels per eta0: concurrence vs t and fidelity vs t; x axis log scale; "
           "draw horizontal line F = 2/3 on fidelity panels"),
-    "4": ("channel", _curves({"eta0": 0.01, "tmax": 10000.0}, _S, _PHASE),
+    "4": ("channel", _curves({"eta0": 0.01, "tmax": 10000.0, "points": 200000}, _S, _PHASE),
           _CODE_RECIPE.format("n = 1, 3, 9, 101")),
     "5": ("channel", _curves({"eta0": 0.5, "tmax": 1000.0}, _S, _PHASE),
           _CODE_RECIPE.format("n = 1, 3, 9, 101")),
@@ -473,7 +478,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        os.makedirs(cfg.out, exist_ok=True)
         if args.command == "figure":
             paths, ok = _write_figure(args.fig_id, cfg)
         elif args.command == "sweep":

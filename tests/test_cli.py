@@ -451,6 +451,43 @@ def test_bath_limits_exit_2_and_s_150_runs(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("argv, rc", [
+    (["sweep", "--axis", "n", "--values", "3,1031", "--code", "phase"], 2),
+    (["sweep", "--axis", "s", "--values", "1,200.5"], 2),
+    (["propagator", "--s", "9.5", "--eta0", "0.01", "--tmax", "50", "--out-points", "20"], 1),
+])
+def test_command_that_writes_no_csv_leaves_no_directory(tmp_path, argv, rc):
+    # a sweep value refused by its config, or a solve that fails (a resonance too narrow to
+    # resolve), before any CSV: the --out directory is made only by the first CSV written
+    out = tmp_path / "fresh" / "out"
+    assert main([*argv, "--out", str(out)]) == rc
+    assert not (tmp_path / "fresh").exists()
+
+
+def test_mode_past_the_branch_cut_window_exits_1(tmp_path, capsys):
+    # the branch-cut integral stops at omega = 50: the resonance near omega0 = 100 was
+    # left out, and u came out wrong by about 1 with no error
+    out = tmp_path / "fresh"
+    assert main(["channel", "--s", "1", "--eta0", "0.01", "--omega0", "100", "--tmax", "2",
+                 "--out", str(out)]) == 1
+    assert "window [0, 50]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fig_id, curves", [("3", 6), ("4", 3)])
+def test_figure_with_the_long_horizon_steps_under_both_solvers(tmp_path, fig_id, curves):
+    # the 10^4 horizon comes with 2 x 10^5 steps: with the default 2 x 10^4 the stepper
+    # started at h = 0.5 and its halving gate gave up (exit 1)
+    assert main(["figure", "--id", fig_id, "--solver", "both", "--out", str(tmp_path)]) == 0
+    footers = set()
+    for path in tmp_path.glob(f"figure{fig_id}_*.csv"):
+        header, _, _, footer = load(path)
+        assert int(header["points"]) == (200000 if float(header["tmax"]) == 10000.0 else 20000)
+        footers.update(line for line in footer if line.startswith("max_solver_discrepancy = "))
+    assert len(footers) == curves
+    assert all(float(line.split()[2]) < 1e-5 for line in footers)
+
+
 @pytest.mark.filterwarnings("error")
 def test_stepper_limit_exits_2(tmp_path, capsys):
     # past s = 107.81 the stepper's kernel modes overflow: a configuration error for the
