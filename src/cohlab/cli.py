@@ -16,10 +16,10 @@ leaves nothing on disk.
 
 Every CSV starts with a '#'-prefixed header recording the fully resolved
 configuration, uses 17-significant-digit floats, '\\n' newlines and UTF-8,
-so output is byte-deterministic for a fixed configuration and version.  A
-column that recurs among the CSVs of one command (the output times, p_e
-across the codes of one curve) is formatted once, and its cells are held
-until the command's last CSV is written.
+so output is byte-deterministic for a fixed configuration and version.
+Each distinct column among the CSVs of one command (the output times, p_e
+across the codes of one curve) is formatted once, in one `%` call, and its
+cells are held until the last CSV that uses it is written.
 
 Exit codes: 0 ok; 1 for a solver error or a cross-solver discrepancy above
 CROSS_SOLVER_TOL; 2 for a configuration error.
@@ -28,7 +28,6 @@ CROSS_SOLVER_TOL; 2 for a configuration error.
 from __future__ import annotations
 
 import argparse
-import collections
 import functools
 import itertools
 import math
@@ -90,6 +89,8 @@ class RunConfig:
             raise ConfigError(f"out_points must be at least 3 for log-spaced output, got {self.out_points}")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
+        if not self.out:
+            raise ConfigError("parameter out must name a directory, got ''")
         try:
             self.bath
             if self.solver != "laplace":
@@ -176,47 +177,31 @@ def write_csv(path: str, header_items, columns: list[str], rows, footer: list[st
         fh.write("\n".join(lines) + "\n")
 
 
-def _fmt(column: np.ndarray) -> str:
-    """A column's printf format: '%d' for ints, '%.17g' for the rest."""
-    return "%d" if column.dtype.kind in "iu" else "%.17g"
-
-
 def _cells(column: np.ndarray) -> list[str]:
-    """A column's cells, each as `_fmt` prints it."""
-    fmt = _fmt(column)
-    return [fmt % x for x in column.tolist()]
+    """A column's cells, '%d' for ints and '%.17g' for the rest, from one
+    `%` call over the whole column."""
+    fmt = "%d\n" if column.dtype.kind in "iu" else "%.17g\n"
+    return (fmt * len(column) % tuple(column.tolist())).split("\n")[:-1]
 
 
 def _csv_lines(tables: list[list[np.ndarray]]):
-    """Yield the CSV lines of each table, a list of equal-length columns,
-    each printed in its `_fmt`.
+    """Yield the CSV lines of each table, a list of equal-length columns.
 
-    A column that recurs among the tables (same dtype and bytes) is
-    formatted once, by `_cells`, and its cells are held for the rest of the
-    call; a column used once is formatted in its rows.  Nothing outlives
-    the call.
+    Each distinct column (same dtype and bytes) is formatted once, by
+    `_cells`, and its cells are released after the last table using it.
     """
     keys = [[(c.dtype.str, c.tobytes()) for c in table] for table in tables]
-    uses = collections.Counter(k for table_keys in keys for k in table_keys)
+    last = {k: i for i, table_keys in enumerate(keys) for k in table_keys}
     held = {}
-    for table, table_keys in zip(tables, keys):
-        fmts, values = [], []
-        for c, k in zip(table, table_keys):
-            if uses[k] == 1:
-                fmts.append(_fmt(c))
-                values.append(c.tolist())
-                continue
-            if k not in held:
-                held[k] = _cells(c)
-            fmts.append("%s")
-            values.append(held[k])
-        fmt = ",".join(fmts)
-        yield [fmt % row for row in zip(*values)]
+    for i, (table, table_keys) in enumerate(zip(tables, keys)):
+        cells = [held[k] if k in held else held.setdefault(k, _cells(c)) for c, k in zip(table, table_keys)]
+        held = {k: v for k, v in held.items() if last[k] > i}  # what a later table uses
+        yield list(map(",".join, zip(*cells)))
 
 
 def _write_tables(items) -> list[str]:
     """Write each (path, header items, column names, columns, footer) item
-    as one CSV, the recurring columns formatted once; returns the paths."""
+    as one CSV, each distinct column formatted once; returns the paths."""
     lines = _csv_lines([columns for _, _, _, columns, _ in items])
     for (path, header, names, _, footer), rows in zip(items, lines):
         write_csv(path, header, names, rows, footer)
@@ -362,9 +347,8 @@ def _write_sweep(cfg: RunConfig, axis: str, values: list) -> tuple[list[str], bo
         footer += [f"{axis} = {v!r}: {line}" for line in sol.footer]
     path = os.path.join(cfg.out, f"sweep_{axis}.csv")
     header = [(k, repr(values) if k == axis else v) for k, v in cfg.header_items()]
-    rows = [line for lines in _csv_lines(tables) for line in lines]
-    write_csv(path, header, [axis] + names, rows, footer)
-    return [path], all(sol.ok for sol in solved)
+    columns = [np.concatenate(c) for c in zip(*tables)]  # the values' rows one after another
+    return _write_tables([(path, header, [axis] + names, columns, footer)]), all(sol.ok for sol in solved)
 
 
 # ---------------------------------------------------------------------------

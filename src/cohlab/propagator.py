@@ -479,9 +479,10 @@ def _polish_zeros(f, lo, hi, f_lo, f_hi):
     f maps an array of points to the values and slopes there.  Safeguarded
     Newton from the secant point of each bracket: every evaluation narrows
     its bracket, and a step that would leave the bracket is replaced by
-    bisection.  Returns the points after the first pass in which every
-    step is within tol = 1e-15 + 8.9e-16 |x|.  Where rounding in f turns
-    the steps into noise above tol, each evaluation still narrows a
+    bisection, or by no step when it is within tol = 1e-15 + 8.9e-16 |x|,
+    so f is never evaluated outside a bracket.  Returns the points after
+    the first pass in which every step is within tol.  Where rounding in f
+    turns the steps into noise above tol, each evaluation still narrows a
     bracket, down to adjacent doubles.
     """
     x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
@@ -491,11 +492,16 @@ def _polish_zeros(f, lo, hi, f_lo, f_hi):
         hi = np.where(val > 0.0, x, hi)
         new = x - val / slope
         tol = 1e-15 + 8.9e-16 * np.abs(new)
-        new = np.where((lo < new) & (new < hi) | (np.abs(new - x) <= tol), new, 0.5 * (lo + hi))
+        new = np.where((lo < new) & (new < hi), new, np.where(np.abs(new - x) <= tol, x, 0.5 * (lo + hi)))
         done = np.all(np.abs(new - x) <= tol)
         x = new
         if done:
             return x
+
+
+def _edge_denominator(spec: BathSpec, omega0: float) -> float:
+    """b₀ = ω₀ - η_s Γ(s), B_loc(0⁺) and Re B(0⁺) (both integrals → Γ(s)); a bound state iff b₀ < 0."""
+    return omega0 - spec.eta_s * math.gamma(spec.s)
 
 
 def find_poles(spec: BathSpec, omega0: float) -> list[tuple[complex, complex]]:
@@ -503,18 +509,24 @@ def find_poles(spec: BathSpec, omega0: float) -> list[tuple[complex, complex]]:
 
     On the positive imaginary axis (z = i y, y > 0: frequencies below
     the bath band) the denominator is i B_loc(y) with B_loc real and
-    strictly increasing (slope ≥ 1), so there is at most one zero: it is
-    bracketed by one sign test on [1e-9, _Y_MAX] and polished by the
-    safeguarded Newton of `_polish_zeros`, with B_loc and its slope
-    1 + η_s ∫ x^s e^{-x}/(x+y)² dx from one `bath._stieltjes` call per
-    iterate; the residue is 1/slope at the returned zero.  A zero beyond
-    _Y_MAX is not searched for and yields no pole.  On the negative
-    imaginary axis — the branch cut — Im B = -π η_s ω^s e^{-ω} < 0
+    strictly increasing (slope ≥ 1), so there is at most one zero, and
+    one iff b₀ = B_loc(0⁺) of `_edge_denominator` is negative (at b₀ = 0,
+    y = 0 for s > 1).  It is bracketed by one sign test on [1e-9, _Y_MAX],
+    or on [0, _Y_MAX] with B_loc(0) = b₀ when it lies below 1e-9, and
+    polished by the safeguarded Newton of `_polish_zeros`, with B_loc and
+    its slope 1 + η_s ∫ x^s e^{-x}/(x+y)² dx from one `bath._stieltjes`
+    call per iterate; the residue is 1/slope at the returned zero.  A
+    zero beyond _Y_MAX is not searched for and yields no pole.  On the
+    negative imaginary axis — the branch cut — Im B = -π η_s ω^s e^{-ω} < 0
     strictly, so no further pole can hide there for η_0 > 0.
     """
     if spec.eta0 == 0.0:
         return [(-1j * omega0, 1.0 + 0.0j)]
-    es = spec.eta_s
+    b0, es = _edge_denominator(spec, omega0), spec.eta_s
+    if b0 > 0.0 or b0 == 0.0 and spec.s <= 1.0:
+        return []
+    if b0 == 0.0:  # the threshold itself: the zero is y = 0, where the slope is 1 + η_s Γ(s-1)
+        return [(0j, complex(1.0 / (1.0 + es * math.gamma(spec.s - 1.0))))]
 
     def b_loc(y):
         i, d = _bath._stieltjes(spec.s, y)
@@ -522,8 +534,10 @@ def find_poles(spec: BathSpec, omega0: float) -> list[tuple[complex, complex]]:
 
     y = np.array([1e-9, _Y_MAX])
     b = b_loc(y)[0]
-    if b[0] > 0.0 or b[1] < 0.0:
+    if b[1] < 0.0:
         return []
+    if b[0] > 0.0:  # the zero lies below y = 1e-9
+        y[0], b[0] = 0.0, b0
     yp = _polish_zeros(b_loc, y[:1], y[1:], b[:1], b[1:])
     slope = b_loc(yp)[1][0]
     return [(1j * float(yp[0]), complex(1.0 / slope))]
@@ -534,17 +548,18 @@ def _resonance_seeds(spec: BathSpec, omega0: float) -> list[float]:
 
     A breakpoint on a peak keeps it from slipping between the samples of a
     wide panel; `build_panels` keeps the breakpoints inside its window and
-    refines the rest.  The sign changes of Re B on the 2 399 points of
-    `_SEED_SCAN` are polished together by `_polish_zeros`, with the slope
-    Re B' = -1 - η_s PV' from PV' = (s PV - Γ(s+1))/ω - PV, so one
-    `bath.inversion_denominator` call per iterate gives both.  Raises
-    FourierQuadratureError for a resonance narrower than 1e-14, which no
-    panel resolves.
+    refines the rest.  The sign changes of Re B over ω = 0, where it is b₀
+    of `_edge_denominator`, and the 2 399 points of `_SEED_SCAN` are
+    polished together by `_polish_zeros`, with the slope Re B' = -1 - η_s PV'
+    from PV' = (s PV - Γ(s+1))/ω - PV, so one `bath.inversion_denominator`
+    call per iterate gives both.  Raises FourierQuadratureError for a
+    resonance narrower than 1e-14, which no panel resolves.
     """
     es, s = spec.eta_s, spec.s
     g1 = math.gamma(s + 1.0)
-    ws = _SEED_SCAN
-    re = np.real(_bath.inversion_denominator(spec, omega0, ws))
+    ws, re = _SEED_SCAN, np.real(_bath.inversion_denominator(spec, omega0, _SEED_SCAN))
+    if b0 := _edge_denominator(spec, omega0):  # Re B(0⁺) joins the scan; if 0, ω = 0 is the zero
+        ws, re = np.r_[0.0, ws], np.r_[b0, re]
     i = np.flatnonzero(np.diff(re < 0))
     sign = np.where(re[i] < 0, 1.0, -1.0)  # Re B × sign rises through each zero
 

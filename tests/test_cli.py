@@ -106,29 +106,32 @@ def test_config_file_cannot_set_the_units(tmp_path, capsys, line):
                                   ["sweep", "--axis", "n", "--values", "3,1031", "--code", "phase"]])
 def test_phase_code_n_is_a_config_error(tmp_path, capsys, argv):
     # the code's own limits, odd n ≤ 1029, refuse the run before any solve
-    assert main([*argv, "--tmax", "10", "--out-points", "5", "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main([*argv, "--tmax", "10", "--out-points", "5", "--out", str(out)]) == 2
     assert "configuration error: n must be" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
+    assert not out.exists()
 
 
 def test_log_output_needs_three_points(tmp_path, capsys):
     # two log-spaced rows would be t = 0 and t = 0.1, never tmax
-    assert main(["channel", "--tmax", "1000", "--out-points", "2", "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main(["channel", "--tmax", "1000", "--out-points", "2", "--out", str(out)]) == 2
     assert "out_points" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
+    assert not out.exists()
     with pytest.raises(ConfigError, match="out_points"):
         RunConfig(out_points=2)
     assert main(["channel", "--tmax", "1000", "--out-points", "2", "--linear-out",
-                 "--out", str(tmp_path)]) == 0
-    _, _, rows, _ = load(tmp_path / "channel_s1_eta0.01.csv")
+                 "--out", str(out)]) == 0
+    _, _, rows, _ = load(out / "channel_s1_eta0.01.csv")
     assert rows[:, 0].tolist() == [0.0, 1000.0]
 
 
 def test_negative_eta0_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
     assert main(["channel", "--eta0", "-1", "--tmax", "10", "--out-points", "5",
-                 "--out", str(tmp_path)]) == 2
+                 "--out", str(out)]) == 2
     assert "eta0" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field", ["s", "eta0", "omega0", "alpha0", "tmax"])
@@ -141,10 +144,28 @@ def test_run_config_rejects_non_finite(field, bad):
 @pytest.mark.parametrize("flag, bad", [("--eta0", "nan"), ("--eta0", "inf"), ("--alpha0", "inf"),
                                        ("--omega0", "nan")])
 def test_non_finite_flag_is_a_config_error(tmp_path, capsys, flag, bad):
+    out = tmp_path / "out"
     assert main(["channel", flag, bad, "--tmax", "10", "--out-points", "5",
-                 "--out", str(tmp_path)]) == 2
+                 "--out", str(out)]) == 2
     assert "must be finite" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "file"])
+def test_empty_out_is_a_config_error(tmp_path, capsys, monkeypatch, how):
+    # an empty --out passed the configuration, ran the whole solve, then failed to make the
+    # directory '' with exit 1
+    monkeypatch.chdir(tmp_path)
+    if how == "flag":
+        argv = ["--out", ""]
+    else:
+        (tmp_path / "run.cfg").write_text("out =\n", encoding="utf-8")
+        argv = ["--config", "run.cfg"]
+    assert main(["channel", "--tmax", "10", "--out-points", "5", *argv]) == 2
+    assert "parameter out" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ([] if how == "flag" else ["run.cfg"])
+    with pytest.raises(ConfigError, match="out"):
+        RunConfig(out="")
 
 
 def test_propagator_free_evolution_column(tmp_path):
@@ -359,14 +380,15 @@ def test_sweep_rows_write_what_each_value_writes_alone(tmp_path):
 
 def test_formatted_columns_live_for_one_command(tmp_path, monkeypatch):
     # figure 4 at α0 = 0.9, at 1.2, then at 0.9 again in one process: each
-    # command formats its recurring columns itself, t once and p_e once per s,
-    # and the last writes what the first wrote, so no formatted column is
-    # carried from one command to the next
+    # command formats every column of its CSVs itself, each distinct one once
+    # (t once, p_e once per s), the three make the same number of calls, and
+    # the last writes what the first wrote, so no formatted column is carried
+    # from one command to the next
     formatted = []
     original = cli._cells
 
     def counting(column):
-        formatted[-1].append(len(column))
+        formatted[-1].append(column.tobytes())
         return original(column)
 
     monkeypatch.setattr(cli, "_cells", counting)
@@ -374,7 +396,14 @@ def test_formatted_columns_live_for_one_command(tmp_path, monkeypatch):
         formatted.append([])
         assert main(["figure", "--id", "4", "--alpha0", a0, "--out-points", "7",
                      "--out", str(tmp_path / out)]) == 0
-    assert formatted == [[7] * 4] * 3
+    assert len({len(calls) for calls in formatted}) == 1
+    for calls, out in zip(formatted, ("a", "b", "c")):
+        assert len(set(calls)) == len(calls)
+        for path in (tmp_path / out).glob("*.csv"):
+            _, columns, rows, _ = load(path)
+            assert len(rows) == 7
+            for j in range(len(columns)):
+                assert calls.count(rows[:, j].tobytes()) == 1
     for name in sorted(os.listdir(tmp_path / "a")):
         first, again = ((tmp_path / d / name).read_text().splitlines() for d in ("a", "c"))
         assert [x for x in first if not x.startswith("# out = ")] == \

@@ -506,6 +506,75 @@ def test_pole_existence_threshold():
         assert bool(find_poles(spec, 0.1)) == expect
 
 
+def _at_threshold(s, rel, omega0=0.1):
+    """The bath at power s whose η_s Γ(s) is ω0 (1 + rel): a bound state iff rel > 0."""
+    return BathSpec(s, omega0 * (1.0 + rel) / math.gamma(s) / (math.e / s) ** s)
+
+
+@pytest.mark.parametrize("s, rel", [(1.5, 1e-10), (2.0, 1e-11), (3.0, 1e-10)])
+def test_bound_state_just_above_the_threshold(s, rel):
+    # the zero of B_loc lies below y = 1e-9, where the sign test on [1e-9, 50] found B_loc > 0:
+    # no pole, and u lost its 0.83-0.95 with sum_rule_delta just as large
+    spec = _at_threshold(s, rel)
+    grid = TimeGrid.log(100.0, 20, 0.1)
+    sol = solve_laplace(spec, 0.1, grid)
+    (z, res), = sol.poles
+    y_ref, res_ref = bound_state_mp(s, spec.eta0, 0.1)
+    assert abs(z.imag - y_ref) <= 1e-16 and abs(res - res_ref) <= 1e-9
+    # the residue's limit as y -> 0; the slope nears it as y^(s-1), so at s = 1.5 and
+    # y = 8.3e-12 the residue is 1.1e-6 above it, and only the root above holds to 1e-9
+    if s >= 2.0:
+        assert abs(res - 1.0 / (1.0 + spec.eta_s * math.gamma(s - 1.0))) <= 1e-9
+    assert sol.diagnostics["sum_rule_delta"] <= 1e-6
+    ref = solve_volterra(spec, 0.1, TimeGrid.uniform(100.0, 2000), times=grid)
+    assert np.max(np.abs(sol.u - ref.u)) <= 1e-5
+
+
+def test_just_below_the_threshold():
+    # super-Ohmic: the weight of the missed bound state sits in a resonance at ω ≈ 1e-13 that
+    # the scan from ω = 1e-8 never saw, far narrower than any panel: raise, where u lost
+    # 0.91-0.95 with exit 0.  At s ≤ 1 there is no such weight, and both routes agree
+    for s, rel in ((2.0, -1e-11), (3.0, -1e-12)):
+        with pytest.raises(FourierQuadratureError, match="width"):
+            solve_laplace(_at_threshold(s, rel), 0.1, TimeGrid.log(100.0, 20, 0.1))
+    grid = TimeGrid.log(100.0, 20, 0.1)
+    for s in (0.5, 1.0):
+        spec = _at_threshold(s, -1e-10)
+        sol = solve_laplace(spec, 0.1, grid)
+        ref = solve_volterra(spec, 0.1, TimeGrid.uniform(100.0, 2000), times=grid)
+        assert sol.poles == [] and np.max(np.abs(sol.u - ref.u)) <= 2e-6
+
+
+@pytest.mark.parametrize("s", [2.0, 3.0])
+def test_bound_state_at_the_threshold_itself(s):
+    # ω0 = η_s Γ(s) to the last bit: the zero of B_loc is y = 0, a pole at z = 0 with the
+    # limit residue, where u lost it with exit 0
+    spec = BathSpec(s, 0.05)
+    omega0 = spec.eta_s * math.gamma(s)
+    assert propagator._edge_denominator(spec, omega0) == 0.0
+    grid = TimeGrid.log(100.0, 20, 0.1)
+    sol = solve_laplace(spec, omega0, grid)
+    assert sol.poles == [(0j, complex(1.0 / (1.0 + spec.eta_s * math.gamma(s - 1.0))))]
+    assert sol.diagnostics["sum_rule_delta"] <= 1e-6
+    ref = solve_volterra(spec, omega0, TimeGrid.uniform(100.0, 2000), times=grid)
+    assert np.max(np.abs(sol.u - ref.u)) <= 1e-5
+
+
+def test_polish_zeros_stays_inside_its_bracket():
+    # x^0.3 - 1e-12 on [0, 1e-15], zero at 1e-40: from the secant point, 3e-23, the Newton
+    # step -2.3 x is within tol and was taken, returning a negative point, where neither B_loc
+    # nor Re B is defined
+    seen = []
+
+    def f(x):
+        seen.extend(x.tolist())
+        return x**0.3 - 1e-12, 0.3 * x**-0.7
+
+    hi = np.array([1e-15])
+    x = propagator._polish_zeros(f, np.zeros(1), hi, np.array([-1e-12]), f(hi)[0])
+    assert 0.0 < x[0] < 1e-15 and all(0.0 < v <= 1e-15 for v in seen)
+
+
 def test_residue_matches_finite_difference_derivative():
     spec = BathSpec(3.0, 0.5)
     (z, res), = find_poles(spec, 0.1)
