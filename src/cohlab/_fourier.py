@@ -27,6 +27,17 @@ The phase e^{-i m_i t} is applied as its cosine and sine.  The quadrature
 error is uniform in t and bounded by ∫|f - p| for the piecewise
 interpolant p, that is by the error budget Σ_i h_i tail_i of the panels'
 Chebyshev tails; each panel keeps its own share below 1e-10.
+
+A block of (panel, time) pairs holds at most five P × T float buffers at
+once, each stage writing into the buffers of the last: θ, the clipped θ
+(which becomes the cosine sum), θ² (which becomes |θ|) and the sine sum in
+the Taylor stage; the two sums, the phase (which becomes its sine), its
+cosine and one product in the phase stage.  At _BLOCK pairs that is
+≈ 5.2 MB, where fresh arrays at every stage need about eleven, ≈ 11.5 MB.
+θ and |θ| are freed before the Gauss-Legendre and Filon stages, which add
+about 28 and 11 floats for each pair in their own regime, and a block's
+buffers before the next block's.  Every float operation is that of the
+one-expression form, so the result is the same to the bit.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ _DEGREE = 12
 _GL_POINTS = 24
 _TAYLOR_SWITCH = 2.0      # |θ| up to which the Gauss-Legendre sum is a Taylor sum
 _THETA_SWITCH = 14.0      # |θ| above which the Filon rule replaces Gauss-Legendre
-_BLOCK = 1 << 17          # (panel, time) pairs per array pass, bounding memory
+_BLOCK = 1 << 17          # (panel, time) pairs per array pass: five float buffers of it, ≈ 5.2 MB
 _PANEL_TOL = 1e-10        # panel accepted once half-width × Chebyshev tail ≤ this
 _LEVELS_PER_CALL = 3      # bisection levels sampled by one call of the integrand, at most
 _CALL_POINTS = 2048       # points past which a call samples no deeper level
@@ -197,9 +208,9 @@ def build_panels(f, a: float, b: float, *, seeds=()) -> PanelSet:
     return PanelSet(mids, halfs, coeffs, gl_vals, worst_tail)
 
 
-def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Σ_m coeffs[:, m] u^m over the P × T array u."""
-    acc = coeffs[:, -1, None] * u
+def _horner(coeffs: np.ndarray, u: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """Σ_m coeffs[:, m] u^m over the P × T array u, formed in the P × T buffer acc."""
+    np.multiply(coeffs[:, -1, None], u, out=acc)
     for m in range(coeffs.shape[1] - 2, 0, -1):
         acc += coeffs[:, m, None]
         acc *= u
@@ -207,22 +218,26 @@ def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _taylor_sum(gl_vals: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Re and Im of the Gauss-Legendre sums Σ_k w_k f_ik e^{-iθ_ij x_k} from their Taylor series.
+def _taylor_sum(gl_vals: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Re and Im of the Gauss-Legendre sums Σ_k w_k f_ik e^{-iθ_ij x_k} from
+    their Taylor series, and |θ|.
 
     θ is clipped to ±_TAYLOR_SWITCH, where the series is exact to rounding;
     pairs beyond it are overwritten by the caller, and the clip keeps their
-    powers finite.
+    powers finite.  Three P × T buffers serve besides θ: the clipped θ ends
+    as the cosine sum and θ² as |θ|.
     """
     th = np.clip(theta, -_TAYLOR_SWITCH, _TAYLOR_SWITCH)
     u = th * th
-    sine = _horner(gl_vals @ _SIN_MAT, u)
-    sine *= -th
-    return _horner(gl_vals @ _COS_MAT, u), sine
+    sine = _horner(gl_vals @ _SIN_MAT, u, np.empty_like(u))
+    sine *= np.negative(th, out=th)
+    return _horner(gl_vals @ _COS_MAT, u, th), sine, np.abs(theta, out=u)
 
 
-def _filon_sums(mono: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Re and Im of Σ_j mono_pj m_j(θ_p), m_j(θ) = ∫_{-1}^{1} ξ^j e^{-iθξ} dξ, for real mono.
+def _filon_sums(mono: np.ndarray, rows: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re and Im of Σ_j mono[rows_p, j] m_j(θ_p), m_j(θ) = ∫_{-1}^{1} ξ^j e^{-iθξ} dξ,
+    for real mono; each column is gathered as its term is added, never the
+    whole (len(θ), degree + 1) block.
 
     m_j is r_j = ∫ ξ^j cos θξ dξ for even j and -i s_j, s_j = ∫ ξ^j sin θξ dξ,
     for odd j: two real recurrences r_j = (2 sin θ - j s_{j-1})/θ and s_j =
@@ -230,15 +245,60 @@ def _filon_sums(mono: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     two_sin, two_cos, inv = 2.0 * np.sin(theta), 2.0 * np.cos(theta), 1.0 / theta
     m = two_sin * inv
-    re, im = mono[:, 0] * m, np.zeros_like(m)
+    re, im = mono[rows, 0] * m, np.zeros_like(m)
     for j in range(1, mono.shape[1]):
         if j % 2:
             m = (j * m - two_cos) * inv
-            im -= mono[:, j] * m
+            im -= mono[rows, j] * m
         else:
             m = (two_sin - j * m) * inv
-            re += mono[:, j] * m
+            re += mono[rows, j] * m
     return re, im
+
+
+def _panel_sums(panels: PanelSet, tb: np.ndarray, fold_plus: np.ndarray, fold_minus: np.ndarray,
+                mono: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re and Im of ∫_{-1}^{1} f_i e^{-iθξ} dξ, θ = h_i t, for every panel i and t in tb.
+
+    θ and |θ| are freed once each regime has gathered its own θ values, so
+    that the Gauss-Legendre and Filon stages run beside the two sums alone.
+    """
+    theta = np.outer(panels.halfs, tb)
+    re, im, size = _taylor_sum(panels.gl_vals, theta)
+    gl = np.nonzero((size > _TAYLOR_SWITCH) & (size <= _THETA_SWITCH))
+    filon = np.nonzero(size > _THETA_SWITCH)
+    theta_gl, theta_filon = theta[gl], theta[filon]
+    del theta, size
+    if theta_gl.size:
+        # θ x_k is formed twice, so that one buffer of 12 a pair holds its cosines, then its sines
+        arg = theta_gl[:, None] * _GL_X[_GL_HALF:]
+        re[gl] = np.einsum("pk,pk->p", np.cos(arg, out=arg), fold_plus[gl[0]])
+        np.multiply(theta_gl[:, None], _GL_X[_GL_HALF:], out=arg)
+        im[gl] = np.einsum("pk,pk->p", np.sin(arg, out=arg), fold_minus[gl[0]])
+    if theta_filon.size:
+        re[filon], im[filon] = _filon_sums(mono, filon[0], theta_filon)
+    return re, im
+
+
+def _block(panels: PanelSet, tb: np.ndarray, fold_plus: np.ndarray, fold_minus: np.ndarray,
+           mono: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re and Im of `fourier_integral` at the times tb, one block of pairs.
+
+    Its buffers are freed on return, before the next block allocates its own.
+    """
+    re, im = _panel_sums(panels, tb, fold_plus, fold_minus, mono)
+    phase = np.outer(panels.mids, tb)
+    cos = np.cos(phase)
+    sin = np.sin(phase, out=phase)
+    # (re + i im) e^{-iφ} = (re cos φ + im sin φ) + i (im cos φ - re sin φ),
+    # each product rounded as in that expression, in one more buffer
+    real = re * cos
+    re *= sin
+    sin *= im
+    real += sin
+    cos *= im
+    cos -= re
+    return panels.halfs @ real, panels.halfs @ cos
 
 
 def fourier_integral(panels: PanelSet, times) -> np.ndarray:
@@ -252,21 +312,5 @@ def fourier_integral(panels: PanelSet, times) -> np.ndarray:
     out = np.empty(len(t), dtype=complex)
     step = max(1, _BLOCK // len(panels))
     for j in range(0, len(t), step):
-        tb = t[j:j + step]
-        theta = np.outer(panels.halfs, tb)
-        re, im = _taylor_sum(panels.gl_vals, theta)
-        size = np.abs(theta)
-        i, k = np.nonzero((size > _TAYLOR_SWITCH) & (size <= _THETA_SWITCH))
-        if len(i):
-            arg = theta[i, k, None] * _GL_X[_GL_HALF:]
-            re[i, k] = np.einsum("pk,pk->p", np.cos(arg), fold_plus[i])
-            im[i, k] = np.einsum("pk,pk->p", np.sin(arg), fold_minus[i])
-        i, k = np.nonzero(size > _THETA_SWITCH)
-        if len(i):
-            re[i, k], im[i, k] = _filon_sums(mono[i], theta[i, k])
-        phase = np.outer(panels.mids, tb)
-        cos, sin = np.cos(phase), np.sin(phase)
-        # (re + i im) e^{-iφ} = (re cos φ + im sin φ) + i (im cos φ - re sin φ)
-        out.real[j:j + step] = panels.halfs @ (re * cos + im * sin)
-        out.imag[j:j + step] = panels.halfs @ (im * cos - re * sin)
+        out.real[j:j + step], out.imag[j:j + step] = _block(panels, t[j:j + step], fold_plus, fold_minus, mono)
     return out if np.ndim(times) else out[0]

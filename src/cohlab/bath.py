@@ -23,8 +23,9 @@ every s > 0, from one small-|w| expansion: Kummer's transformation split
 into an entire sum (`_kummer_sum`) and a closed-form term that carries the
 log and the near-integer cancellation (`_bracket_constants`).  On the real
 axis the entire sum is read from a piecewise-polynomial table built once
-per s (`_pv_table`, which keeps the bracket's constants for both axes); on
-the imaginary axis it is summed at w = -y for y < 1, and Legendre's
+per s (`_pv_table`); the bracket's constants are kept per s on their own
+(`_bracket_constants`), read by both axes.  On the imaginary axis the entire
+sum is summed at w = -y for y < 1, and Legendre's
 continued fraction of U serves y ≥ 1.  The tests gate both
 against mpmath and against the hand-derived s ∈ {1/2, 1, 3} forms kept in
 `tests/oracles.py`.  Only numpy and `math` are imported.
@@ -178,7 +179,7 @@ def _stieltjes(s: float, y: np.ndarray):
 
     For y ≥ 1, I from the continued fraction of U and -I' by the recurrence
     -I' = (Γ(s+1) - (s+y) I)/y.  Below, the Kummer expansion at w = -y, with
-    n = round(s), ε = s - n and a from `_pv_table`, which keeps it per s:
+    n = round(s), ε = s - n and a from `_bracket_constants`, kept per s:
 
         I(y) = e^y (-y)^n β(y) - Γ(s+1) S_s(-y),
         β(y) = a - π tan(πε/2) - π csc(πε) expm1(ε ln y)   (a - ln y at ε = 0),
@@ -214,7 +215,7 @@ def _stieltjes(s: float, y: np.ndarray):
         near = slice(max(n - 1, 0), n + 1)
         coef[near] = nxt[near] - inv[near]  # one of the two is the left-out 0
         lny = np.log(yn)
-        a = _pv_table(s)[1]
+        a = _bracket_constants(s)[0]
         if eps == 0.0:
             beta, slope = a - lny, 1.0
         else:
@@ -256,6 +257,7 @@ def _kummer_sum(s: float, w: np.ndarray) -> np.ndarray:
     return inv @ p
 
 
+@functools.lru_cache(maxsize=32)
 def _bracket_constants(s: float) -> tuple[float, float]:
     """(a, b) in the m = n Kummer term and the cot term over e^{-w} w^n,
     a - b expm1(ε ln w), which has no cancellation.  With ε = s - n and
@@ -264,7 +266,8 @@ def _bracket_constants(s: float) -> tuple[float, float]:
         a = expm1(δ)/ε + 2 Σ_k ζ(2k) ε^{2k-1},   b = π cot(πε),
 
     and at ε = 0 the limit a - ln w with a = H_n - γ (ψ(n+1)), b = 1.
-    Computed once per s, by `_pv_table`, which keeps the pair.
+    Computed once per s and kept, apart from the table: `_stieltjes` reads
+    a alone, and the imaginary axis builds no `_pv_table`.
     """
     n = round(s)
     eps = s - n
@@ -283,8 +286,9 @@ def _pv_table(s: float) -> tuple[np.ndarray | None, float, float]:
     points x = cos(πk/12), the panel's ends among them, so that neighbours
     meet to 3.4e-15 of S_s (None past _PV_TABLE_S_MAX), and the
     `_bracket_constants` (a, b).  Built on first use for each s and kept;
-    the principal value reads all three, `_stieltjes` reads a.  It holds
-    the same numbers whichever call builds it.
+    only the principal value (`_pv`, on the real axis) reads it, all three
+    entries, while `_stieltjes` takes a from `_bracket_constants` itself.
+    It holds the same numbers whichever call builds it.
     """
     if s > _PV_TABLE_S_MAX:
         return (None, *_bracket_constants(s))

@@ -5,8 +5,9 @@ fractions, or quadrature of defining integrals — never from the code paths
 under test.  The exceptions are code that only the tests use: the
 closed-form Lamb shift, the Markovian exponential and the slope of B_loc,
 built on `cohlab.bath`'s closed forms; the one-level panel bisection,
-`cohlab._fourier`'s decision rule with one density call per level; and the
-last two sections, the single-qubit element map and the cat-state
+`cohlab._fourier`'s decision rule with one density call per level; the
+fresh-array Fourier kernel, `cohlab._fourier`'s sums with no buffer reused;
+and the last two sections, the single-qubit element map and the cat-state
 densities, and the two-qubit channel state with its matrix oracles
 (Wootters concurrence, magic-basis and direct-search f_max), built on
 `cohlab.qubit`'s coherence factor.
@@ -653,6 +654,75 @@ def fourier_integral_panelwise(panels, times) -> np.ndarray:
             mono = F._MONO_MAT @ panels.coeffs[i]
             mom = monomial_moments(theta[~small], F._DEGREE)
             out[~small] += h * phase[~small] * (mono @ mom)
+    return out if np.ndim(times) else out[0]
+
+
+def _horner_reference(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    acc = coeffs[:, -1, None] * u
+    for m in range(coeffs.shape[1] - 2, 0, -1):
+        acc += coeffs[:, m, None]
+        acc *= u
+    acc += coeffs[:, 0, None]
+    return acc
+
+
+def _taylor_sum_reference(gl_vals: np.ndarray, theta: np.ndarray):
+    from cohlab import _fourier as F
+
+    th = np.clip(theta, -F._TAYLOR_SWITCH, F._TAYLOR_SWITCH)
+    u = th * th
+    sine = _horner_reference(gl_vals @ F._SIN_MAT, u)
+    sine *= -th
+    return _horner_reference(gl_vals @ F._COS_MAT, u), sine
+
+
+def _filon_sums_reference(mono: np.ndarray, theta: np.ndarray):
+    two_sin, two_cos, inv = 2.0 * np.sin(theta), 2.0 * np.cos(theta), 1.0 / theta
+    m = two_sin * inv
+    re, im = mono[:, 0] * m, np.zeros_like(m)
+    for j in range(1, mono.shape[1]):
+        if j % 2:
+            m = (j * m - two_cos) * inv
+            im -= mono[:, j] * m
+        else:
+            m = (two_sin - j * m) * inv
+            re += mono[:, j] * m
+    return re, im
+
+
+def fourier_integral_reference(panels, times) -> np.ndarray:
+    """`cohlab._fourier.fourier_integral` with every stage in fresh arrays:
+    the Taylor sums, the folded Gauss-Legendre sums, the Filon recurrence on
+    the gathered moments and the phase, each one expression, with θ and |θ|
+    alive to the end of the block.  The package reuses five buffers where
+    this holds about eleven; both do the same float operations on the same
+    values, so the results agree bit for bit."""
+    from cohlab import _fourier as F
+
+    t = np.atleast_1d(np.asarray(times, dtype=float))
+    half = F._GL_HALF
+    pos, neg, w = panels.gl_vals[:, half:], panels.gl_vals[:, half - 1::-1], F._GL_W[half:]
+    fold_plus, fold_minus = w * (pos + neg), w * (neg - pos)
+    mono = panels.coeffs @ F._MONO_MAT.T
+    out = np.empty(len(t), dtype=complex)
+    step = max(1, F._BLOCK // len(panels))
+    for j in range(0, len(t), step):
+        tb = t[j:j + step]
+        theta = np.outer(panels.halfs, tb)
+        re, im = _taylor_sum_reference(panels.gl_vals, theta)
+        size = np.abs(theta)
+        i, k = np.nonzero((size > F._TAYLOR_SWITCH) & (size <= F._THETA_SWITCH))
+        if len(i):
+            arg = theta[i, k, None] * F._GL_X[half:]
+            re[i, k] = np.einsum("pk,pk->p", np.cos(arg), fold_plus[i])
+            im[i, k] = np.einsum("pk,pk->p", np.sin(arg), fold_minus[i])
+        i, k = np.nonzero(size > F._THETA_SWITCH)
+        if len(i):
+            re[i, k], im[i, k] = _filon_sums_reference(mono[i], theta[i, k])
+        phase = np.outer(panels.mids, tb)
+        cos, sin = np.cos(phase), np.sin(phase)
+        out.real[j:j + step] = panels.halfs @ (re * cos + im * sin)
+        out.imag[j:j + step] = panels.halfs @ (im * cos - re * sin)
     return out if np.ndim(times) else out[0]
 
 

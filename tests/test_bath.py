@@ -377,6 +377,23 @@ def test_pv_table_built_on_first_use_and_kept():
     assert out.stdout.split() == ["0", "1", "1"]
 
 
+def test_imaginary_axis_builds_no_pv_table():
+    # the imaginary axis reads the bracket's a alone, kept per s apart from the
+    # table: a first find_poles at a new s builds no table, and gives the pole,
+    # residue and B_loc that it gives once the table is built
+    code = ("import sys; from cohlab import bath, propagator; spec = bath.BathSpec(2.7, 0.5); "
+            "sys.argv[1] == 'table' and bath._pv_table(2.7); poles = propagator.find_poles(spec, 0.1); "
+            "b = bath.imaginary_axis_denominator(spec, 0.1, [1e-3, 0.5, 3.0]); "
+            "print(bath._pv_table.cache_info().currsize, *(x.hex() for z, r in poles for x in "
+            "(z.real, z.imag, r.real, r.imag)), *(x.hex() for x in b))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cohlab.__file__)))
+    fresh, kept = (subprocess.run([sys.executable, "-c", code, first], env=env, capture_output=True,
+                                  text=True, check=True).stdout.split() for first in ("poles", "table"))
+    assert fresh[0] == "0" and kept[0] == "1"
+    assert len(fresh) == 1 + 4 + 3  # one pole
+    assert fresh[1:] == kept[1:]
+
+
 @pytest.mark.parametrize("s", (1.0, 3.0))
 def test_imaginary_axis_denominator_far_from_the_cut(s):
     # e^y E1(y) overflows past y ≈ 709; the continued fraction does not

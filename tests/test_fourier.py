@@ -1,6 +1,7 @@
 """Panel Fourier quadrature: the exact transform of e^{-ω} and the panel loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from cohlab import _fourier, propagator
 from cohlab.bath import BathSpec
 from cohlab.propagator import TimeGrid, solve_laplace
 
-from oracles import build_panels_one_level, fourier_integral_panelwise
+from oracles import build_panels_one_level, fourier_integral_panelwise, fourier_integral_reference
 
 
 def _exp_panels():
@@ -53,6 +54,7 @@ def test_sharp_resonance_at_every_panel_switch():
     t = np.outer(1.0 / panels.halfs, edges).ravel()
     t = np.concatenate((t, -t))
     got = _fourier.fourier_integral(panels, t)
+    assert got.tobytes() == fourier_integral_reference(panels, t).tobytes()
     assert np.max(np.abs(got - fourier_integral_panelwise(panels, t))) <= 1e-15 * _scale(panels)
 
 
@@ -74,8 +76,33 @@ def test_times_past_one_array_pass():
     t = np.linspace(0.0, 2000.0, 20001)
     assert len(panels) * len(t) > _fourier._BLOCK
     got = _fourier.fourier_integral(panels, t)
+    assert got.tobytes() == fourier_integral_reference(panels, t).tobytes()
     assert np.max(np.abs(got - fourier_integral_panelwise(panels, t))) <= 1e-15
     assert np.max(np.abs(got - _exp_transform(t))) <= 1e-9
+
+
+def _traced_peak(panels, times):
+    """The most bytes one `fourier_integral` call holds at once."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _fourier.fourier_integral(panels, times)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_blocks_do_not_hold_each_others_buffers():
+    # two full blocks of Taylor pairs (h t ≤ 2): each block's five P × T
+    # buffers are freed before the next block allocates; held over, the first
+    # block's would lift the peak to about eleven
+    panels = _exp_panels()
+    step = _fourier._BLOCK // len(panels)
+    t = np.linspace(0.0, _fourier._TAYLOR_SWITCH / panels.halfs.max(), 2 * step)
+    got = _fourier.fourier_integral(panels, t)
+    assert got.tobytes() == fourier_integral_reference(panels, t).tobytes()
+    assert _traced_peak(panels, t) <= 6 * 8 * len(panels) * step + got.nbytes
 
 
 def test_panel_budget_exhausted_raises():
@@ -98,9 +125,8 @@ FIGURE_SOLVES = [(s, eta0, tmax) for s in (0.5, 1.0, 3.0)
                  for eta0, tmax in ((0.01, 1000.0), (0.5, 1000.0), (0.01, 10000.0))]
 
 
-@pytest.mark.parametrize("s,eta0,tmax", FIGURE_SOLVES)
-def test_matches_the_panel_loop_on_figure_solves(s, eta0, tmax, monkeypatch):
-    # the figure 2a-6 solves: u on the default 400-row log grid
+def _figure_panels(s, eta0, tmax, monkeypatch):
+    """The panels and times of a figure 2a-6 solve: u on the default 400-row log grid."""
     seen = []
 
     def recording(panels, times):
@@ -110,8 +136,28 @@ def test_matches_the_panel_loop_on_figure_solves(s, eta0, tmax, monkeypatch):
     monkeypatch.setattr(propagator, "fourier_integral", recording)
     solve_laplace(BathSpec(s, eta0), 0.1, TimeGrid.log(tmax, 400, 0.1))
     (panels, times), = seen
-    diff = _fourier.fourier_integral(panels, times) - fourier_integral_panelwise(panels, times)
+    return panels, times
+
+
+@pytest.mark.parametrize("s,eta0,tmax", FIGURE_SOLVES)
+def test_matches_the_panel_loop_on_figure_solves(s, eta0, tmax, monkeypatch):
+    panels, times = _figure_panels(s, eta0, tmax, monkeypatch)
+    got = _fourier.fourier_integral(panels, times)
+    # buffers reused, every float operation kept: the fresh-array kernel's bits
+    assert got.tobytes() == fourier_integral_reference(panels, times).tobytes()
+    diff = got - fourier_integral_panelwise(panels, times)
     assert np.max(np.abs(diff)) <= 1e-15 * _scale(panels)
+
+
+def test_working_set_of_the_largest_figure_solve(monkeypatch):
+    # s = 3, η0 = 0.01 to t = 10^4 has the most panels of the figure solves, all
+    # (panel, time) pairs in one block; five P × T float arrays are alive at
+    # once, where fresh arrays at every stage held 11.2
+    panels, times = _figure_panels(3.0, 0.01, 1e4, monkeypatch)
+    pairs = len(panels) * len(times)
+    assert pairs <= _fourier._BLOCK
+    _fourier.fourier_integral(panels, times)
+    assert _traced_peak(panels, times) <= 6 * 8 * pairs
 
 
 def _recording(f, calls):
