@@ -34,10 +34,15 @@ once, each stage writing into the buffers of the last: θ, the clipped θ
 the Taylor stage; the two sums, the phase (which becomes its sine), its
 cosine and one product in the phase stage.  At _BLOCK pairs that is
 ≈ 5.2 MB, where fresh arrays at every stage need about eleven, ≈ 11.5 MB.
-θ and |θ| are freed before the Gauss-Legendre and Filon stages, which add
-about 28 and 11 floats for each pair in their own regime, and a block's
-buffers before the next block's.  Every float operation is that of the
-one-expression form, so the result is the same to the bit.
+θ and |θ| are freed once the Gauss-Legendre and Filon regimes have listed
+their pairs by flat index and gathered their θ (one int64 and one float a
+pair of either regime, at most two buffers for both).  Those stages then
+take the panel rows and their own temporaries in passes of 1/24 of the
+block's pairs (at least 1024), so that a block that lies wholly in one
+regime holds about one P × T buffer more.  A block's buffers are freed
+before the next block's.
+Every float operation is that of the one-expression form, so the result
+is the same to the bit.
 """
 
 from __future__ import annotations
@@ -51,6 +56,8 @@ _GL_POINTS = 24
 _TAYLOR_SWITCH = 2.0      # |θ| up to which the Gauss-Legendre sum is a Taylor sum
 _THETA_SWITCH = 14.0      # |θ| above which the Filon rule replaces Gauss-Legendre
 _BLOCK = 1 << 17          # (panel, time) pairs per array pass: five float buffers of it, ≈ 5.2 MB
+_PASS_SHARE = 24          # a Gauss-Legendre or Filon pass takes 1/24 of the block's pairs: 24 node floats a pair
+_PASS_MIN = 1024          # pairs a pass takes at least (≈ 200 KB of node buffers), so that a small block takes few passes
 _PANEL_TOL = 1e-10        # panel accepted once half-width × Chebyshev tail ≤ this
 _LEVELS_PER_CALL = 3      # bisection levels sampled by one call of the integrand, at most
 _CALL_POINTS = 2048       # points past which a call samples no deeper level
@@ -71,11 +78,31 @@ def _dct_matrix(p: int) -> np.ndarray:
     return mat
 
 
+def _monomial_matrix(p: int) -> np.ndarray:
+    """M[j, k] = coefficient of ξ^j in T_k(ξ), k ≤ p, from T_{k+1} = 2ξ T_k - T_{k-1} in
+    integers: exact, the same floats as numpy.polynomial.chebyshev.cheb2poly gives."""
+    t = np.zeros((p + 1, p + 1), dtype=np.int64)
+    t[0, 0] = t[1, 1] = 1
+    for k in range(1, p):
+        t[1:, k + 1] = 2 * t[:-1, k]
+        t[:, k + 1] -= t[:, k - 1]
+    return t.astype(float)
+
+
 _COEF_MAT = _dct_matrix(_DEGREE)
-# _MONO_MAT[j, k] = coefficient of ξ^j in T_k(ξ); cheb2poly drops the zeros past ξ^k
-_MONO_MAT = np.column_stack([np.pad(np.polynomial.chebyshev.cheb2poly(e), (0, _DEGREE - k))
-                             for k, e in enumerate(np.eye(_DEGREE + 1))])
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_POINTS)
+_MONO_MAT = _monomial_matrix(_DEGREE)
+# the 24-point Gauss-Legendre rule on [-1, 1], ascending, as numpy.polynomial.legendre.leggauss(24)
+# builds it (LAPACK's eigenvalues of the Jacobi matrix, Golub & Welsch, Math. Comp. 23 (1969) 221,
+# then one Newton step): its nodes x_k > 0 and their weights, written out so that the import needs
+# neither numpy.polynomial nor an eigensolver.  leggauss symmetrises its rule, x_{-k} = -x_k with
+# equal weights, so the mirrored half is its rule bit for bit
+_GL_X = np.array([0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451,
+                  0.5454214713888396, 0.6480936519369755, 0.7401241915785544, 0.820001985973903,
+                  0.8864155270044011, 0.9382745520027328, 0.9747285559713095, 0.9951872199970213])
+_GL_W = np.array([0.12793819534675202, 0.12583745634682825, 0.1216704729278033, 0.11550566805372552,
+                  0.10744427011596556, 0.09761865210411393, 0.0861901615319532, 0.07334648141108016,
+                  0.05929858491543636, 0.04427743881741941, 0.02853138862893356, 0.01234122979998869])
+_GL_X, _GL_W = np.r_[-_GL_X[::-1], _GL_X], np.r_[_GL_W[::-1], _GL_W]
 _GL_HALF = _GL_POINTS // 2  # _GL_X[_GL_HALF + k] = -_GL_X[_GL_HALF - 1 - k], with equal weights
 
 
@@ -260,23 +287,34 @@ def _panel_sums(panels: PanelSet, tb: np.ndarray, fold_plus: np.ndarray, fold_mi
                 mono: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Re and Im of ∫_{-1}^{1} f_i e^{-iθξ} dξ, θ = h_i t, for every panel i and t in tb.
 
-    θ and |θ| are freed once each regime has gathered its own θ values, so
-    that the Gauss-Legendre and Filon stages run beside the two sums alone.
+    θ and |θ| are freed once each regime has listed its pairs by flat index
+    and gathered their θ.  The Gauss-Legendre and Filon regimes then run in
+    passes of 1/_PASS_SHARE of the block's pairs (at least _PASS_MIN), so
+    that a pass's rows and temporaries (24 floats a pair in the (n, 12) node
+    buffer and gathered folds, about ten in the Filon recurrence) stay
+    within about one P × T buffer whatever share of the block the regime
+    takes.
     """
     theta = np.outer(panels.halfs, tb)
     re, im, size = _taylor_sum(panels.gl_vals, theta)
-    gl = np.nonzero((size > _TAYLOR_SWITCH) & (size <= _THETA_SWITCH))
-    filon = np.nonzero(size > _THETA_SWITCH)
-    theta_gl, theta_filon = theta[gl], theta[filon]
-    del theta, size
-    if theta_gl.size:
+    gl = np.flatnonzero((size > _TAYLOR_SWITCH) & (size <= _THETA_SWITCH))
+    filon = np.flatnonzero(size > _THETA_SWITCH)
+    del size
+    theta_gl, theta_filon = theta.reshape(-1)[gl], theta.reshape(-1)[filon]
+    del theta
+    flat_re, flat_im = re.reshape(-1), im.reshape(-1)
+    step = max(re.size // _PASS_SHARE, _PASS_MIN)
+    for j in range(0, gl.size, step):
+        pairs, th = gl[j:j + step], theta_gl[j:j + step, None]
+        rows = pairs // len(tb)
         # θ x_k is formed twice, so that one buffer of 12 a pair holds its cosines, then its sines
-        arg = theta_gl[:, None] * _GL_X[_GL_HALF:]
-        re[gl] = np.einsum("pk,pk->p", np.cos(arg, out=arg), fold_plus[gl[0]])
-        np.multiply(theta_gl[:, None], _GL_X[_GL_HALF:], out=arg)
-        im[gl] = np.einsum("pk,pk->p", np.sin(arg, out=arg), fold_minus[gl[0]])
-    if theta_filon.size:
-        re[filon], im[filon] = _filon_sums(mono, filon[0], theta_filon)
+        arg = th * _GL_X[_GL_HALF:]
+        flat_re[pairs] = np.einsum("pk,pk->p", np.cos(arg, out=arg), fold_plus[rows])
+        np.multiply(th, _GL_X[_GL_HALF:], out=arg)
+        flat_im[pairs] = np.einsum("pk,pk->p", np.sin(arg, out=arg), fold_minus[rows])
+    for j in range(0, filon.size, step):
+        pairs = filon[j:j + step]
+        flat_re[pairs], flat_im[pairs] = _filon_sums(mono, pairs // len(tb), theta_filon[j:j + step])
     return re, im
 
 

@@ -16,7 +16,11 @@ leaves nothing on disk.
 
 Every CSV starts with a '#'-prefixed header recording the fully resolved
 configuration, uses 17-significant-digit floats, '\\n' newlines and UTF-8,
-so output is byte-deterministic for a fixed configuration and version.
+so output is byte-deterministic for a fixed configuration, version and
+BLAS thread count (OPENBLAS_NUM_THREADS).  The time stepper's product per
+block is a BLAS call, so its columns may move in their last digits from
+one thread count to another; the Laplace route's bytes, and so every
+figure's, are the same at 1 and 2 threads.
 Each distinct column among the CSVs of one command (the output times, p_e
 across the codes of one curve) is formatted once, in one `%` call, and its
 cells are held until the last CSV that uses it is written.

@@ -46,10 +46,16 @@ _OMEGA_MAX = 50.0         # top of the branch-cut integral, in units of ω_c
 _TAIL_TOL = 1e-8          # bound on ∫|density| over [_OMEGA_MAX, _OMEGA_MAX + 20]
 
 # the tail's rule: 12-point Gauss-Legendre on 4 panels of half-width 2.5 over
-# [_OMEGA_MAX, _OMEGA_MAX + 20], within 1.2e-15 of adaptive quadrature at the reference pairs
-_TAIL_X, _TAIL_W = np.polynomial.legendre.leggauss(12)
-_TAIL_X = (_OMEGA_MAX + 2.5 * np.arange(1, 8, 2)[:, None] + 2.5 * _TAIL_X).ravel()
-_TAIL_W = np.tile(2.5 * _TAIL_W, 4)
+# [_OMEGA_MAX, _OMEGA_MAX + 20], within 1.2e-15 of adaptive quadrature at the reference pairs.
+# The rule on [-1, 1] is numpy.polynomial.legendre.leggauss(12) bit for bit: its nodes x_k > 0
+# and their weights written out, mirrored as leggauss symmetrises them (x_{-k} = -x_k, equal
+# weights), so that the import needs neither numpy.polynomial nor an eigensolver
+_TAIL_X = np.array([0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+                    0.7699026741943047, 0.9041172563704748, 0.9815606342467192])
+_TAIL_W = np.array([0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+                    0.16007832854334642, 0.10693932599531907, 0.04717533638651141])
+_TAIL_X = (_OMEGA_MAX + 2.5 * np.arange(1, 8, 2)[:, None] + 2.5 * np.r_[-_TAIL_X[::-1], _TAIL_X]).ravel()
+_TAIL_W = np.tile(2.5 * np.r_[_TAIL_W[::-1], _TAIL_W], 4)
 
 # `_resonance_seeds`' read-only scan, in units of ω_c: a log and a linear grid, sorted; they
 # share only their last point, which the linear one leaves out
@@ -447,11 +453,15 @@ def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *,
         return PropagatorSolution(times, u)
 
     n0 = len(grid.samples) - 1
-    u_h, _ = _step_history(spec, omega0, h0, n0)
+    # the gate reads only |u| of the coarser level: a float array, where u is complex
+    abs_h = np.abs(_step_history(spec, omega0, h0, n0)[0])
     for r in range(1, _MAX_REFINEMENTS + 1):
         n, h, nb = n0 * 2**r, h0 / 2**r, _NEAR_BLOCK
         u_fine, (lam, c, powers) = _step_history(spec, omega0, h, n)
-        delta = float(np.max(np.abs(np.abs(u_fine[::2]) - np.abs(u_h))))
+        gap = np.abs(u_fine[::2])  # ||u_fine| - |u_coarse|| on the coarse nodes, in this one buffer
+        gap -= abs_h
+        delta = float(np.max(np.abs(gap, out=gap)))
+        del gap  # not held through the next level's march
         u_out, interp = _at_times(u_fine, times.samples / h)
         if delta < _HALVING_TOL and interp < _HALVING_TOL:
             # the fit at lags nb+1..2nb and at 64 log-spaced lags up to the stepper's horizon
@@ -462,7 +472,8 @@ def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *,
             diagnostics = {"refinements": r, "h_final": h, "halving_delta": delta,
                            "interp_delta": interp, "modes": len(c), "fit_bound": float(fit)}
             return PropagatorSolution(times, u_out, diagnostics=diagnostics)
-        u_h = u_fine
+        abs_h = np.abs(u_fine)
+        del u_fine  # freed before the next level's march, which holds twice as many steps
     raise NonConvergenceError(
         f"step halving did not stabilize |u| to {_HALVING_TOL} within "
         f"{_MAX_REFINEMENTS} refinements (last change {delta:.3e}, interpolation gap {interp:.3e})"

@@ -651,6 +651,30 @@ def test_import_leaves_out_heavy_scipy_subpackages():
     assert out.stdout.split() == []
 
 
+def test_import_leaves_out_numpy_polynomial():
+    # the quadrature tables are written out: no numpy.polynomial module, whose leggauss
+    # would also run LAPACK's eigensolver at import
+    code = "import sys, cohlab, cohlab.cli; print(*[m for m in sys.modules if m.startswith('numpy.polynomial')])"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cohlab.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
+
+
+def test_figure_bytes_at_one_and_two_blas_threads(tmp_path):
+    # the Laplace route's bytes do not hang on the BLAS thread count (the stepper's may: its
+    # product per block is a BLAS call, whose last digits may move with the threads)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cohlab.__file__)))
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "cohlab.cli", "figure", "--id", "2b", "--out", str(out)],
+                       env=dict(env, OPENBLAS_NUM_THREADS=threads), capture_output=True, check=True)
+        written.append({p.name: [line for line in p.read_bytes().splitlines(keepends=True)
+                                 if not line.startswith(b"# out")]
+                        for p in sorted(out.iterdir())})
+    assert written[0] and written[0] == written[1]
+
+
 def test_default_figure_leaves_out_scipy(tmp_path):
     # the Laplace route of a whole figure runs on numpy alone, so no lazy
     # scipy import moves the import cost into the first pass

@@ -105,6 +105,48 @@ def test_blocks_do_not_hold_each_others_buffers():
     assert _traced_peak(panels, t) <= 6 * 8 * len(panels) * step + got.nbytes
 
 
+def test_filon_heavy_blocks_hold_about_one_more_buffer():
+    # nearly every pair lies past θ = 14: the Filon stage runs in passes of 1/24 of the
+    # block, so its rows and recurrence temporaries stay within about one P × T buffer;
+    # taken over the whole regime at once they lifted the peak to 13.3
+    panels = _exp_panels()
+    step = _fourier._BLOCK // len(panels)
+    t = np.linspace(0.0, 2000.0, 20001)
+    assert np.mean(np.outer(panels.halfs, t) > _fourier._THETA_SWITCH) > 0.99
+    got = _fourier.fourier_integral(panels, t)
+    assert got.tobytes() == fourier_integral_reference(panels, t).tobytes()
+    assert _traced_peak(panels, t) <= 6 * 8 * len(panels) * step + got.nbytes
+
+
+def test_gauss_legendre_heavy_blocks_hold_about_one_more_buffer():
+    # 50 panels of half-width 1/2 at 4.5 ≤ t ≤ 27.5: every pair in 2 < θ ≤ 14, two blocks.
+    # The (n, 12) node buffer and the gathered folds take passes of 1/24 of the block;
+    # over the whole regime at once they lifted the peak to 30 buffers
+    panels = _fourier.build_panels(lambda w: np.exp(-w), 0.0, 50.0, seeds=np.arange(1.0, 50.0))
+    assert np.all(panels.halfs == 0.5)
+    step = _fourier._BLOCK // len(panels)
+    t = np.linspace(4.5, 27.5, 2 * step)
+    got = _fourier.fourier_integral(panels, t)
+    assert got.tobytes() == fourier_integral_reference(panels, t).tobytes()
+    assert _traced_peak(panels, t) <= 6 * 8 * len(panels) * step + got.nbytes
+
+
+def test_gauss_legendre_rule_is_leggauss():
+    # written out so that the import needs no numpy.polynomial and no eigensolver
+    x, w = np.polynomial.legendre.leggauss(_fourier._GL_POINTS)
+    assert np.array_equal(_fourier._GL_X, x) and _fourier._GL_X.tobytes() == x.tobytes()
+    assert np.array_equal(_fourier._GL_W, w) and _fourier._GL_W.tobytes() == w.tobytes()
+
+
+def test_monomial_matrix_is_cheb2poly():
+    # the integer recurrence of T_k against numpy.polynomial's conversion, zeros padded past ξ^k
+    p = _fourier._DEGREE
+    want = np.column_stack([np.pad(np.polynomial.chebyshev.cheb2poly(e), (0, p - k))
+                            for k, e in enumerate(np.eye(p + 1))])
+    assert np.array_equal(_fourier._MONO_MAT, want)
+    assert _fourier._MONO_MAT.tobytes() == want.tobytes()
+
+
 def test_panel_budget_exhausted_raises():
     # noise is resolved on no panel: every level doubles until the budget runs out
     rng = np.random.default_rng(0)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -423,6 +424,33 @@ def test_volterra_diagnostics():
     assert 0.0 < d["fit_bound"] <= 1e-13
     assert d["interp_delta"] == 0.0  # every output time is a node
     assert solve_volterra(BathSpec(1.0, 0.0), 0.1, grid).diagnostics == {}
+
+
+def test_halving_gate_holds_the_coarser_level_as_modulus():
+    # the gate keeps |u| of the coarser level alone, as float, and forms its gap in one
+    # float buffer: with N final steps the finer level's complex u is 16N bytes, and the
+    # solve peaks at about 1.56 × 16N, where the coarser complex u and three float
+    # temporaries read 2.06 × 16N
+    spec, grid = BathSpec(0.5, 0.5), TimeGrid.uniform(1000.0, 100000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sol = solve_volterra(spec, 0.1, grid, times=TimeGrid.log(1000.0, 400, 0.1))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sol.diagnostics["refinements"] == 1
+    n = 2 * 100000
+    assert peak <= 1.7 * 16 * n
+
+
+def test_tail_rule_is_leggauss():
+    # written out so that the import needs no numpy.polynomial and no eigensolver
+    x, w = np.polynomial.legendre.leggauss(12)
+    want_x = (propagator._OMEGA_MAX + 2.5 * np.arange(1, 8, 2)[:, None] + 2.5 * x).ravel()
+    want_w = np.tile(2.5 * w, 4)
+    assert np.array_equal(propagator._TAIL_X, want_x) and propagator._TAIL_X.tobytes() == want_x.tobytes()
+    assert np.array_equal(propagator._TAIL_W, want_w) and propagator._TAIL_W.tobytes() == want_w.tobytes()
 
 
 def test_volterra_refinement_budget_error(monkeypatch):
