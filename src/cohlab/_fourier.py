@@ -40,9 +40,8 @@ pair of either regime, at most two buffers for both).  Those stages then
 take the panel rows and their own temporaries in passes of 1/24 of the
 block's pairs (at least 1024), so that a block that lies wholly in one
 regime holds about one P × T buffer more.  A block's buffers are freed
-before the next block's.
-Every float operation is that of the one-expression form, so the result
-is the same to the bit.
+before the next block's.  Every float operation is that of the
+one-expression form, so the result is the same to the bit.
 """
 
 from __future__ import annotations
