@@ -4,15 +4,17 @@ Configuration comes from a flat key=value file plus command-line overrides
 (CLI > file > defaults); ω0, α0 and tmax must be finite and positive,
 BathSpec checks s and η0, and the phase-flip code checks n.  Frequencies
 are in units of ω_c and times in units of 1/ω_c.  Each command runs one
-pipeline: configs -> each distinct propagator solved once, on its own
-output grid -> CSV writers that only format.  A figure or sweep derives all of its curves from those solutions,
-solved one after another in the calling process.  With solver 'both' every
-solve is checked against the other route once.  That check and each solver's
-diagnostics are footer lines that travel with the solution into every CSV
-drawn from it.  The parser is built once per process, on first use; this
-module keeps nothing else between calls.  The output directory is made by
-the first CSV written into it, so a command that fails before writing
-leaves nothing on disk.
+pipeline: configs -> one solve pass, each distinct propagator solved once
+on its own output grid -> one write pass of CSV writers that only format.
+`figure --id` takes one or more ids, and every curve of every figure goes
+through that one pass, so figures that share a propagator share its solve.
+The solves run one after another in the calling process.  With solver
+'both' every solve is checked against the other route once.  That check
+and each solver's diagnostics are footer lines that travel with the
+solution into every CSV drawn from it.  The parser is built once per
+process, on first use; this module keeps nothing else between calls.  The
+output directory is made by the first CSV written into it, so a command
+that fails before writing leaves nothing on disk.
 
 Every CSV starts with a '#'-prefixed header recording the fully resolved
 configuration, uses 17-significant-digit floats, '\\n' newlines and UTF-8,
@@ -313,13 +315,19 @@ def _channel_table(cfg: RunConfig, sol: _Solved) -> tuple[list[str], list]:
 _TABLES = {"u": _u_table, "channel": _channel_table}
 
 
-def _write_curves(kind: str, prefix: str, cfgs: list[RunConfig]) -> tuple[list[str], bool]:
-    """One CSV per config: the `kind` table of its solution under the
-    solution's footer; the verdict is that of every solution."""
-    solved = _solve_each_once(cfgs)
-    items = []
-    for c, sol in zip(cfgs, solved):
-        tag = "" if kind == "u" or c.code == "none" else f"_{c.code}{c.n}"
+def _write_curves(curves: list[tuple[str, str, RunConfig]]) -> tuple[list[str], bool]:
+    """One CSV per (kind, file prefix, config) curve, in order: a 'u' or
+    'channel' curve is that table of its config's solution under the
+    solution's footer, a 'J' or 'J_unscaled' one a figure's spectral density.
+    Every distinct propagator among the curves is solved once, before the
+    first CSV is written; the verdict is that of every solution."""
+    solved = _solve_each_once([c for kind, _, c in curves if kind in _TABLES])
+    sols, items = iter(solved), []
+    for kind, prefix, c in curves:
+        if kind not in _TABLES:
+            items.append(_spectral_curve(c, prefix, scaled=kind == "J"))
+            continue
+        sol, tag = next(sols), "" if kind == "u" or c.code == "none" else f"_{c.code}{c.n}"
         items.append((os.path.join(c.out, f"{prefix}s{c.s:g}_eta{c.eta0:g}{tag}.csv"),
                       c.header_items(), *_TABLES[kind](c, sol), sol.footer))
     return _write_tables(items), all(sol.ok for sol in solved)
@@ -375,7 +383,7 @@ _CODE_RECIPE = ("per s: concurrence vs t and fidelity vs t for {}; x axis log sc
 # figure id -> (curve kind, per-curve overrides with each caption's parameters, recipe); a
 # 10^4 horizon comes with 2 x 10^5 stepper steps, the step h = 0.05 of every 10^3 curve
 _FIGURES = {
-    "1a": ("J", _curves({"eta0": 0.5}, _S),
+    "1a": ("J_unscaled", _curves({"eta0": 0.5}, _S),
            "plot J vs omega for each CSV; linear axes; omega in units of omega_c (unscaled coupling)"),
     "1b": ("J", _curves({"eta0": 0.5}, _S),
            "plot J vs omega for each CSV; linear axes; omega in units of omega_c "
@@ -397,27 +405,23 @@ _FIGURES = {
 }
 
 
-def _spectral_curve(cfg: RunConfig, fig_id: str) -> tuple:
-    """The figure 1a/1b CSV item of one config: J on 801 points of [0, 8] (ω_c)."""
-    # 1b keeps η0 (scaled coupling); 1a rescales it so that η_s = η0
-    eta0 = cfg.eta0 if fig_id == "1b" else cfg.eta0 * (cfg.s / math.e) ** cfg.s
+def _spectral_curve(cfg: RunConfig, prefix: str, scaled: bool) -> tuple:
+    """A figure 1a/1b CSV item: J on 801 points of [0, 8] (ω_c), at η0 when
+    `scaled` (1b), else at η0 (s/e)^s, so that η_s = η0 (1a)."""
+    eta0 = cfg.eta0 if scaled else cfg.eta0 * (cfg.s / math.e) ** cfg.s
     w = np.linspace(0.0, 8.0, 801)
-    return (os.path.join(cfg.out, f"figure{fig_id}_J_s{cfg.s:g}.csv"), cfg.header_items(),
+    return (os.path.join(cfg.out, f"{prefix}J_s{cfg.s:g}.csv"), cfg.header_items(),
             ["omega", "J"], [w, spectral_density(BathSpec(cfg.s, eta0), w)], ())
 
 
-def _write_figure(fig_id: str, cfg: RunConfig) -> tuple[list[str], bool]:
-    kind, curves, recipe = _FIGURES[fig_id]
-    cfgs = [replace(cfg, **o) for o in curves]
-    if kind == "J":
-        paths, ok = _write_tables([_spectral_curve(c, fig_id) for c in cfgs]), True
-    else:
-        paths, ok = _write_curves(kind, f"figure{fig_id}_" + ("u_" if kind == "u" else ""), cfgs)
-    recipe_path = os.path.join(cfg.out, f"figure{fig_id}_recipe.txt")
-    with open(recipe_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"figure {fig_id}\n{recipe}\nfiles:\n")
-        fh.writelines(f"  {os.path.basename(p)}\n" for p in paths)
-    return paths + [recipe_path], ok
+def _write_recipe(fig_id: str, cfg: RunConfig, paths: list[str]) -> str:
+    """The figure's plotting recipe, listing its CSVs among `paths`."""
+    names = [os.path.basename(p) for p in paths]
+    path = os.path.join(cfg.out, f"figure{fig_id}_recipe.txt")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"figure {fig_id}\n{_FIGURES[fig_id][2]}\nfiles:\n")
+        fh.writelines(f"  {n}\n" for n in names if n.startswith(f"figure{fig_id}_"))
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=desc)
         _add_config_flags(p)
         if name == "figure":
-            p.add_argument("--id", required=True, dest="fig_id", choices=list(_FIGURES))
+            p.add_argument("--id", required=True, dest="fig_id", choices=list(_FIGURES), nargs="+")
         if name == "sweep":
             p.add_argument("--axis", required=True, choices=["eta0", "s", "n", "alpha0", "omega0"])
             p.add_argument("--values", required=True,
@@ -467,12 +471,16 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         if args.command == "figure":
-            paths, ok = _write_figure(args.fig_id, cfg)
+            fig_ids = dict.fromkeys(args.fig_id)  # each id once, in the order given
+            curves = [(kind, f"figure{f}_" + ("u_" if kind == "u" else ""), replace(cfg, **o))
+                      for f in fig_ids for kind, overrides, _ in [_FIGURES[f]] for o in overrides]
+            paths, ok = _write_curves(curves)
+            paths += [_write_recipe(f, cfg, paths) for f in fig_ids]
         elif args.command == "sweep":
             paths, ok = _write_sweep(cfg, args.axis, _sweep_values(args.axis, args.values))
         else:
             kind = "u" if args.command == "propagator" else "channel"
-            paths, ok = _write_curves(kind, f"{args.command}_", [cfg])
+            paths, ok = _write_curves([(kind, f"{args.command}_", cfg)])
     except ConfigError as exc:
         print(f"cohlab: configuration error: {exc}", file=sys.stderr)
         return 2

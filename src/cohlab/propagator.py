@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bath as _bath
-from ._fourier import FourierQuadratureError, build_panels, fourier_integral
+from ._fourier import _GL_W, _GL_X, FourierQuadratureError, build_panels, fourier_integral
 from .bath import BathSpec
 
 __all__ = ["TimeGrid", "PropagatorSolution", "NonConvergenceError", "solve_volterra", "solve_laplace",
@@ -45,17 +45,10 @@ _Y_MAX = 50.0             # top of the pole bracket on the imaginary axis
 _OMEGA_MAX = 50.0         # top of the branch-cut integral, in units of ω_c
 _TAIL_TOL = 1e-8          # bound on ∫|density| over [_OMEGA_MAX, _OMEGA_MAX + 20]
 
-# the tail's rule: 12-point Gauss-Legendre on 4 panels of half-width 2.5 over
-# [_OMEGA_MAX, _OMEGA_MAX + 20], within 1.2e-15 of adaptive quadrature at the reference pairs.
-# The rule on [-1, 1] is numpy.polynomial.legendre.leggauss(12) bit for bit: its nodes x_k > 0
-# and their weights written out, mirrored as leggauss symmetrises them (x_{-k} = -x_k, equal
-# weights), so that the import needs neither numpy.polynomial nor an eigensolver
-_TAIL_X = np.array([0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
-                    0.7699026741943047, 0.9041172563704748, 0.9815606342467192])
-_TAIL_W = np.array([0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
-                    0.16007832854334642, 0.10693932599531907, 0.04717533638651141])
-_TAIL_X = (_OMEGA_MAX + 2.5 * np.arange(1, 8, 2)[:, None] + 2.5 * np.r_[-_TAIL_X[::-1], _TAIL_X]).ravel()
-_TAIL_W = np.tile(2.5 * np.r_[_TAIL_W[::-1], _TAIL_W], 4)
+# the tail's rule: `_fourier`'s 24-point Gauss-Legendre rule on 2 panels of half-width 5 over
+# [_OMEGA_MAX, _OMEGA_MAX + 20], within 2.2e-15 of adaptive quadrature at the reference pairs
+_TAIL_X = (_OMEGA_MAX + 5.0 * (np.array([[1.0], [3.0]]) + _GL_X)).ravel()
+_TAIL_W = np.tile(5.0 * _GL_W, 2)
 
 # `_resonance_seeds`' read-only scan, in units of ω_c: a log and a linear grid, sorted; they
 # share only their last point, which the linear one leaves out
@@ -74,9 +67,11 @@ class TimeGrid:
         object.__setattr__(self, "samples", s)
         if s.ndim != 1 or len(s) < 1:
             raise ValueError("TimeGrid needs a 1-d array of times")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("samples must be finite")
         if s[0] != 0.0:
             raise ValueError("first sample must be t = 0")
-        if len(s) > 1 and np.any(np.diff(s) <= 0):
+        if not np.all(np.diff(s) > 0):
             raise ValueError("samples must be strictly increasing")
 
     @property
@@ -96,16 +91,16 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, t_max: float, n_steps: int) -> "TimeGrid":
-        if t_max <= 0 or n_steps < 1:
-            raise ValueError("need t_max > 0 and n_steps >= 1")
+        if not 0 < t_max < math.inf or n_steps < 1:
+            raise ValueError("need a finite t_max > 0 and n_steps >= 1")
         return cls(np.linspace(0.0, t_max, n_steps + 1))
 
     @classmethod
     def log(cls, t_max: float, n_points: int, t_min: float = 1e-2) -> "TimeGrid":
         """t = 0 followed by n_points-1 log-spaced times from t_min to t_max; n_points ≥ 3, as
         fewer would leave t_max out."""
-        if not (0 < t_min < t_max) or n_points < 3:
-            raise ValueError("need 0 < t_min < t_max and n_points >= 3")
+        if not (0 < t_min < t_max < math.inf) or n_points < 3:
+            raise ValueError("need 0 < t_min < t_max, a finite t_max, and n_points >= 3")
         return cls(np.concatenate(([0.0], np.geomspace(t_min, t_max, n_points - 1))))
 
 
@@ -436,11 +431,14 @@ def solve_volterra(spec: BathSpec, omega0: float, grid: TimeGrid, *,
     Raises
     ------
     ValueError
-        If s is past the stepper's limit (`check_stepper_range`) or `times` past the grid.
+        If s is past the stepper's limit (`check_stepper_range`), ω₀ is not finite or `times`
+        lies past the grid.
     NonConvergenceError
         If the refinement budget is exhausted before the gate passes.
     """
     check_stepper_range(spec.s)
+    if not math.isfinite(omega0):
+        raise ValueError(f"mode frequency omega0 must be finite, got {omega0}")
     times = grid if times is None else times
     if times.t_max > grid.t_max:
         raise ValueError(f"output times reach t = {times.t_max:g}, past the stepping grid's {grid.t_max:g}")
@@ -529,8 +527,11 @@ def find_poles(spec: BathSpec, omega0: float) -> list[tuple[complex, complex]]:
     call per iterate; the residue is 1/slope at the returned zero.  A
     zero beyond _Y_MAX is not searched for and yields no pole.  On the
     negative imaginary axis — the branch cut — Im B = -π η_s ω^s e^{-ω} < 0
-    strictly, so no further pole can hide there for η_0 > 0.
+    strictly, so no further pole can hide there for η_0 > 0.  Raises
+    ValueError if ω₀ is not finite.
     """
+    if not math.isfinite(omega0):
+        raise ValueError(f"mode frequency omega0 must be finite, got {omega0}")
     if spec.eta0 == 0.0:
         return [(-1j * omega0, 1.0 + 0.0j)]
     b0, es = _edge_denominator(spec, omega0), spec.eta_s
@@ -622,6 +623,8 @@ def solve_laplace(spec: BathSpec, omega0: float, grid: TimeGrid) -> PropagatorSo
 
     Raises
     ------
+    ValueError
+        If ω₀ is not finite (`find_poles`).
     FourierQuadratureError
         If η_0 > 0 and ω_0 ≥ _OMEGA_MAX (the resonance near ω_0 would lie
         past the panels, and u would come out wrong with no other error), a

@@ -296,10 +296,13 @@ def test_phase_code_c_prime_once_per_curve(tmp_path, monkeypatch):
     (["figure", "--id", "4"], 3),
     (["figure", "--id", "5"], 3),
     (["figure", "--id", "6"], 3),
+    # as six single-id commands, 2a, 2b (3 each) and the four above make 21 solves of 9 propagators
+    (["figure", "--id", "2a", "2b", "3", "4", "5", "6"], 9),
     (["sweep", "--axis", "n", "--values", "1,3,5,9", "--code", "phase", "--eta0", "0.5"], 1),
     (["sweep", "--axis", "alpha0", "--values", "0.6,1.2", "--tmax", "100"], 1),
     (["sweep", "--axis", "eta0", "--values", "0.01,0.5,0.01", "--tmax", "100"], 2),
-], ids=["figure-3", "figure-4", "figure-5", "figure-6", "sweep-n", "sweep-alpha0", "sweep-eta0"])
+], ids=["figure-3", "figure-4", "figure-5", "figure-6", "figure-2a-6", "sweep-n", "sweep-alpha0",
+        "sweep-eta0"])
 def test_each_distinct_propagator_solved_once(tmp_path, monkeypatch, argv, solves):
     calls = []
     original = cli.solve_laplace
@@ -359,6 +362,36 @@ def test_recurring_columns_write_what_each_curve_writes_alone(tmp_path, fig_id):
         name = f"s{o['s']:g}_eta{o['eta0']:g}{tag}.csv"
         figure = tmp_path / f"figure{fig_id}_{'u_' if kind == 'u' else ''}{name}"
         assert figure.read_bytes() == (tmp_path / f"{command}_{name}").read_bytes()
+
+
+def _without_out_lines(directory):
+    return {p.name: [x for x in p.read_text().splitlines() if not x.startswith("# out = ")]
+            for p in directory.iterdir()}
+
+
+def test_figures_in_one_command_write_what_each_writes_alone(tmp_path, capsys):
+    # one solve pass and one write pass over the curves of both figures: each CSV and
+    # recipe holds what the figure's own command writes
+    assert main(["figure", "--id", "2a", "3", "--out-points", "6", "--out", str(tmp_path / "both")]) == 0
+    printed = capsys.readouterr().out.split()
+    for fig_id in ("2a", "3"):
+        assert main(["figure", "--id", fig_id, "--out-points", "6", "--out", str(tmp_path / "alone")]) == 0
+    alone = _without_out_lines(tmp_path / "alone")
+    assert len(alone) == 3 + 1 + 6 + 1
+    assert _without_out_lines(tmp_path / "both") == alone
+    assert sorted(os.path.basename(p) for p in printed) == sorted(alone)
+
+
+def test_figure_id_given_twice_is_written_once(tmp_path, monkeypatch, capsys):
+    written = []
+    original = cli.write_csv
+    monkeypatch.setattr(cli, "write_csv", lambda path, *a: written.append(path) or original(path, *a))
+    assert main(["figure", "--id", "4", "4", "--out-points", "6", "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out.split()
+    assert len(written) == len(set(written)) == 12
+    assert printed == written + [str(tmp_path / "figure4_recipe.txt")]
+    files = (tmp_path / "figure4_recipe.txt").read_text().split("files:\n")[1].split()
+    assert sorted(files) == sorted(os.path.basename(p) for p in written)
 
 
 def test_sweep_rows_write_what_each_value_writes_alone(tmp_path):
@@ -603,7 +636,7 @@ def test_cross_solver_check_once_per_solve(tmp_path, monkeypatch):
     base = RunConfig(solver="both", tmax=50.0, points=2000, out_points=20, out=str(tmp_path))
     cfgs = [replace(base, s=s, code=code, n=n) for s in (1.0, 3.0)
             for code, n in (("none", 1), ("phase", 3), ("bit", 6))]
-    paths, ok = cli._write_curves("channel", "x_", cfgs)
+    paths, ok = cli._write_curves([("channel", "x_", c) for c in cfgs])
     assert ok and sorted(solves) == [1.0, 3.0]
     for s in ("1", "3"):
         footers = {tuple(load(p)[3]) for p in paths if f"_s{s}_" in p}
